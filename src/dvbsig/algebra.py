@@ -213,16 +213,19 @@ class Fp2Element:
         return Fp2Element(self.a * inv % self.p, -self.b * inv % self.p, self.p)
 
     def __pow__(self, exponent: int) -> Fp2Element:
+        """Left-to-right square-and-multiply on plain ints; squaring is
+        (a + b)(a - b) + 2ab*i."""
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Fp2Element.one(self.p)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        if exponent == 0:
+            return Fp2Element.one(self.p)
+        a, b, p = self.a, self.b, self.p
+        ra, rb = a, b
+        for bit in bin(exponent)[3:]:
+            ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
+            if bit == "1":
+                ra, rb = (ra * a - rb * b) % p, (ra * b + rb * a) % p
+        return Fp2Element(ra, rb, p)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

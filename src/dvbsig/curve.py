@@ -1,13 +1,16 @@
 """The supersingular curve E: y^2 = x^3 + x over F_p, its order-q subgroup,
-the distortion map, and the reduced Tate pairing into the order-q subgroup of
-F_p2^*.
+and the reduced Tate pairing into the order-q subgroup of F_p2^*.
 
 Parameters are of the Boneh-Franklin shape: p = 12*q*r - 1 prime (so that
 q | p + 1 = #E(F_p)) with p = 3 (mod 4).  The pairing of two F_p-rational
 points A, B is Miller's algorithm for f_{q,A} evaluated at the distorted
 point phi(B) = (-x_B, i*y_B), followed by the final exponentiation to
-(p^2 - 1)/q.  With embedding degree 2 all vertical-line contributions lie in
-F_p and are erased by the final exponentiation, so they are skipped.
+(p^2 - 1)/q.  With embedding degree 2 every factor that lies in F_p --
+vertical lines and the denominators of the projective line values -- is
+erased by the final exponentiation, so such factors are skipped.
+
+Ladders and the Miller loop keep their running point in Jacobian
+coordinates (x, y) = (X/Z^2, Y/Z^3), so each inverts at most once.
 """
 
 from __future__ import annotations
@@ -63,18 +66,6 @@ class G1Point:
 
 
 @dataclass(frozen=True)
-class Fp2Point:
-    """Point with F_p2 coordinates; only produced by the distortion map."""
-
-    x: Fp2Element | None
-    y: Fp2Element | None
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x is None
-
-
-@dataclass(frozen=True)
 class GTElement:
     """Element of the order-q subgroup of F_p2^* (pairing values)."""
 
@@ -127,15 +118,16 @@ class CurveParams:
         g = self.generator
         if g.is_identity or not g.on_curve():
             raise InvalidPoint("generator is not a curve point")
-        if _mul_raw(self.p, self.q, g.x, g.y)[0] is not None:
+        if not in_subgroup(g, self.q):
             raise InvalidPoint("generator does not have order q")
 
 
 # ---------------------------------------------------------------------------
-# raw affine arithmetic (identity encoded as (None, None))
+# raw arithmetic (affine identity encoded as (None, None))
 
 
 def _add_raw(p, x1, y1, x2, y2):
+    """Affine chord-and-tangent addition; one inversion."""
     if x1 is None:
         return x2, y2
     if x2 is None:
@@ -151,17 +143,62 @@ def _add_raw(p, x1, y1, x2, y2):
     return x3, y3
 
 
+def _double_jacobian(p, x, y, z):
+    """2*(X, Y, Z) for a = 1: M = 3X^2 + Z^4, S = 4XY^2, Z' = 2YZ."""
+    yy = y * y % p
+    zz = z * z % p
+    m = (3 * x * x + zz * zz) % p
+    s = 4 * x * yy % p
+    x3 = (m * m - 2 * s) % p
+    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+
 def _mul_raw(p, k, x, y):
+    """k*(x, y) by left-to-right double-and-add in Jacobian coordinates.
+
+    Additions are mixed (Jacobian plus the affine base); Z = 0 marks the
+    identity.  The single inversion happens at the affine boundary and is
+    skipped when the result is the identity, which is what every subgroup
+    check expects.
+    """
+    if x is None or k == 0:
+        return None, None
     if k < 0:
-        k, y = -k, None if y is None else (-y) % p
-    rx, ry = None, None
-    ax, ay = x, y
-    while k:
-        if k & 1:
-            rx, ry = _add_raw(p, rx, ry, ax, ay)
-        ax, ay = _add_raw(p, ax, ay, ax, ay)
-        k >>= 1
-    return rx, ry
+        k, y = -k, (-y) % p
+    tx, ty, tz = x, y, 1
+    for bit in bin(k)[3:]:
+        if tz:
+            tx, ty, tz = _double_jacobian(p, tx, ty, tz)
+        if bit == "1":
+            if not tz:
+                tx, ty, tz = x, y, 1
+                continue
+            # T <- T + (x, y):  H = x*Z^2 - X,  R = y*Z^3 - Y
+            zz = tz * tz % p
+            h = (x * zz - tx) % p
+            r = (y * zz * tz - ty) % p
+            if h == 0:  # T = -(x, y) gives the identity, T = (x, y) a doubling
+                tx, ty, tz = _double_jacobian(p, tx, ty, tz) if r == 0 else (1, 1, 0)
+                continue
+            hh = h * h % p
+            hhh = h * hh % p
+            v = tx * hh % p
+            tz = tz * h % p
+            tx = (r * r - hhh - 2 * v) % p
+            ty = (r * (v - tx) - ty * hhh) % p
+    if not tz:
+        return None, None
+    zinv = pow(tz, -1, p)
+    zinv2 = zinv * zinv % p
+    return tx * zinv2 % p, ty * zinv2 * zinv % p
+
+
+def in_subgroup(point: G1Point, q: int) -> bool:
+    """True when q*point is the identity (the identity itself included).
+
+    One ladder through `_mul_raw`; curve membership is the caller's check.
+    """
+    return point.is_identity or _mul_raw(point.p, q, point.x, point.y)[0] is None
 
 
 def _require_on_curve(point: G1Point) -> None:
@@ -196,19 +233,6 @@ def scalar_mul(k: int, a: G1Point) -> G1Point:
     return G1Point(a.p, x, y)
 
 
-def distortion_map(a: G1Point) -> Fp2Point:
-    """(x, y) -> (-x, i*y), an endomorphism of E over F_p2.
-
-    The image is linearly independent of the F_p-rational input, which is
-    what makes the pairing of a point with itself non-degenerate.
-    """
-    if a.is_identity:
-        return Fp2Point(None, None)
-    _require_on_curve(a)
-    p = a.p
-    return Fp2Point(Fp2Element(-a.x % p, 0, p), Fp2Element(0, a.y, p))
-
-
 def tate_pairing(a: G1Point, b: G1Point, params: CurveParams) -> GTElement:
     """Reduced Tate pairing e(A, B) = f_{q,A}(phi(B))^((p^2-1)/q).
 
@@ -227,35 +251,52 @@ def tate_pairing(a: G1Point, b: G1Point, params: CurveParams) -> GTElement:
 
 
 def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Element:
-    """Accumulate f_{q,A} evaluated at phi(B) = (-bx, i*by).
+    """Accumulate f_{q,A} evaluated at phi(B) = (-bx, i*by), up to F_p factors.
 
-    The line through T and T' with F_p slope lam evaluates at phi(B) to
-    (lam*(bx + x_T) - y_T) + by*i; vertical lines evaluate inside F_p and are
-    dropped (denominator elimination for embedding degree 2).
+    T runs in Jacobian coordinates (Chatterjee-Sarkar-Barua).  The tangent
+    at T evaluates at phi(B) to lam*(bx + x_T) - y_T + by*i; scaled by its
+    denominator 2YZ*Z^2 it is M*(bx*Z^2 + X) - 2Y^2 + by*2YZ*Z^2 * i.  The
+    chord through T and A, taken at A and scaled by Z*H, is
+    R*(bx + ax) - ay*Z*H + by*Z*H * i.  The scale factors and the vertical
+    lines lie in F_p^* and vanish in the final exponentiation.
     """
     fa, fb = 1, 0  # f as fa + fb*i
-    tx, ty = ax, ay
+    tx, ty, tz = ax, ay, 1
+    abx = ax + bx
     for bit in bin(q)[3:]:
         # f <- f^2 * line_{T,T}(phi(B)); T <- 2T
-        fa, fb = (fa * fa - fb * fb) % p, 2 * fa * fb % p
-        if tx is not None:
-            lam = (3 * tx * tx + 1) * pow(2 * ty, -1, p) % p
-            la = (lam * (bx + tx) - ty) % p
-            fa, fb = (fa * la - fb * by) % p, (fa * by + fb * la) % p
-            x2 = (lam * lam - 2 * tx) % p
-            ty = (lam * (tx - x2) - ty) % p
-            tx = x2
+        fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
+        if tz:
+            yy = ty * ty % p
+            zz = tz * tz % p
+            m = (3 * tx * tx + zz * zz) % p
+            tz = 2 * ty * tz % p
+            la = (m * (bx * zz + tx) - 2 * yy) % p
+            lb = by * tz * zz % p
+            fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
+            s = 4 * tx * yy % p
+            tx = (m * m - 2 * s) % p
+            ty = (m * (s - tx) - 8 * yy * yy) % p
         if bit == "1":
             # f <- f * line_{T,A}(phi(B)); T <- T + A
-            if tx is None:
-                tx, ty = ax, ay
-            elif tx == ax and (ty + ay) % p == 0:
-                tx, ty = None, None  # vertical line, value in F_p: skip
-            else:
-                lam = (ty - ay) * pow(tx - ax, -1, p) % p
-                la = (lam * (bx + tx) - ty) % p
-                fa, fb = (fa * la - fb * by) % p, (fa * by + fb * la) % p
-                tx, ty = _add_raw(p, tx, ty, ax, ay)
+            if not tz:
+                tx, ty, tz = ax, ay, 1
+                continue
+            zz = tz * tz % p
+            h = (ax * zz - tx) % p
+            r = (ay * zz * tz - ty) % p
+            if h == 0 and r:
+                tz = 0  # T = -A: vertical line, value in F_p: skip
+                continue
+            hh = h * h % p
+            hhh = h * hh % p
+            v = tx * hh % p
+            tz = tz * h % p
+            la = (r * abx - ay * tz) % p
+            lb = by * tz % p
+            fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
+            tx = (r * r - hhh - 2 * v) % p
+            ty = (r * (v - tx) - ty * hhh) % p
     return Fp2Element(fa, fb, p)
 
 
@@ -417,7 +458,7 @@ def decode_point(data: bytes, params: CurveParams, offset: int = 0) -> tuple[G1P
     point = G1Point(params.p, x, y)
     if not point.on_curve():
         raise DecodeError("coordinates not on the curve", offset + 1)
-    if _mul_raw(params.p, params.q, x, y)[0] is not None:
+    if not in_subgroup(point, params.q):
         raise DecodeError("point outside the order-q subgroup", offset + 1)
     return point, 1 + 2 * w
 

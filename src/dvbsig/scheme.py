@@ -18,10 +18,10 @@ from .curve import (
     CurveParams,
     G1Point,
     GTElement,
-    _mul_raw,
     decode_gt,
     decode_point,
     hash_to_point,
+    in_subgroup,
     point_add,
     scalar_mul,
     tate_pairing,
@@ -158,7 +158,7 @@ def blind(
     point = commitment.point
     if not point.on_curve():
         raise InvalidPoint("commitment is not a curve point")
-    if not point.is_identity and _mul_raw(point.p, system.curve.q, point.x, point.y)[0] is not None:
+    if not in_subgroup(point, system.curve.q):
         raise InvalidPoint("commitment is outside the order-q subgroup")
     q = system.curve.q
     x = sample_unit(rng, q)
@@ -191,6 +191,8 @@ def unblind(
     """User's unblinding: V' = x * V, sigma = e(V', Q_verifier)."""
     if not response.point.on_curve():
         raise InvalidPoint("response is not a curve point")
+    if not in_subgroup(response.point, system.curve.q):
+        raise InvalidPoint("response is outside the order-q subgroup")
     v_prime = scalar_mul(state.x, response.point)
     sigma = tate_pairing(v_prime, verifier_public, system.curve)
     return Signature(u_prime=state.u_prime, sigma=sigma)

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .curve import CurveParams, G1Point, hash_to_point
+from .curve import CurveParams, G1Point, hash_to_point, in_subgroup
 from .errors import DecodeError
 from .scheme import (
     KeyPair,
@@ -116,6 +116,8 @@ def load_system_params(path: Path) -> SystemParams:
     )
     if not p_pub.on_curve():
         raise DecodeError(f"{path}: system public key is not on the curve")
+    if not in_subgroup(p_pub, curve.q):
+        raise DecodeError(f"{path}: system public key is outside the order-q subgroup")
     return SystemParams(
         curve=curve,
         p_pub=p_pub,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,11 +6,12 @@ import pytest
 from dvbsig.algebra import Fp2Element, legendre
 from dvbsig.curve import (
     G1Point,
+    _mul_raw,
     decode_gt,
     decode_point,
-    distortion_map,
     generate_params,
     hash_to_point,
+    in_subgroup,
     params_for_subgroup_order,
     point_add,
     scalar_mul,
@@ -46,6 +48,58 @@ def mul_oracle(p, k, a):
 
 def as_pair(point):
     return None if point.is_identity else (point.x, point.y)
+
+
+def all_points(p):
+    """Every point of E(F_p) as a coordinate pair, the identity as None."""
+    points = [None]
+    for x in range(p):
+        rhs = (x * x * x + x) % p
+        if rhs == 0:
+            points.append((x, 0))
+        elif legendre(rhs, p) == 1:
+            y = pow(rhs, (p + 1) // 4, p)
+            points += [(x, y), (x, p - y)]
+    return points
+
+
+def off_subgroup_point(p, q):
+    """The first on-curve point (by x) whose order is not 1 or q."""
+    return next(
+        G1Point(p, *pt) for pt in all_points(p)[1:] if mul_oracle(p, q, pt) is not None
+    )
+
+
+def miller_oracle(params, a, b):
+    """Textbook reduced Tate pairing: Miller's loop with the distortion map
+    applied explicitly, every line and vertical evaluated at
+    phi(B) = (-x_B, i*y_B) in F_p2, then the power (p^2 - 1)/q."""
+    p, q = params.p, params.q
+    u, w = Fp2Element(-b.x, 0, p), Fp2Element(0, b.y, p)
+
+    def fp(v):
+        return Fp2Element(v, 0, p)
+
+    def line(t, r):
+        """Line through t and r at phi(B), over the vertical at t + r."""
+        s = add_oracle(p, t, r)
+        if s is None:
+            return u - fp(t[0])
+        if t == r:
+            lam = (3 * t[0] * t[0] + 1) * pow(2 * t[1], -1, p) % p
+        else:
+            lam = (r[1] - t[1]) * pow(r[0] - t[0], -1, p) % p
+        chord = w - fp(t[1]) - fp(lam) * (u - fp(t[0]))
+        return chord * (u - fp(s[0])).inverse()
+
+    f, t = Fp2Element.one(p), (a.x, a.y)
+    for bit in bin(q)[3:]:
+        f = f * f * line(t, t)
+        t = add_oracle(p, t, t)
+        if bit == "1":
+            f = f * line(t, (a.x, a.y))
+            t = add_oracle(p, t, (a.x, a.y))
+    return f ** ((p * p - 1) // q)
 
 
 class TestParameterSearch:
@@ -163,25 +217,34 @@ class TestGroupLaw:
         for k in range(51):
             assert as_pair(scalar_mul(k, g)) == mul_oracle(P, k, (g.x, g.y))
 
+    def test_ladder_matches_oracle_on_every_point(self, toy_params):
+        # all 312 points, the 299 outside the subgroup included, so the
+        # mixed addition meets both T = A (doubling) and T = -A (identity)
+        for pt in all_points(P):
+            x, y = pt if pt else (None, None)
+            neg = pt and (x, -y % P)
+            for k in range(2 * Q + 2):
+                assert _mul_raw(P, k, x, y) == (mul_oracle(P, k, pt) or (None, None))
+                assert _mul_raw(P, -k, x, y) == (mul_oracle(P, k, neg) or (None, None))
 
-class TestDistortionMap:
-    def test_identity_maps_to_identity(self, toy_params):
-        assert distortion_map(G1Point.identity(P)).is_identity
-
-    def test_image_on_curve_over_fp2(self, toy_params):
-        g = toy_params.generator
-        img = distortion_map(g)
-        lhs = img.y * img.y
-        rhs = img.x * img.x * img.x + img.x
-        assert lhs == rhs
-
-    def test_image_is_independent(self, toy_params):
-        # the distorted generator is not an F_p-rational point
-        img = distortion_map(toy_params.generator)
-        assert img.y.a == 0 and img.y.b != 0
+    def test_in_subgroup_counts_q_points(self, toy_params):
+        members = [pt for pt in all_points(P) if in_subgroup(G1Point(P, *(pt or (None, None))), Q)]
+        assert len(members) == Q
+        assert all(mul_oracle(P, Q, pt) is None for pt in members)
 
 
 class TestTatePairing:
+    def test_inlined_distortion_line_formula(self, toy_params, mid_params):
+        # the projective loop with phi(B) folded into its line values must
+        # agree with the explicit textbook loop, and e(P, P) must not be 1
+        for params in (toy_params, mid_params):
+            g = params.generator
+            e = tate_pairing(g, g, params)
+            assert not e.is_one
+            assert e.value == miller_oracle(params, g, g)
+            a, b = scalar_mul(3, g), scalar_mul(params.q - 5, g)
+            assert tate_pairing(a, b, params).value == miller_oracle(params, a, b)
+
     def test_identity_inputs(self, toy_params):
         g = toy_params.generator
         ident = G1Point.identity(P)
@@ -297,17 +360,8 @@ class TestEncodings:
         with pytest.raises(DecodeError):
             decode_point(b"\x04\x00\x01", toy_params)  # truncated
         # on-curve but outside the order-13 subgroup
-        full_order_point = None
-        for x in range(2, P):
-            rhs = (x**3 + x) % P
-            if legendre(rhs, P) == 1:
-                y = pow(rhs, (P + 1) // 4, P)
-                if mul_oracle(P, Q, (x, y)) is not None:
-                    full_order_point = G1Point(P, x, y)
-                    break
-        assert full_order_point is not None
         with pytest.raises(DecodeError):
-            decode_point(full_order_point.encode(), toy_params)
+            decode_point(off_subgroup_point(P, Q).encode(), toy_params)
 
     def test_gt_decode_rejects_garbage(self, toy_params):
         with pytest.raises(DecodeError):
@@ -319,3 +373,29 @@ class TestEncodings:
         assert not (bad**Q).is_one()
         with pytest.raises(DecodeError):
             decode_gt(bad.encode(), toy_params)
+
+
+class TestPinnedOutputs:
+    """Outputs of the affine arithmetic this code replaced; any rewrite of
+    the ladder, the Miller loop or F_p2 powering must reproduce them."""
+
+    def test_mid_scale(self, mid_params):
+        g = mid_params.generator
+        assert tate_pairing(g, g, mid_params).encode().hex() == "0f8097eb020118ebde5a"
+        assert hash_to_point(b"pin", mid_params).encode().hex() == "0417eedf051a1b48e62899"
+
+    def test_production_scale(self):
+        params = params_for_subgroup_order(
+            2**159 + 2**17 + 1, b"acceptance-production-scale", p_bits=512
+        )
+        g = params.generator
+
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()
+
+        assert digest(tate_pairing(g, g, params).encode()) == (
+            "054de76b3ea288b9760b298644e626de2812f8be0082c0f12ca0ada66b3587da"
+        )
+        assert digest(hash_to_point(b"pin", params).encode()) == (
+            "066d990171b261f79e20845d517459f168b069c729a6f3a0c137a272f44eb6ae"
+        )

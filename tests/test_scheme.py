@@ -8,13 +8,14 @@ from dvbsig.rng import SeededRng
 from dvbsig.scheme import (
     BlindedChallenge,
     Commitment,
+    Response,
     decode_signature,
     encode_signature,
     signature_from_text,
     signature_to_text,
 )
 from tests.conftest import TOY_SIGNER, TOY_THIRD_PARTY, TOY_VERIFIER, TapeRng, scalar_chunk
-from tests.test_curve import add_oracle, mul_oracle
+from tests.test_curve import add_oracle, mul_oracle, off_subgroup_point
 
 P, Q = 311, 13
 MESSAGE = b"proof of funds"
@@ -157,17 +158,8 @@ class TestBlind:
     def test_rejects_out_of_subgroup_commitment(self, toy_system, toy_keys):
         # on the curve but of full order, so cofactor clearing was skipped
         system, _ = toy_system
-        from dvbsig.algebra import legendre
-
-        rogue = None
-        for x in range(2, P):
-            rhs = (x**3 + x) % P
-            if legendre(rhs, P) == 1:
-                y = pow(rhs, (P + 1) // 4, P)
-                if mul_oracle(P, Q, (x, y)) is not None:
-                    rogue = G1Point(P, x, y)
-                    break
-        assert rogue is not None and rogue.on_curve()
+        rogue = off_subgroup_point(P, Q)
+        assert rogue.on_curve()
         with pytest.raises(InvalidPoint):
             scheme.blind(
                 system, MESSAGE, Commitment(rogue), toy_keys[TOY_SIGNER].public,
@@ -254,6 +246,21 @@ class TestRespond:
             )
             rhs_point = G1Point.identity(P) if u_plus is None else G1Point(P, *u_plus)
             assert lhs == tate_pairing(rhs_point, system.p_pub, system.curve)
+
+
+class TestUnblind:
+    def test_rejects_out_of_subgroup_response(self, toy_system, toy_keys):
+        # an on-curve V outside the order-q subgroup would hand the user a
+        # point carrying a small-order component; unblind must refuse it
+        system, _ = toy_system
+        signer = toy_keys[TOY_SIGNER]
+        rng = SeededRng("rogue-response")
+        _, commitment = scheme.sign_commit(system, signer, rng)
+        blind_state, _ = scheme.blind(system, MESSAGE, commitment, signer.public, rng)
+        rogue = off_subgroup_point(P, Q)
+        assert rogue.on_curve()
+        with pytest.raises(InvalidPoint, match="subgroup"):
+            scheme.unblind(system, blind_state, Response(rogue), toy_keys[TOY_VERIFIER].public)
 
 
 class TestVerify:

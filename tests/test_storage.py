@@ -5,6 +5,7 @@ from dvbsig.errors import DecodeError
 from dvbsig.rng import SeededRng
 from dvbsig.session import run_local_session
 from tests.conftest import TOY_SIGNER, TOY_VERIFIER
+from tests.test_curve import off_subgroup_point
 
 
 class TestKeyValueParser:
@@ -38,6 +39,18 @@ class TestParamsFiles:
         path = tmp_path / "system.txt"
         storage.save_system_params(system, path)
         assert storage.load_system_params(path) == system
+
+    def test_system_key_outside_subgroup_rejected(self, toy_system, tmp_path):
+        system, _ = toy_system
+        rogue = off_subgroup_point(system.curve.p, system.curve.q)
+        path = tmp_path / "system.txt"
+        storage.save_system_params(system, path)
+        text = path.read_text()
+        text = text.replace(f"Ppubx = {system.p_pub.x}", f"Ppubx = {rogue.x}")
+        text = text.replace(f"Ppuby = {system.p_pub.y}", f"Ppuby = {rogue.y}")
+        path.write_text(text)
+        with pytest.raises(DecodeError, match="subgroup"):
+            storage.load_system_params(path)
 
     def test_missing_field(self, toy_params, tmp_path):
         path = tmp_path / "params.txt"
