@@ -64,9 +64,10 @@ def all_points(p):
 
 
 def off_subgroup_point(p, q):
-    """The first on-curve point (by x) whose order is not 1 or q."""
+    """The first on-curve point (by x) outside both the order-q subgroup and
+    the 2-torsion (y = 0)."""
     return next(
-        G1Point(p, *pt) for pt in all_points(p)[1:] if mul_oracle(p, q, pt) is not None
+        G1Point(p, *pt) for pt in all_points(p)[1:] if pt[1] and mul_oracle(p, q, pt) is not None
     )
 
 
@@ -228,7 +229,9 @@ class TestGroupLaw:
                 assert _mul_raw(P, -k, x, y) == (mul_oracle(P, k, neg) or (None, None))
 
     def test_in_subgroup_counts_q_points(self, toy_params):
-        members = [pt for pt in all_points(P) if in_subgroup(G1Point(P, *(pt or (None, None))), Q)]
+        members = [
+            pt for pt in all_points(P) if in_subgroup(G1Point(P, *(pt or (None, None))), Q)
+        ]
         assert len(members) == Q
         assert all(mul_oracle(P, Q, pt) is None for pt in members)
 

@@ -156,7 +156,8 @@ class TestBlind:
             )
 
     def test_rejects_out_of_subgroup_commitment(self, toy_system, toy_keys):
-        # on the curve but of full order, so cofactor clearing was skipped
+        # on the curve but outside the order-q subgroup, as if cofactor
+        # clearing was skipped
         system, _ = toy_system
         rogue = off_subgroup_point(P, Q)
         assert rogue.on_curve()
