@@ -105,57 +105,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class FpElement:
-    """Residue modulo a prime p, normalized to [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other: FpElement | int) -> FpElement:
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        if other.p != self.p:
-            raise ParamMismatch(f"moduli differ: {self.p} vs {other.p}")
-        return other
-
-    def __add__(self, other: FpElement | int) -> FpElement:
-        other = self._coerce(other)
-        return FpElement((self.value + other.value) % self.p, self.p)
-
-    def __sub__(self, other: FpElement | int) -> FpElement:
-        other = self._coerce(other)
-        return FpElement((self.value - other.value) % self.p, self.p)
-
-    def __mul__(self, other: FpElement | int) -> FpElement:
-        other = self._coerce(other)
-        return FpElement(self.value * other.value % self.p, self.p)
-
-    def __neg__(self) -> FpElement:
-        return FpElement(-self.value % self.p, self.p)
-
-    def __pow__(self, exponent: int) -> FpElement:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FpElement(pow(self.value, exponent, self.p), self.p)
-
-    def inverse(self) -> FpElement:
-        return FpElement(mod_inv(self.value, self.p), self.p)
-
-    def sqrt(self) -> FpElement | None:
-        root = sqrt_mod(self.value, self.p)
-        return None if root is None else FpElement(root, self.p)
-
-    def is_residue(self) -> bool:
-        return legendre(self.value, self.p) >= 0
-
-    def encode(self) -> bytes:
-        return encode_int(self.value, self.p)
-
-
-@dataclass(frozen=True)
 class Fp2Element:
     """Element a + b*i of F_p2 with i^2 = -1 (requires p = 3 mod 4)."""
 

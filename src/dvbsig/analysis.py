@@ -26,7 +26,7 @@ from .errors import Degenerate, DomainError, RefusedTooLarge
 from .meter import OpCounter, measure  # noqa: F401  (re-exported surface)
 from .algebra import mod_inv
 from .scheme import Signature, SystemParams
-from .session import LogicalClock, Transcript
+from .session import LogicalClock, RetryPolicy, Transcript, run_local_session
 
 DLOG_ORDER_LIMIT = 1 << 20
 
@@ -129,11 +129,6 @@ def unforgeability_bound(budget: QueryBudget, costs: OpCosts, group_order: int) 
     )
 
 
-def unverifiability_advantage(budget: QueryBudget, group_order: int) -> Fraction:
-    """Success probability of the derived DBDHP solver (same closed form)."""
-    return _advantage_factor(budget, group_order) * Fraction(budget.advantage)
-
-
 def unverifiability_runtime(budget: QueryBudget, costs: OpCosts) -> Fraction:
     """Running time of the derived DBDHP solver; differs from the
     unforgeability reduction only in the solution-assembly tail (one extra
@@ -152,9 +147,10 @@ def unverifiability_runtime(budget: QueryBudget, costs: OpCosts) -> Fraction:
 
 
 def unverifiability_bound(budget: QueryBudget, costs: OpCosts, group_order: int) -> ReductionBound:
-    """Distinguisher -> DBDHP solver reduction: advantage and time together."""
+    """Distinguisher -> DBDHP solver reduction: advantage and time together.
+    The advantage has the same closed form as the unforgeability reduction."""
     return ReductionBound(
-        advantage=unverifiability_advantage(budget, group_order),
+        advantage=unforgeability_advantage(budget, group_order),
         runtime=unverifiability_runtime(budget, costs),
     )
 
@@ -197,13 +193,12 @@ def perf_model(counts: OperationCounts, costs: OpCosts) -> Fraction:
 # (commit, two blinding products, respond, unblind), one map-to-point (the
 # user derives the signer's public key from its identity) and one pairing;
 # verification from an identity is one of each.  The comparison rows encode
-# the Zhang-Wen identity-based designated-verifier scheme as published:
-# its verification uses four pairings, and its stated signing total does not
-# match its stated operation counts, which the report surfaces rather than
-# resolves.
+# the Zhang-Wen identity-based designated-verifier scheme as published: its
+# signing counts equal ours, its verification uses four pairings, and its
+# stated signing total does not match its stated operation counts, which the
+# report surfaces rather than resolves.
 SIGN_COUNTS = OperationCounts(g1_scalar_mul=5, map_to_point=1, pairing=1)
 VERIFY_COUNTS = OperationCounts(g1_scalar_mul=1, map_to_point=1, pairing=1)
-ZHANG_WEN_SIGN_COUNTS = OperationCounts(g1_scalar_mul=5, map_to_point=1, pairing=1)
 ZHANG_WEN_VERIFY_COUNTS = OperationCounts(g1_scalar_mul=1, map_to_point=1, pairing=4)
 
 
@@ -227,7 +222,7 @@ def perf_report(costs: OpCosts | None = None) -> list[PerfEntry]:
     rows = [
         ("ours", "sign", SIGN_COUNTS, Fraction(5498, 100)),
         ("ours", "verify", VERIFY_COUNTS, Fraction(2946, 100)),
-        ("zhang-wen", "sign", ZHANG_WEN_SIGN_COUNTS, Fraction(6774, 100)),
+        ("zhang-wen", "sign", SIGN_COUNTS, Fraction(6774, 100)),
         ("zhang-wen", "verify", ZHANG_WEN_VERIFY_COUNTS, Fraction(8958, 100)),
     ]
     return [
@@ -324,44 +319,28 @@ def run_blind_sessions(
     max_retries: int = 4,
     clock=None,
 ) -> list[BlindSessionRecord]:
-    """Run one honest session per message, keeping the user-side secrets.
+    """Run one honest session per message through the session runner,
+    keeping the user-side secrets.
 
-    Unlike the session runner this deliberately leaks (x, y) so tests and
-    the demo can compare extracted witnesses against the truth.
+    Unlike a plain session this deliberately leaks (x, y) so tests and the
+    demo can compare extracted witnesses against the truth.
     """
     clock = clock or LogicalClock()
+    policy = RetryPolicy(max_retries=max_retries)
     records = []
     for message in messages:
-        session_id = rng.next_bytes(16)
-        for _ in range(max_retries + 1):
-            started = clock()
-            state, commitment = scheme.sign_commit(system, signer, rng)
-            blind_state, challenge = scheme.blind(
-                system, message, commitment, signer.public, rng
-            )
-            response = scheme.sign_respond(system, state, challenge)
-            finished = clock()
-            if response.degenerate:
-                continue
-            signature = scheme.unblind(system, blind_state, response, verifier_public)
-            records.append(
-                BlindSessionRecord(
-                    transcript=Transcript(
-                        session_id=session_id,
-                        signer_identity=signer.identity,
-                        commitment=commitment.point,
-                        challenge=challenge.value,
-                        response=response.point,
-                        started_ms=started,
-                        finished_ms=finished,
-                    ),
-                    signature=signature,
-                    message=message,
-                    x=blind_state.x,
-                    y=blind_state.y,
-                )
-            )
-            break
-        else:
+        outcome = run_local_session(
+            system, signer, message, verifier_public, rng, policy=policy, clock=clock
+        )
+        if not outcome.ok:
             raise Degenerate(f"session for {message!r} stayed degenerate after retries")
+        records.append(
+            BlindSessionRecord(
+                transcript=outcome.transcript,
+                signature=outcome.signature,
+                message=message,
+                x=outcome.blinding.x,
+                y=outcome.blinding.y,
+            )
+        )
     return records

@@ -12,6 +12,7 @@ so reruns in a fresh workspace are bit-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 import time
@@ -178,9 +179,7 @@ def cmd_sign_commit(ws: storage.Workspace, args) -> int:
     rng, clock = _rng_and_clock(args.seed)
     session_id = rng.next_bytes(session.SESSION_ID_BYTES)
     state, commitment = scheme.sign_commit(system, signer, rng)
-    commit_path.write_bytes(
-        session.encode_message(session.Commit(commitment.point), system.curve)
-    )
+    commit_path.write_bytes(session.encode_message(commitment, system.curve))
     started = (clock or session._now_ms)()
     (sdir / "signer.state").write_text(
         f"session_id = {session_id.hex()}\n"
@@ -198,17 +197,13 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
     _require(commit_path, "commit artifact (run sign commit first)")
     _fresh(challenge_path, "challenge artifact")
     message = _message_bytes(args)
-    commit = session.decode_message(commit_path.read_bytes(), system.curve)
-    if not isinstance(commit, session.Commit):
+    commitment = session.decode_message(commit_path.read_bytes(), system.curve)
+    if not isinstance(commitment, scheme.Commitment):
         raise CommandLineError(f"{commit_path} does not hold a commitment")
     signer_public = hash_to_point(_identity(args.signer).encode("utf-8"), system.curve)
     rng, _ = _rng_and_clock(args.seed)
-    state, challenge = scheme.blind(
-        system, message, scheme.Commitment(commit.point), signer_public, rng
-    )
-    challenge_path.write_bytes(
-        session.encode_message(session.Challenge(challenge.value), system.curve)
-    )
+    state, challenge = scheme.blind(system, message, commitment, signer_public, rng)
+    challenge_path.write_bytes(session.encode_message(challenge, system.curve))
     (sdir / "user.state").write_text(
         f"x = {state.x}\n"
         f"y = {state.y}\n"
@@ -225,36 +220,34 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     _require(commit_path, "commit artifact (run sign commit first)")
     _require(challenge_path, "challenge artifact (run sign blind first)")
     _fresh(response_path, "response artifact")
-    state_fields = storage.parse_kv((_require(sdir / "signer.state", "signer state")).read_text())
+    state_fields = storage.read_kv(_require(sdir / "signer.state", "signer state"))
     signer = _load_key(ws, system, _identity(state_fields["signer"]))
     challenge = session.decode_message(challenge_path.read_bytes(), system.curve)
-    if not isinstance(challenge, session.Challenge):
+    if not isinstance(challenge, scheme.BlindedChallenge):
         raise CommandLineError(f"{challenge_path} does not hold a challenge")
-    commit = session.decode_message(commit_path.read_bytes(), system.curve)
-    if not isinstance(commit, session.Commit):
+    commitment = session.decode_message(commit_path.read_bytes(), system.curve)
+    if not isinstance(commitment, scheme.Commitment):
         raise CommandLineError(f"{commit_path} does not hold a commitment")
     response = scheme.sign_respond(
-        system,
-        scheme.SignerState(r=int(state_fields["r"]), key=signer),
-        scheme.BlindedChallenge(challenge.value),
-    )
-    response_path.write_bytes(
-        session.encode_message(session.Respond(response.point), system.curve)
+        system, scheme.SignerState(r=int(state_fields["r"]), key=signer), challenge
     )
     started = int(state_fields.get("started_ms", "0"))
     finished = started + 1 if args.seed else session._now_ms()
     store = FileTranscriptStore(ws.transcript_log, system.curve)
+    # the transcript is recorded before the response leaves: a session id
+    # that was already answered raises DuplicateSession and writes nothing
     store.record(
         session.Transcript(
             session_id=bytes.fromhex(state_fields["session_id"]),
             signer_identity=state_fields["signer"].encode("utf-8"),
-            commitment=commit.point,
+            commitment=commitment.point,
             challenge=challenge.value,
             response=response.point,
             started_ms=started,
             finished_ms=finished,
         )
     )
+    response_path.write_bytes(session.encode_message(response, system.curve))
     if response.degenerate:
         print(f"wrote {response_path} (degenerate response; rerun the session)")
     else:
@@ -267,21 +260,19 @@ def cmd_sign_unblind(ws: storage.Workspace, args) -> int:
     sdir, _, _, response_path = _session_paths(ws, args.session)
     _require(response_path, "response artifact (run sign respond first)")
     state_path = _require(sdir / "user.state", "user state (run sign blind first)")
-    fields = storage.parse_kv(state_path.read_text(), str(state_path))
+    fields = storage.read_kv(state_path)
     u_prime, _ = decode_point(bytes.fromhex(fields["u_prime"]), system.curve)
     blind_state = scheme.BlindState(
         x=int(fields["x"]), y=int(fields["y"]), u_prime=u_prime, h=int(fields["h"]), message=b""
     )
-    respond = session.decode_message(response_path.read_bytes(), system.curve)
-    if not isinstance(respond, session.Respond):
+    response = session.decode_message(response_path.read_bytes(), system.curve)
+    if not isinstance(response, scheme.Response):
         raise CommandLineError(f"{response_path} does not hold a response")
-    if respond.point.is_identity:
+    if response.degenerate:
         print("ABORT degenerate (response is the identity; rerun the session)", file=sys.stderr)
         return 3
     verifier_public = hash_to_point(_identity(args.verifier).encode("utf-8"), system.curve)
-    signature = scheme.unblind(
-        system, blind_state, scheme.Response(respond.point), verifier_public
-    )
+    signature = scheme.unblind(system, blind_state, response, verifier_public)
     out = Path(args.out) if args.out else sdir / "sig.bin"
     storage.save_signature(signature, out, text=args.format == "text")
     print(f"wrote {out}")
@@ -363,12 +354,9 @@ def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
 def _load_costs(args) -> analysis.OpCosts:
     if getattr(args, "costs", None) is None:
         return analysis.OpCosts.reference()
-    fields = storage.parse_kv(Path(_require(Path(args.costs), "costs file")).read_text(), args.costs)
+    fields = storage.read_kv(_require(Path(args.costs), "costs file"))
     known = {f: _fraction(v) for f, v in fields.items()}
-    bad = set(known) - {
-        "g1_scalar_mul", "g2_scalar_mul", "g1_group_op", "g2_group_op",
-        "pairing", "map_to_point", "g2_exp",
-    }
+    bad = set(known) - {f.name for f in dataclasses.fields(analysis.OpCosts)}
     if bad:
         raise CommandLineError(f"unknown cost fields: {sorted(bad)}")
     return analysis.OpCosts(**known)
@@ -376,9 +364,7 @@ def _load_costs(args) -> analysis.OpCosts:
 
 def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
     if args.budget_file is not None:
-        fields = storage.parse_kv(
-            Path(_require(Path(args.budget_file), "budget file")).read_text(), args.budget_file
-        )
+        fields = storage.read_kv(_require(Path(args.budget_file), "budget file"))
         budget = analysis.QueryBudget(
             h1_queries=int(fields.get("qh1", 0)),
             h2_queries=int(fields.get("qh2", 0)),

@@ -15,20 +15,14 @@ from dataclasses import dataclass, field
 
 G1_SCALAR_MUL = "g1_scalar_mul"
 G1_GROUP_OP = "g1_group_op"
-G2_SCALAR_MUL = "g2_scalar_mul"
-G2_GROUP_OP = "g2_group_op"
 PAIRING = "pairing"
 MAP_TO_POINT = "map_to_point"
-G2_EXP = "g2_exp"
 
 KINDS = (
     G1_SCALAR_MUL,
     G1_GROUP_OP,
-    G2_SCALAR_MUL,
-    G2_GROUP_OP,
     PAIRING,
     MAP_TO_POINT,
-    G2_EXP,
 )
 
 

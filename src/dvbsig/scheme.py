@@ -236,23 +236,16 @@ def simulate(
 ) -> Signature:
     """Verifier-side transcript simulation.
 
-    Runs the same arithmetic as a real session but with the signer's public
-    key in place of the private one, compensating with the verifier's secret
-    inside the pairing:  e(x(r+h1) * Q_s, S_v) = e(x(r+h1) * S_s, Q_v).
+    Runs the four signing steps with the signer's public key Q_s standing in
+    for the private one, and the verifier's secret S_v in place of Q_v inside
+    the pairing:  e(x(r+h1) * Q_s, S_v) = e(x(r+h1) * S_s, Q_v).
     Under a matched random tape the output is bit-identical to a real run.
     """
-    q = system.curve.q
-    r = sample_unit(rng, q)
-    x = sample_unit(rng, q)
-    y = sample_unit(rng, q)
-    u = scalar_mul(r, signer_public)
-    u_prime = point_add(scalar_mul(x, u), scalar_mul(x * y % q, signer_public))
-    h = h2(message, u_prime, q)
-    h1 = (mod_inv(x, q) * h + y) % q
-    v = scalar_mul((r + h1) % q, signer_public)
-    v_prime = scalar_mul(x, v)
-    sigma = tate_pairing(v_prime, verifier_secret, system.curve)
-    return Signature(u_prime=u_prime, sigma=sigma)
+    stand_in = KeyPair(identity=b"", public=signer_public, secret=signer_public)
+    signer_state, commitment = sign_commit(system, stand_in, rng)
+    blind_state, challenge = blind(system, message, commitment, signer_public, rng)
+    response = sign_respond(system, signer_state, challenge)
+    return unblind(system, blind_state, response, verifier_secret)
 
 
 # ---------------------------------------------------------------------------
@@ -271,35 +264,6 @@ def decode_signature(data: bytes, params: CurveParams) -> Signature:
     if consumed + used != len(data):
         raise DecodeError("trailing bytes after signature", consumed + used)
     return Signature(u_prime=u_prime, sigma=sigma)
-
-
-def signature_to_text(signature: Signature) -> str:
-    """Key-value text envelope with hex payloads (CLI interchange form)."""
-    return (
-        f"u_prime = {signature.u_prime.encode().hex()}\n"
-        f"sigma = {signature.sigma.encode().hex()}\n"
-    )
-
-
-def signature_from_text(text: str, params: CurveParams) -> Signature:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DecodeError(f"malformed envelope line: {line!r}")
-        fields[key.strip()] = value.strip()
-    try:
-        u_hex, s_hex = fields["u_prime"], fields["sigma"]
-    except KeyError as exc:
-        raise DecodeError(f"envelope missing field {exc}") from exc
-    try:
-        raw = bytes.fromhex(u_hex) + bytes.fromhex(s_hex)
-    except ValueError as exc:
-        raise DecodeError(f"bad hex payload: {exc}") from exc
-    return decode_signature(raw, params)
 
 
 def scalar_width(params: CurveParams) -> int:

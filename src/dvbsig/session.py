@@ -1,7 +1,8 @@
 """The interactive three-move signing protocol: wire framing for the messages
-that cross the signer/user boundary, state machines for both sides, a local
-in-process runner with a retry policy for degenerate sessions, and an
-append-only transcript store.
+that cross the signer/user boundary (scheme's Commitment, BlindedChallenge
+and Response, plus Abort), state machines for both sides, a local in-process
+runner with a retry policy for degenerate sessions, and an append-only
+transcript store.
 
 A transcript is exactly the signer's view of one session: the commitment it
 sent, the blinded challenge it received, and the response it returned.  It
@@ -19,7 +20,7 @@ from typing import Iterator, Union
 from . import scheme
 from .curve import CurveParams, G1Point, decode_point
 from .errors import DecodeError, DuplicateSession
-from .scheme import KeyPair, Signature, SystemParams
+from .scheme import BlindedChallenge, Commitment, KeyPair, Response, Signature, SystemParams
 
 TAG_COMMIT = 1
 TAG_CHALLENGE = 2
@@ -31,26 +32,11 @@ SESSION_ID_BYTES = 16
 
 
 @dataclass(frozen=True)
-class Commit:
-    point: G1Point
-
-
-@dataclass(frozen=True)
-class Challenge:
-    value: int
-
-
-@dataclass(frozen=True)
-class Respond:
-    point: G1Point
-
-
-@dataclass(frozen=True)
 class Abort:
     reason: str
 
 
-ProtocolMessage = Union[Commit, Challenge, Respond, Abort]
+ProtocolMessage = Union[Commitment, BlindedChallenge, Response, Abort]
 
 
 @dataclass(frozen=True)
@@ -75,10 +61,14 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class SessionOutcome:
+    """Result of a local session; `blinding` is the user side's state of the
+    decisive attempt on success, None on abort."""
+
     signature: Signature | None
     abort_reason: str | None
     transcript: Transcript
     retries: int
+    blinding: scheme.BlindState | None
 
     @property
     def ok(self) -> bool:
@@ -94,11 +84,11 @@ def _frame(tag: int, payload: bytes) -> bytes:
 
 
 def encode_message(message: ProtocolMessage, params: CurveParams) -> bytes:
-    if isinstance(message, Commit):
+    if isinstance(message, Commitment):
         return _frame(TAG_COMMIT, message.point.encode())
-    if isinstance(message, Challenge):
+    if isinstance(message, BlindedChallenge):
         return _frame(TAG_CHALLENGE, scheme.encode_scalar(message.value, params))
-    if isinstance(message, Respond):
+    if isinstance(message, Response):
         return _frame(TAG_RESPOND, message.point.encode())
     if isinstance(message, Abort):
         return _frame(TAG_ABORT, message.reason.encode("utf-8"))
@@ -141,11 +131,11 @@ def decode_message(data: bytes, params: CurveParams) -> ProtocolMessage:
     """Parse exactly one protocol frame; round-trips encode_message."""
     tag, payload, _ = _split_frame(data, expect_exhausted=True)
     if tag == TAG_COMMIT:
-        return Commit(_decode_point_payload(payload, params, 5))
+        return Commitment(_decode_point_payload(payload, params, 5))
     if tag == TAG_CHALLENGE:
-        return Challenge(_decode_scalar_payload(payload, params, 5))
+        return BlindedChallenge(_decode_scalar_payload(payload, params, 5))
     if tag == TAG_RESPOND:
-        return Respond(_decode_point_payload(payload, params, 5))
+        return Response(_decode_point_payload(payload, params, 5))
     if tag == TAG_ABORT:
         try:
             return Abort(payload.decode("utf-8"))
@@ -240,16 +230,15 @@ class SignerAwaitingChallenge:
     system: SystemParams
     state: scheme.SignerState
 
-    def respond(self, challenge: Challenge) -> Respond:
-        response = scheme.sign_respond(
-            self.system, self.state, scheme.BlindedChallenge(challenge.value)
-        )
-        return Respond(response.point)
+    def respond(self, challenge: BlindedChallenge) -> Response:
+        return scheme.sign_respond(self.system, self.state, challenge)
 
 
-def begin_sign(system: SystemParams, signer: KeyPair, rng) -> tuple[SignerAwaitingChallenge, Commit]:
+def begin_sign(
+    system: SystemParams, signer: KeyPair, rng
+) -> tuple[SignerAwaitingChallenge, Commitment]:
     state, commitment = scheme.sign_commit(system, signer, rng)
-    return SignerAwaitingChallenge(system, state), Commit(commitment.point)
+    return SignerAwaitingChallenge(system, state), commitment
 
 
 @dataclass(frozen=True)
@@ -259,23 +248,19 @@ class UserAwaitingResponse:
     system: SystemParams
     state: scheme.BlindState
 
-    def unblind(self, response: Respond, verifier_public: G1Point) -> Signature:
-        return scheme.unblind(
-            self.system, self.state, scheme.Response(response.point), verifier_public
-        )
+    def unblind(self, response: Response, verifier_public: G1Point) -> Signature:
+        return scheme.unblind(self.system, self.state, response, verifier_public)
 
 
 def begin_blind(
     system: SystemParams,
     message: bytes,
-    commit: Commit,
+    commitment: Commitment,
     signer_public: G1Point,
     rng,
-) -> tuple[UserAwaitingResponse, Challenge]:
-    state, challenge = scheme.blind(
-        system, message, scheme.Commitment(commit.point), signer_public, rng
-    )
-    return UserAwaitingResponse(system, state), Challenge(challenge.value)
+) -> tuple[UserAwaitingResponse, BlindedChallenge]:
+    state, challenge = scheme.blind(system, message, commitment, signer_public, rng)
+    return UserAwaitingResponse(system, state), challenge
 
 
 # ---------------------------------------------------------------------------
@@ -311,40 +296,46 @@ def run_local_session(
 
     A degenerate response (V = identity, i.e. r + h1 = 0 mod q) aborts the
     attempt; the whole session reruns with fresh randomness up to
-    policy.max_retries times.  The transcript of the decisive attempt is
-    returned, and recorded in `store` on success.
+    policy.max_retries times.  Draws are the session id, then r, x and y per
+    attempt.  The transcript of the decisive attempt is returned, and
+    recorded in `store` on success.
     """
     clock = clock or _now_ms
     session_id = rng.next_bytes(SESSION_ID_BYTES)
     transcript = None
     for attempt in range(policy.max_retries + 1):
         started = clock()
-        signer_side, commit = begin_sign(system, signer, rng)
-        user_side, challenge = begin_blind(system, message, commit, signer.public, rng)
-        respond = signer_side.respond(challenge)
+        signer_side, commitment = begin_sign(system, signer, rng)
+        user_side, challenge = begin_blind(system, message, commitment, signer.public, rng)
+        response = signer_side.respond(challenge)
         finished = clock()
         transcript = Transcript(
             session_id=session_id,
             signer_identity=signer.identity,
-            commitment=commit.point,
+            commitment=commitment.point,
             challenge=challenge.value,
-            response=respond.point,
+            response=response.point,
             started_ms=started,
             finished_ms=finished,
         )
-        if respond.point.is_identity:
+        if response.degenerate:
             continue
-        signature = user_side.unblind(respond, verifier_public)
+        signature = user_side.unblind(response, verifier_public)
         if store is not None:
             store.record(transcript)
         return SessionOutcome(
-            signature=signature, abort_reason=None, transcript=transcript, retries=attempt
+            signature=signature,
+            abort_reason=None,
+            transcript=transcript,
+            retries=attempt,
+            blinding=user_side.state,
         )
     return SessionOutcome(
         signature=None,
         abort_reason="degenerate",
         transcript=transcript,
         retries=policy.max_retries,
+        blinding=None,
     )
 
 

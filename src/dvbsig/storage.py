@@ -1,9 +1,10 @@
 """On-disk workspace: parameter, system, master-key, identity-key and
 signature files, plus the session directory layout used by the step-wise CLI.
 
-All public artifacts are key-value text with decimal integers; secrets are
-the same format in files chmodded to owner-only (no encryption at rest, by
-design: this is a research artifact).
+All public artifacts are key-value text with decimal integers (signatures
+may also use a hex text envelope); secrets are the same format in files
+chmodded to owner-only (no encryption at rest, by design: this is a research
+artifact).
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ def parse_kv(text: str, path: str = "<text>") -> dict[str, str]:
     return fields
 
 
+def _utf8(data: bytes, path: Path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{path}: not UTF-8 text", exc.start) from None
+
+
+def read_kv(path: Path) -> dict[str, str]:
+    """Read and parse a key-value file; non-UTF-8 bytes are a DecodeError."""
+    return parse_kv(_utf8(path.read_bytes(), path), str(path))
+
+
 def _kv_int(fields: dict[str, str], key: str, path: str) -> int:
     try:
         return int(fields[key])
@@ -59,8 +72,9 @@ def _write_private(path: Path, text: str) -> None:
 # curve / system parameter files
 
 
-def save_curve_params(params: CurveParams, path: Path) -> None:
-    path.write_text(
+def _curve_text(params: CurveParams) -> str:
+    """The curve fields shared by params.txt and system.txt."""
+    return (
         f"p = {params.p}\n"
         f"q = {params.q}\n"
         f"cofactor = {params.cofactor}\n"
@@ -70,8 +84,7 @@ def save_curve_params(params: CurveParams, path: Path) -> None:
     )
 
 
-def load_curve_params(path: Path) -> CurveParams:
-    fields = parse_kv(path.read_text(), str(path))
+def _curve_from_fields(fields: dict[str, str], path: Path) -> CurveParams:
     params = CurveParams(
         p=_kv_int(fields, "p", str(path)),
         q=_kv_int(fields, "q", str(path)),
@@ -84,16 +97,18 @@ def load_curve_params(path: Path) -> CurveParams:
     return params
 
 
+def save_curve_params(params: CurveParams, path: Path) -> None:
+    path.write_text(_curve_text(params))
+
+
+def load_curve_params(path: Path) -> CurveParams:
+    return _curve_from_fields(read_kv(path), path)
+
+
 def save_system_params(system: SystemParams, path: Path) -> None:
-    c = system.curve
     path.write_text(
-        f"p = {c.p}\n"
-        f"q = {c.q}\n"
-        f"cofactor = {c.cofactor}\n"
-        f"Px = {c.gx}\n"
-        f"Py = {c.gy}\n"
-        f"security_label = {c.security_label}\n"
-        f"Ppubx = {system.p_pub.x}\n"
+        _curve_text(system.curve)
+        + f"Ppubx = {system.p_pub.x}\n"
         f"Ppuby = {system.p_pub.y}\n"
         f"hash_h1 = {system.hash_h1}\n"
         f"hash_h2 = {system.hash_h2}\n"
@@ -101,16 +116,8 @@ def save_system_params(system: SystemParams, path: Path) -> None:
 
 
 def load_system_params(path: Path) -> SystemParams:
-    fields = parse_kv(path.read_text(), str(path))
-    curve = CurveParams(
-        p=_kv_int(fields, "p", str(path)),
-        q=_kv_int(fields, "q", str(path)),
-        cofactor=_kv_int(fields, "cofactor", str(path)),
-        gx=_kv_int(fields, "Px", str(path)),
-        gy=_kv_int(fields, "Py", str(path)),
-        security_label=fields.get("security_label", ""),
-    )
-    curve.validate()
+    fields = read_kv(path)
+    curve = _curve_from_fields(fields, path)
     p_pub = G1Point(
         curve.p, _kv_int(fields, "Ppubx", str(path)), _kv_int(fields, "Ppuby", str(path))
     )
@@ -135,7 +142,7 @@ def save_master_secret(msk: MasterSecret, path: Path) -> None:
 
 
 def load_master_secret(path: Path) -> MasterSecret:
-    fields = parse_kv(path.read_text(), str(path))
+    fields = read_kv(path)
     return MasterSecret(s=_kv_int(fields, "s", str(path)))
 
 
@@ -149,7 +156,7 @@ def save_identity_key(key: KeyPair, path: Path) -> None:
 
 
 def load_identity_key(path: Path, system: SystemParams) -> KeyPair:
-    fields = parse_kv(path.read_text(), str(path))
+    fields = read_kv(path)
     if "identity" not in fields:
         raise DecodeError(f"{path}: missing field 'identity'")
     identity = fields["identity"].encode("utf-8")
@@ -166,22 +173,39 @@ def load_identity_key(path: Path, system: SystemParams) -> KeyPair:
 # signatures
 
 
+def signature_to_text(signature: Signature) -> str:
+    """Key-value text envelope with hex payloads (CLI interchange form)."""
+    return (
+        f"u_prime = {signature.u_prime.encode().hex()}\n"
+        f"sigma = {signature.sigma.encode().hex()}\n"
+    )
+
+
+def signature_from_text(text: str, params: CurveParams, path: str = "<text>") -> Signature:
+    fields = parse_kv(text, path)
+    try:
+        raw = bytes.fromhex(fields["u_prime"]) + bytes.fromhex(fields["sigma"])
+    except KeyError as exc:
+        raise DecodeError(f"{path}: envelope missing field {exc}") from None
+    except ValueError as exc:
+        raise DecodeError(f"{path}: bad hex payload: {exc}") from None
+    return decode_signature(raw, params)
+
+
 def save_signature(signature: Signature, path: Path, text: bool = False) -> None:
     if text:
-        from .scheme import signature_to_text
-
         path.write_text(signature_to_text(signature))
     else:
         path.write_bytes(encode_signature(signature))
 
 
 def load_signature(path: Path, system: SystemParams) -> Signature:
+    """Binary signatures start with a point tag byte; anything else must be
+    the UTF-8 text envelope."""
     data = path.read_bytes()
     if data[:1] in (b"\x00", b"\x04"):
         return decode_signature(data, system.curve)
-    from .scheme import signature_from_text
-
-    return signature_from_text(data.decode("utf-8", errors="strict"), system.curve)
+    return signature_from_text(_utf8(data, path), system.curve, str(path))
 
 
 # ---------------------------------------------------------------------------

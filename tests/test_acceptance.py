@@ -20,7 +20,7 @@ from dvbsig.analysis import (
     run_blind_sessions,
     unforgeability_advantage,
     unforgeability_runtime,
-    unverifiability_advantage,
+    unverifiability_bound,
     unverifiability_runtime,
 )
 from dvbsig.curve import hash_to_point, params_for_subgroup_order, scalar_mul, tate_pairing
@@ -257,7 +257,7 @@ def test_09_bound_calculators_hand_checked():
                 runtime=F(1000),
             )
             got_forge = unforgeability_advantage(budget, 13)
-            got_dver = unverifiability_advantage(budget, 13)
+            got_dver = unverifiability_bound(budget, costs, 13).advantage
             assert got_forge == expected
             assert got_dver == expected
             assert got_forge <= F(1, 2)

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from dvbsig.algebra import (
     Fp2Element,
-    FpElement,
     byte_width,
     encode_int,
     is_prime,
@@ -66,25 +65,6 @@ class TestSqrt:
         else:
             assert root * root % P == a % P
             assert root <= P - root
-
-
-class TestFpElement:
-    def test_arithmetic(self):
-        a = FpElement(200, P)
-        b = FpElement(150, P)
-        assert (a + b).value == 39
-        assert (a - b).value == 50
-        assert (a * b).value == 200 * 150 % P
-        assert (-a).value == P - 200
-
-    def test_mismatched_moduli(self):
-        with pytest.raises(ParamMismatch):
-            FpElement(1, P) + FpElement(1, 13)
-
-    @given(st.integers(min_value=1, max_value=P - 1))
-    def test_inverse(self, a):
-        el = FpElement(a, P)
-        assert (el * el.inverse()).value == 1
 
 
 class TestFp2:

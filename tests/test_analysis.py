@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from dvbsig.curve import G1Point, scalar_mul
 from dvbsig.errors import Degenerate, DomainError, RefusedTooLarge
 from dvbsig.meter import measure
 from dvbsig.rng import SeededRng
-from dvbsig.session import Transcript, run_local_session
+from dvbsig.session import Transcript, encode_transcript, run_local_session
 from tests.conftest import TOY_SIGNER, TOY_THIRD_PARTY, TOY_VERIFIER
 
 Q = 13
@@ -208,6 +209,22 @@ class TestInstrumentation:
         assert counts.map_to_point == 1
         assert counts.pairing == 1
 
+    def test_simulation_counts(self, toy_system, toy_keys):
+        system, _ = toy_system
+        with measure() as counter:
+            scheme.simulate(
+                system,
+                toy_keys[TOY_SIGNER].public,
+                toy_keys[TOY_VERIFIER].secret,
+                b"count me",
+                SeededRng("count"),
+            )
+        counts = OperationCounts.from_counter(counter)
+        assert counts.g1_scalar_mul == 5
+        assert counts.g1_group_op == 1
+        assert counts.pairing == 1
+        assert counts.map_to_point == 0
+
     def test_counters_merge(self):
         with measure() as a:
             pass
@@ -243,6 +260,55 @@ class TestDlogBruteforce:
         g = toy_params.generator
         with pytest.raises(RefusedTooLarge):
             dlog_bruteforce(g, g, (1 << 20) + 1)
+
+
+class TestBlindSessionHarness:
+    # Pinned SHA-256 over every record's transcript, signature, x and y; any
+    # change to the draw order (session id, then r, x, y per attempt) or the
+    # clock order changes it.  "blindness-retry-3" reruns its third session
+    # twice, so the retry path is pinned too.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (
+                "blindness-acceptance",
+                "c47c8d5802c916f583ec1037bda52d3a951d41104b60c154f706b89cc545780c",
+            ),
+            (
+                "blindness-retry-3",
+                "418c53715aab8a1efcde7038f4c005835d4174b341f3515d42627f6c3f72ed9a",
+            ),
+        ],
+    )
+    def test_pinned_records(self, toy_system, toy_keys, seed, digest):
+        system, _ = toy_system
+        curve = system.curve
+        records = run_blind_sessions(
+            system,
+            toy_keys[TOY_SIGNER],
+            toy_keys[TOY_VERIFIER].public,
+            [f"blind statement {i}".encode() for i in range(3)],
+            SeededRng(seed),
+        )
+        h = hashlib.sha256()
+        for rec in records:
+            h.update(encode_transcript(rec.transcript, curve))
+            h.update(scheme.encode_signature(rec.signature))
+            h.update(scheme.encode_scalar(rec.x, curve) + scheme.encode_scalar(rec.y, curve))
+        assert h.hexdigest() == digest
+
+    def test_exhausted_retries_raise(self, toy_system, toy_keys):
+        system, _ = toy_system
+        # the third session of "blindness-retry-3" needs two reruns
+        with pytest.raises(Degenerate):
+            run_blind_sessions(
+                system,
+                toy_keys[TOY_SIGNER],
+                toy_keys[TOY_VERIFIER].public,
+                [f"blind statement {i}".encode() for i in range(3)],
+                SeededRng("blindness-retry-3"),
+                max_retries=1,
+            )
 
 
 class TestBlindnessWitness:

@@ -157,6 +157,26 @@ class TestStepwiseSigning:
         assert code == 2
         assert "already exists" in err
 
+    def test_replayed_commit_seed_answers_once(self, run, workspace, message_file):
+        # the same --seed gives two sessions the same session id and r; two
+        # responses under one r would reveal the signer's key, so the second
+        # respond must fail before any response frame is written
+        for name, blind_seed in (("s1", "b1"), ("s2", "b2")):
+            assert run(
+                "-w", workspace, "sign", "commit", "--signer", "alice",
+                "--session", name, "--seed", "c",
+            )[0] == 0
+            assert run(
+                "-w", workspace, "sign", "blind", "--session", name, "--signer", "alice",
+                "--message-file", message_file, "--seed", blind_seed,
+            )[0] == 0
+        assert run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")[0] == 0
+        code, _, err = run("-w", workspace, "sign", "respond", "--session", "s2", "--seed", "r")
+        assert code == 3
+        assert "already recorded" in err
+        assert not (workspace / "sessions" / "s2" / "response.frame").exists()
+        assert (workspace / "sessions" / "s1" / "response.frame").exists()
+
 
 class TestDeterminism:
     def test_golden_pipeline_artifacts(self, run, tmp_path):
@@ -309,6 +329,16 @@ class TestErrorPaths:
             "--message-file", message_file, "--sig", garbage,
         )
         assert code == 3
+
+    def test_verify_non_utf8_signature(self, run, workspace, message_file, tmp_path):
+        garbage = tmp_path / "garbage.txt"
+        garbage.write_bytes(b"\xff\xfe not text")
+        code, out, err = run(
+            "-w", workspace, "verify", "--verifier", "bob", "--signer", "alice",
+            "--message-file", message_file, "--sig", garbage,
+        )
+        assert code == 3 and out == ""
+        assert "garbage.txt: not UTF-8 text (at byte 0)" in err
 
     def test_missing_workspace(self, run, tmp_path, message_file):
         code, _, err = run(

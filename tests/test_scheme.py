@@ -11,8 +11,6 @@ from dvbsig.scheme import (
     Response,
     decode_signature,
     encode_signature,
-    signature_from_text,
-    signature_to_text,
 )
 from tests.conftest import TOY_SIGNER, TOY_THIRD_PARTY, TOY_VERIFIER, TapeRng, scalar_chunk
 from tests.test_curve import add_oracle, mul_oracle, off_subgroup_point
@@ -397,20 +395,7 @@ class TestSignatureSerialization:
         system, sig = self._signature(toy_system, toy_keys)
         assert decode_signature(encode_signature(sig), system.curve) == sig
 
-    def test_text_roundtrip(self, toy_system, toy_keys):
-        system, sig = self._signature(toy_system, toy_keys)
-        assert signature_from_text(signature_to_text(sig), system.curve) == sig
-
     def test_trailing_bytes_rejected(self, toy_system, toy_keys):
         system, sig = self._signature(toy_system, toy_keys)
         with pytest.raises(DecodeError):
             decode_signature(encode_signature(sig) + b"\x00", system.curve)
-
-    def test_malformed_text_rejected(self, toy_system, toy_keys):
-        system, _ = self._signature(toy_system, toy_keys)
-        with pytest.raises(DecodeError):
-            signature_from_text("u_prime: missing equals", system.curve)
-        with pytest.raises(DecodeError):
-            signature_from_text("u_prime = zz\nsigma = 00", system.curve)
-        with pytest.raises(DecodeError):
-            signature_from_text("sigma = 00\n", system.curve)

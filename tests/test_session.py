@@ -5,13 +5,11 @@ from dvbsig import scheme, session
 from dvbsig.curve import G1Point, point_add, scalar_mul
 from dvbsig.errors import DecodeError, DuplicateSession
 from dvbsig.rng import SeededRng
+from dvbsig.scheme import BlindedChallenge, Commitment, Response
 from dvbsig.session import (
     Abort,
-    Challenge,
-    Commit,
     FileTranscriptStore,
     LogicalClock,
-    Respond,
     RetryPolicy,
     Transcript,
     TranscriptStore,
@@ -55,11 +53,11 @@ class TestFraming:
     def test_roundtrip_all_variants(self, toy_params):
         g = toy_params.generator
         for message in (
-            Commit(g),
-            Commit(G1Point.identity(toy_params.p)),
-            Challenge(0),
-            Challenge(12),
-            Respond(scalar_mul(5, g)),
+            Commitment(g),
+            Commitment(G1Point.identity(toy_params.p)),
+            BlindedChallenge(0),
+            BlindedChallenge(12),
+            Response(scalar_mul(5, g)),
             Abort("degenerate"),
         ):
             encoded = encode_message(message, toy_params)
@@ -67,7 +65,7 @@ class TestFraming:
 
     @given(k=st.integers(min_value=0, max_value=12))
     def test_roundtrip_any_subgroup_point(self, toy_params, k):
-        message = Commit(scalar_mul(k, toy_params.generator))
+        message = Commitment(scalar_mul(k, toy_params.generator))
         assert decode_message(encode_message(message, toy_params), toy_params) == message
 
     def test_empty_input(self, toy_params):
@@ -85,7 +83,7 @@ class TestFraming:
             decode_message(b"\x01" + (5).to_bytes(4, "big") + b"\x04", toy_params)
 
     def test_trailing_bytes(self, toy_params):
-        good = encode_message(Challenge(3), toy_params)
+        good = encode_message(BlindedChallenge(3), toy_params)
         with pytest.raises(DecodeError, match="trailing"):
             decode_message(good + b"\x00", toy_params)
 
@@ -96,9 +94,9 @@ class TestFraming:
 
     def test_declared_length_is_the_boundary(self, toy_params):
         # decoder must not interpret bytes past the declared payload length
-        inner = encode_message(Challenge(3), toy_params)
+        inner = encode_message(BlindedChallenge(3), toy_params)
         padded = inner[:5] + inner[5:]
-        assert decode_message(padded, toy_params) == Challenge(3)
+        assert decode_message(padded, toy_params) == BlindedChallenge(3)
 
     @given(blob=st.binary(max_size=64))
     def test_fuzz_never_crashes(self, toy_params, blob):
@@ -138,7 +136,7 @@ class TestTranscriptCodec:
         assert seen == [t, t, t]
 
     def test_protocol_frame_rejected(self, toy_params):
-        framed = encode_message(Challenge(3), toy_params)
+        framed = encode_message(BlindedChallenge(3), toy_params)
         with pytest.raises(DecodeError, match="not a transcript"):
             decode_transcript(framed, toy_params)
 
@@ -273,6 +271,8 @@ class TestLocalRunner:
         )
         assert outcome.ok
         assert outcome.retries == 1
+        # the user-side state is the decisive attempt's
+        assert (outcome.blinding.x, outcome.blinding.y) == (x2, y2)
         assert scheme.verify(
             system,
             toy_keys[TOY_VERIFIER].secret,
@@ -300,6 +300,7 @@ class TestLocalRunner:
         assert not outcome.ok
         assert outcome.abort_reason == "degenerate"
         assert outcome.transcript.response.is_identity
+        assert outcome.blinding is None
 
     def test_store_receives_successful_sessions(self, toy_system, toy_keys):
         system, _ = toy_system

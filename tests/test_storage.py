@@ -17,6 +17,13 @@ class TestKeyValueParser:
         with pytest.raises(DecodeError, match="key = value"):
             storage.parse_kv("just some text")
 
+    def test_read_kv_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "system.txt"
+        path.write_bytes(b"p = 311\nq = \xff\n")
+        with pytest.raises(DecodeError, match="system.txt: not UTF-8") as info:
+            storage.read_kv(path)
+        assert info.value.position == 12
+
 
 class TestParamsFiles:
     def test_curve_roundtrip(self, toy_params, tmp_path):
@@ -83,19 +90,20 @@ class TestKeyFiles:
             storage.load_identity_key(path, system)
 
 
-class TestSignatureFiles:
-    @pytest.fixture()
-    def signature(self, toy_system, toy_keys):
-        system, _ = toy_system
-        outcome = run_local_session(
-            system,
-            toy_keys[TOY_SIGNER],
-            b"file me",
-            toy_keys[TOY_VERIFIER].public,
-            SeededRng("file-sig"),
-        )
-        return outcome.signature
+@pytest.fixture()
+def signature(toy_system, toy_keys):
+    system, _ = toy_system
+    outcome = run_local_session(
+        system,
+        toy_keys[TOY_SIGNER],
+        b"file me",
+        toy_keys[TOY_VERIFIER].public,
+        SeededRng("file-sig"),
+    )
+    return outcome.signature
 
+
+class TestSignatureFiles:
     def test_binary_roundtrip(self, toy_system, signature, tmp_path):
         system, _ = toy_system
         path = tmp_path / "sig.bin"
@@ -108,6 +116,31 @@ class TestSignatureFiles:
         storage.save_signature(signature, path, text=True)
         assert path.read_text().startswith("u_prime = ")
         assert storage.load_signature(path, system) == signature
+
+
+class TestTextEnvelope:
+    def test_text_roundtrip(self, toy_system, signature):
+        system, _ = toy_system
+        text = storage.signature_to_text(signature)
+        assert storage.signature_from_text(text, system.curve) == signature
+
+    def test_malformed_text_rejected(self, toy_system):
+        system, _ = toy_system
+        with pytest.raises(DecodeError):
+            storage.signature_from_text("u_prime: missing equals", system.curve)
+        with pytest.raises(DecodeError):
+            storage.signature_from_text("u_prime = zz\nsigma = 00", system.curve)
+        with pytest.raises(DecodeError):
+            storage.signature_from_text("sigma = 00\n", system.curve)
+
+    @pytest.mark.parametrize("data, offset", [(b"\xff\xfe", 0), (b"u_prime = \xff", 10)])
+    def test_non_utf8_file_rejected(self, toy_system, tmp_path, data, offset):
+        system, _ = toy_system
+        path = tmp_path / "sig.txt"
+        path.write_bytes(data)
+        with pytest.raises(DecodeError, match="sig.txt: not UTF-8") as info:
+            storage.load_signature(path, system)
+        assert info.value.position == offset
 
 
 class TestWorkspace:
