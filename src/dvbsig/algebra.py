@@ -146,9 +146,6 @@ class Fp2Element:
             p,
         )
 
-    def __neg__(self) -> Fp2Element:
-        return Fp2Element(-self.a % self.p, -self.b % self.p, self.p)
-
     def conjugate(self) -> Fp2Element:
         """a - b*i; equals the Frobenius map x -> x^p on F_p2."""
         return Fp2Element(self.a, -self.b % self.p, self.p)

@@ -17,11 +17,11 @@ Three independent things live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import scheme
-from .curve import G1Point, _add_raw, point_add, scalar_mul, tate_pairing
+from .curve import G1Point, _add_mixed, _to_affine, point_add, scalar_mul, tate_pairing
 from .errors import Degenerate, DomainError, RefusedTooLarge
 from .meter import OpCounter, measure  # noqa: F401  (re-exported surface)
 from .algebra import mod_inv
@@ -102,23 +102,23 @@ def unforgeability_advantage(budget: QueryBudget, group_order: int) -> Fraction:
     return _advantage_factor(budget, group_order) * Fraction(budget.advantage)
 
 
-def unforgeability_runtime(budget: QueryBudget, costs: OpCosts) -> Fraction:
-    """Running time of the derived BDHP solver.
-
-    Query answering costs (qH1 + qE + 3qS + qV) G1 scalar multiplications,
-    (qS + qV) pairings and qS G1 group operations; assembling the final
-    solution adds one G2 group operation and one G2 scalar multiplication.
-    """
-    qh1, qe = budget.h1_queries, budget.extract_queries
+def _solver_runtime(budget: QueryBudget, costs: OpCosts, tail: OperationCounts) -> Fraction:
+    """Query answering costs (qH1 + qE + 3qS + qV) G1 scalar multiplications,
+    (qS + qV) pairings and qS G1 group operations; `tail` assembles the final
+    solution, and the adversary's own running time is added."""
     qs, qv = budget.sign_queries, budget.verify_queries
-    return Fraction(
-        (qh1 + qe + 3 * qs + qv) * Fraction(costs.g1_scalar_mul)
-        + (qs + qv) * Fraction(costs.pairing)
-        + qs * Fraction(costs.g1_group_op)
-        + Fraction(costs.g2_group_op)
-        + Fraction(costs.g2_scalar_mul)
-        + Fraction(budget.runtime)
+    queries = OperationCounts(
+        g1_scalar_mul=budget.h1_queries + budget.extract_queries + 3 * qs + qv,
+        g1_group_op=qs,
+        pairing=qs + qv,
     )
+    return perf_model(queries, costs) + perf_model(tail, costs) + Fraction(budget.runtime)
+
+
+def unforgeability_runtime(budget: QueryBudget, costs: OpCosts) -> Fraction:
+    """Running time of the derived BDHP solver; assembling the final solution
+    adds one G2 group operation and one G2 scalar multiplication."""
+    return _solver_runtime(budget, costs, OperationCounts(g2_group_op=1, g2_scalar_mul=1))
 
 
 def unforgeability_bound(budget: QueryBudget, costs: OpCosts, group_order: int) -> ReductionBound:
@@ -133,17 +133,8 @@ def unverifiability_runtime(budget: QueryBudget, costs: OpCosts) -> Fraction:
     """Running time of the derived DBDHP solver; differs from the
     unforgeability reduction only in the solution-assembly tail (one extra
     G1 scalar multiplication and pairing instead of a G2 group operation)."""
-    qh1, qe = budget.h1_queries, budget.extract_queries
-    qs, qv = budget.sign_queries, budget.verify_queries
-    return Fraction(
-        (qh1 + qe + 3 * qs + qv) * Fraction(costs.g1_scalar_mul)
-        + (qs + qv) * Fraction(costs.pairing)
-        + qs * Fraction(costs.g1_group_op)
-        + Fraction(costs.g1_scalar_mul)
-        + Fraction(costs.g2_scalar_mul)
-        + Fraction(costs.pairing)
-        + Fraction(budget.runtime)
-    )
+    tail = OperationCounts(g1_scalar_mul=1, g2_scalar_mul=1, pairing=1)
+    return _solver_runtime(budget, costs, tail)
 
 
 def unverifiability_bound(budget: QueryBudget, costs: OpCosts, group_order: int) -> ReductionBound:
@@ -178,14 +169,9 @@ class OperationCounts:
 
 def perf_model(counts: OperationCounts, costs: OpCosts) -> Fraction:
     """Exact-rational dot product of operation counts and unit costs (ms)."""
-    return Fraction(
-        counts.g1_scalar_mul * Fraction(costs.g1_scalar_mul)
-        + counts.g2_scalar_mul * Fraction(costs.g2_scalar_mul)
-        + counts.g1_group_op * Fraction(costs.g1_group_op)
-        + counts.g2_group_op * Fraction(costs.g2_group_op)
-        + counts.pairing * Fraction(costs.pairing)
-        + counts.map_to_point * Fraction(costs.map_to_point)
-        + counts.g2_exp * Fraction(costs.g2_exp)
+    return sum(
+        (getattr(counts, f.name) * Fraction(getattr(costs, f.name)) for f in fields(OpCosts)),
+        Fraction(0),
     )
 
 
@@ -242,11 +228,13 @@ def dlog_bruteforce(base: G1Point, target: G1Point, order: int) -> int | None:
     """
     if order > DLOG_ORDER_LIMIT:
         raise RefusedTooLarge(f"order {order} exceeds the brute-force guard")
-    acc_x, acc_y = None, None
+    if base.is_identity:
+        return 0 if target.is_identity else None
+    p, tx, ty, tz = base.p, 1, 1, 0
     for k in range(order):
-        if acc_x == target.x and (acc_x is None or acc_y == target.y):
+        if _to_affine(p, tx, ty, tz) == (target.x, target.y):
             return k
-        acc_x, acc_y = _add_raw(base.p, acc_x, acc_y, base.x, base.y)
+        tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, base.x, base.y)
     return None
 
 

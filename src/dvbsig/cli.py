@@ -181,11 +181,12 @@ def cmd_sign_commit(ws: storage.Workspace, args) -> int:
     state, commitment = scheme.sign_commit(system, signer, rng)
     commit_path.write_bytes(session.encode_message(commitment, system.curve))
     started = (clock or session._now_ms)()
-    (sdir / "signer.state").write_text(
+    storage.write_private(
+        sdir / "signer.state",
         f"session_id = {session_id.hex()}\n"
         f"signer = {args.signer}\n"
         f"r = {state.r}\n"
-        f"started_ms = {started}\n"
+        f"started_ms = {started}\n",
     )
     print(f"wrote {commit_path}")
     return 0
@@ -204,11 +205,12 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
     rng, _ = _rng_and_clock(args.seed)
     state, challenge = scheme.blind(system, message, commitment, signer_public, rng)
     challenge_path.write_bytes(session.encode_message(challenge, system.curve))
-    (sdir / "user.state").write_text(
+    storage.write_private(
+        sdir / "user.state",
         f"x = {state.x}\n"
         f"y = {state.y}\n"
         f"h = {state.h}\n"
-        f"u_prime = {state.u_prime.encode().hex()}\n"
+        f"u_prime = {state.u_prime.encode().hex()}\n",
     )
     print(f"wrote {challenge_path}")
     return 0
@@ -220,26 +222,27 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     _require(commit_path, "commit artifact (run sign commit first)")
     _require(challenge_path, "challenge artifact (run sign blind first)")
     _fresh(response_path, "response artifact")
-    state_fields = storage.read_kv(_require(sdir / "signer.state", "signer state"))
-    signer = _load_key(ws, system, _identity(state_fields["signer"]))
+    state_path = _require(sdir / "signer.state", "signer state")
+    fields = storage.read_kv(state_path)
+    signer_name = _identity(storage.kv_text(fields, "signer", state_path))
+    r = storage.kv_int(fields, "r", state_path)
+    signer = _load_key(ws, system, signer_name)
     challenge = session.decode_message(challenge_path.read_bytes(), system.curve)
     if not isinstance(challenge, scheme.BlindedChallenge):
         raise CommandLineError(f"{challenge_path} does not hold a challenge")
     commitment = session.decode_message(commit_path.read_bytes(), system.curve)
     if not isinstance(commitment, scheme.Commitment):
         raise CommandLineError(f"{commit_path} does not hold a commitment")
-    response = scheme.sign_respond(
-        system, scheme.SignerState(r=int(state_fields["r"]), key=signer), challenge
-    )
-    started = int(state_fields.get("started_ms", "0"))
+    response = scheme.sign_respond(system, scheme.SignerState(r=r, key=signer), challenge)
+    started = storage.kv_int(fields, "started_ms", state_path, default=0)
     finished = started + 1 if args.seed else session._now_ms()
     store = FileTranscriptStore(ws.transcript_log, system.curve)
     # the transcript is recorded before the response leaves: a session id
     # that was already answered raises DuplicateSession and writes nothing
     store.record(
         session.Transcript(
-            session_id=bytes.fromhex(state_fields["session_id"]),
-            signer_identity=state_fields["signer"].encode("utf-8"),
+            session_id=storage.kv_hex(fields, "session_id", state_path),
+            signer_identity=signer_name.encode("utf-8"),
             commitment=commitment.point,
             challenge=challenge.value,
             response=response.point,
@@ -248,6 +251,7 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
         )
     )
     response_path.write_bytes(session.encode_message(response, system.curve))
+    state_path.unlink()  # r has answered its one challenge
     if response.degenerate:
         print(f"wrote {response_path} (degenerate response; rerun the session)")
     else:
@@ -261,10 +265,9 @@ def cmd_sign_unblind(ws: storage.Workspace, args) -> int:
     _require(response_path, "response artifact (run sign respond first)")
     state_path = _require(sdir / "user.state", "user state (run sign blind first)")
     fields = storage.read_kv(state_path)
-    u_prime, _ = decode_point(bytes.fromhex(fields["u_prime"]), system.curve)
-    blind_state = scheme.BlindState(
-        x=int(fields["x"]), y=int(fields["y"]), u_prime=u_prime, h=int(fields["h"]), message=b""
-    )
+    u_prime, _ = decode_point(storage.kv_hex(fields, "u_prime", state_path), system.curve)
+    x, y, h = (storage.kv_int(fields, key, state_path) for key in ("x", "y", "h"))
+    blind_state = scheme.BlindState(x=x, y=y, u_prime=u_prime, h=h, message=b"")
     response = session.decode_message(response_path.read_bytes(), system.curve)
     if not isinstance(response, scheme.Response):
         raise CommandLineError(f"{response_path} does not hold a response")
@@ -364,17 +367,18 @@ def _load_costs(args) -> analysis.OpCosts:
 
 def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
     if args.budget_file is not None:
-        fields = storage.read_kv(_require(Path(args.budget_file), "budget file"))
+        path = _require(Path(args.budget_file), "budget file")
+        fields = storage.read_kv(path)
         budget = analysis.QueryBudget(
-            h1_queries=int(fields.get("qh1", 0)),
-            h2_queries=int(fields.get("qh2", 0)),
-            extract_queries=int(fields.get("qe", 0)),
-            sign_queries=int(fields.get("qs", 0)),
-            verify_queries=int(fields.get("qv", 0)),
+            h1_queries=storage.kv_int(fields, "qh1", path, default=0),
+            h2_queries=storage.kv_int(fields, "qh2", path, default=0),
+            extract_queries=storage.kv_int(fields, "qe", path, default=0),
+            sign_queries=storage.kv_int(fields, "qs", path, default=0),
+            verify_queries=storage.kv_int(fields, "qv", path, default=0),
             advantage=_fraction(fields.get("eps", "0")),
             runtime=_fraction(fields.get("t", "0")),
         )
-        group_order = int(fields.get("q", args.q))
+        group_order = storage.kv_int(fields, "q", path, default=args.q)
     else:
         budget = analysis.QueryBudget(
             h1_queries=args.qh1,

@@ -77,9 +77,6 @@ class GTElement:
     def __pow__(self, exponent: int) -> GTElement:
         return GTElement(self.value**exponent)
 
-    def inverse(self) -> GTElement:
-        return GTElement(self.value.inverse())
-
     @property
     def is_one(self) -> bool:
         return self.value.is_one()
@@ -123,43 +120,63 @@ class CurveParams:
 
 
 # ---------------------------------------------------------------------------
-# raw arithmetic (affine identity encoded as (None, None))
-
-
-def _add_raw(p, x1, y1, x2, y2):
-    """Affine chord-and-tangent addition; one inversion."""
-    if x1 is None:
-        return x2, y2
-    if x2 is None:
-        return x1, y1
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None, None
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    return x3, y3
+# the group law in Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3); Z = 0 is the
+# identity, and the affine identity at the boundary is (None, None)
 
 
 def _double_jacobian(p, x, y, z):
-    """2*(X, Y, Z) for a = 1: M = 3X^2 + Z^4, S = 4XY^2, Z' = 2YZ."""
+    """2*(X, Y, Z) for a = 1: M = 3X^2 + Z^4, S = 4XY^2, Z' = 2YZ.
+
+    Also returns M, Z^2 and Y^2, from which the tangent line at the input is
+    built.  Z = 0 stays 0, and so does a point with Y = 0 (2-torsion).
+    """
     yy = y * y % p
     zz = z * z % p
     m = (3 * x * x + zz * zz) % p
     s = 4 * x * yy % p
     x3 = (m * m - 2 * s) % p
-    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p, m, zz, yy
+
+
+def _add_mixed(p, tx, ty, tz, x, y):
+    """(X, Y, Z) + (x, y) for an affine, non-identity (x, y), plus R.
+
+    H = x*Z^2 - X, R = y*Z^3 - Y and Z' = Z*H, so the chord through both
+    points has slope R/Z'.  T = O gives (x, y, 1); T = -(x, y) gives Z' = 0;
+    T = (x, y) doubles and returns the tangent's M as R, with Z' = 2YZ.
+    """
+    if not tz:
+        return x, y, 1, 0
+    zz = tz * tz % p
+    h = (x * zz - tx) % p
+    r = (y * zz * tz - ty) % p
+    if h == 0:
+        if r:
+            return 1, 1, 0, r
+        tx, ty, tz, m, _, _ = _double_jacobian(p, tx, ty, tz)
+        return tx, ty, tz, m
+    hh = h * h % p
+    hhh = h * hh % p
+    v = tx * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    return x3, (r * (v - x3) - ty * hhh) % p, tz * h % p, r
+
+
+def _to_affine(p, x, y, z):
+    """(X/Z^2, Y/Z^3) with one inversion; (None, None) when Z = 0."""
+    if not z:
+        return None, None
+    zinv = pow(z, -1, p)
+    zinv2 = zinv * zinv % p
+    return x * zinv2 % p, y * zinv2 * zinv % p
 
 
 def _mul_raw(p, k, x, y):
     """k*(x, y) by left-to-right double-and-add in Jacobian coordinates.
 
-    Additions are mixed (Jacobian plus the affine base); Z = 0 marks the
-    identity.  The single inversion happens at the affine boundary and is
-    skipped when the result is the identity, which is what every subgroup
-    check expects.
+    Additions are mixed (Jacobian plus the affine base).  The single
+    inversion happens at the affine boundary and is skipped when the result
+    is the identity, which is what every subgroup check expects.
     """
     if x is None or k == 0:
         return None, None
@@ -167,30 +184,10 @@ def _mul_raw(p, k, x, y):
         k, y = -k, (-y) % p
     tx, ty, tz = x, y, 1
     for bit in bin(k)[3:]:
-        if tz:
-            tx, ty, tz = _double_jacobian(p, tx, ty, tz)
+        tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
         if bit == "1":
-            if not tz:
-                tx, ty, tz = x, y, 1
-                continue
-            # T <- T + (x, y):  H = x*Z^2 - X,  R = y*Z^3 - Y
-            zz = tz * tz % p
-            h = (x * zz - tx) % p
-            r = (y * zz * tz - ty) % p
-            if h == 0:  # T = -(x, y) gives the identity, T = (x, y) a doubling
-                tx, ty, tz = _double_jacobian(p, tx, ty, tz) if r == 0 else (1, 1, 0)
-                continue
-            hh = h * h % p
-            hhh = h * hh % p
-            v = tx * hh % p
-            tz = tz * h % p
-            tx = (r * r - hhh - 2 * v) % p
-            ty = (r * (v - tx) - ty * hhh) % p
-    if not tz:
-        return None, None
-    zinv = pow(tz, -1, p)
-    zinv2 = zinv * zinv % p
-    return tx * zinv2 % p, ty * zinv2 * zinv % p
+            tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, x, y)
+    return _to_affine(p, tx, ty, tz)
 
 
 def in_subgroup(point: G1Point, q: int) -> bool:
@@ -221,8 +218,10 @@ def point_add(a: G1Point, b: G1Point) -> G1Point:
     _require_on_curve(a)
     _require_on_curve(b)
     meter.tally(meter.G1_GROUP_OP)
-    x, y = _add_raw(a.p, a.x, a.y, b.x, b.y)
-    return G1Point(a.p, x, y)
+    if b.is_identity:
+        return a
+    x, y, z, _ = _add_mixed(a.p, a.x, a.y, 0 if a.is_identity else 1, b.x, b.y)
+    return G1Point(a.p, *_to_affine(a.p, x, y, z))
 
 
 def scalar_mul(k: int, a: G1Point) -> G1Point:
@@ -256,9 +255,10 @@ def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Eleme
     T runs in Jacobian coordinates (Chatterjee-Sarkar-Barua).  The tangent
     at T evaluates at phi(B) to lam*(bx + x_T) - y_T + by*i; scaled by its
     denominator 2YZ*Z^2 it is M*(bx*Z^2 + X) - 2Y^2 + by*2YZ*Z^2 * i.  The
-    chord through T and A, taken at A and scaled by Z*H, is
-    R*(bx + ax) - ay*Z*H + by*Z*H * i.  The scale factors and the vertical
-    lines lie in F_p^* and vanish in the final exponentiation.
+    chord through T and A, taken at A and scaled by the new Z', is
+    R*(bx + ax) - ay*Z' + by*Z' * i (the tangent when T = A, where R = M).
+    The scale factors and the vertical lines lie in F_p^* and vanish in the
+    final exponentiation.
     """
     fa, fb = 1, 0  # f as fa + fb*i
     tx, ty, tz = ax, ay, 1
@@ -267,36 +267,20 @@ def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Eleme
         # f <- f^2 * line_{T,T}(phi(B)); T <- 2T
         fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
         if tz:
-            yy = ty * ty % p
-            zz = tz * tz % p
-            m = (3 * tx * tx + zz * zz) % p
-            tz = 2 * ty * tz % p
-            la = (m * (bx * zz + tx) - 2 * yy) % p
+            x0 = tx
+            tx, ty, tz, m, zz, yy = _double_jacobian(p, tx, ty, tz)
+            la = (m * (bx * zz + x0) - 2 * yy) % p
             lb = by * tz * zz % p
             fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
-            s = 4 * tx * yy % p
-            tx = (m * m - 2 * s) % p
-            ty = (m * (s - tx) - 8 * yy * yy) % p
         if bit == "1":
-            # f <- f * line_{T,A}(phi(B)); T <- T + A
-            if not tz:
-                tx, ty, tz = ax, ay, 1
-                continue
-            zz = tz * tz % p
-            h = (ax * zz - tx) % p
-            r = (ay * zz * tz - ty) % p
-            if h == 0 and r:
-                tz = 0  # T = -A: vertical line, value in F_p: skip
-                continue
-            hh = h * h % p
-            hhh = h * hh % p
-            v = tx * hh % p
-            tz = tz * h % p
-            la = (r * abx - ay * tz) % p
-            lb = by * tz % p
-            fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
-            tx = (r * r - hhh - 2 * v) % p
-            ty = (r * (v - tx) - ty * hhh) % p
+            # f <- f * line_{T,A}(phi(B)); T <- T + A.  T = O has no chord
+            # and T = -A a vertical one (in F_p): both are skipped
+            chord = tz
+            tx, ty, tz, r = _add_mixed(p, tx, ty, tz, ax, ay)
+            if chord and tz:
+                la = (r * abx - ay * tz) % p
+                lb = by * tz % p
+                fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
     return Fp2Element(fa, fb, p)
 
 

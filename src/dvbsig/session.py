@@ -1,8 +1,8 @@
 """The interactive three-move signing protocol: wire framing for the messages
 that cross the signer/user boundary (scheme's Commitment, BlindedChallenge
-and Response, plus Abort), state machines for both sides, a local in-process
-runner with a retry policy for degenerate sessions, and an append-only
-transcript store.
+and Response), state machines for both sides, a local in-process runner
+with a retry policy for degenerate sessions, and an append-only transcript
+store.
 
 A transcript is exactly the signer's view of one session: the commitment it
 sent, the blinded challenge it received, and the response it returned.  It
@@ -25,18 +25,12 @@ from .scheme import BlindedChallenge, Commitment, KeyPair, Response, Signature, 
 TAG_COMMIT = 1
 TAG_CHALLENGE = 2
 TAG_RESPOND = 3
-TAG_ABORT = 255
 TAG_TRANSCRIPT = 16  # store records only; not a protocol message
 
 SESSION_ID_BYTES = 16
 
 
-@dataclass(frozen=True)
-class Abort:
-    reason: str
-
-
-ProtocolMessage = Union[Commitment, BlindedChallenge, Response, Abort]
+ProtocolMessage = Union[Commitment, BlindedChallenge, Response]
 
 
 @dataclass(frozen=True)
@@ -90,8 +84,6 @@ def encode_message(message: ProtocolMessage, params: CurveParams) -> bytes:
         return _frame(TAG_CHALLENGE, scheme.encode_scalar(message.value, params))
     if isinstance(message, Response):
         return _frame(TAG_RESPOND, message.point.encode())
-    if isinstance(message, Abort):
-        return _frame(TAG_ABORT, message.reason.encode("utf-8"))
     raise TypeError(f"not a protocol message: {message!r}")
 
 
@@ -136,11 +128,6 @@ def decode_message(data: bytes, params: CurveParams) -> ProtocolMessage:
         return BlindedChallenge(_decode_scalar_payload(payload, params, 5))
     if tag == TAG_RESPOND:
         return Response(_decode_point_payload(payload, params, 5))
-    if tag == TAG_ABORT:
-        try:
-            return Abort(payload.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DecodeError("abort reason is not UTF-8", 5) from exc
     raise DecodeError(f"unknown tag {tag}", 0)
 
 

@@ -3,8 +3,8 @@ signature files, plus the session directory layout used by the step-wise CLI.
 
 All public artifacts are key-value text with decimal integers (signatures
 may also use a hex text envelope); secrets are the same format in files
-chmodded to owner-only (no encryption at rest, by design: this is a research
-artifact).
+created owner-only (no encryption at rest, by design: this is a research
+artifact).  Fields are read through the checked `kv_*` readers.
 """
 
 from __future__ import annotations
@@ -51,21 +51,41 @@ def read_kv(path: Path) -> dict[str, str]:
     return parse_kv(_utf8(path.read_bytes(), path), str(path))
 
 
-def _kv_int(fields: dict[str, str], key: str, path: str) -> int:
+def _kv(fields: dict[str, str], key: str, path: Path | str, parse, kind: str):
     try:
-        return int(fields[key])
+        return parse(fields[key])
     except KeyError:
         raise DecodeError(f"{path}: missing field {key!r}") from None
     except ValueError:
-        raise DecodeError(f"{path}: field {key!r} is not a decimal integer") from None
+        raise DecodeError(f"{path}: field {key!r} is not {kind}") from None
 
 
-def _write_private(path: Path, text: str) -> None:
-    path.write_text(text)
-    try:
-        os.chmod(path, 0o600)
-    except OSError:
-        pass
+def kv_int(fields: dict[str, str], key: str, path: Path | str, default: int | None = None) -> int:
+    """Field `key` as a decimal integer, or `default` when it is absent and a
+    default is given.  A missing or malformed field is a DecodeError naming
+    the file and the field."""
+    if default is not None and key not in fields:
+        return default
+    return _kv(fields, key, path, int, "a decimal integer")
+
+
+def kv_hex(fields: dict[str, str], key: str, path: Path | str) -> bytes:
+    """Field `key` as hex-encoded bytes, checked like `kv_int`."""
+    return _kv(fields, key, path, bytes.fromhex, "hex")
+
+
+def kv_text(fields: dict[str, str], key: str, path: Path | str) -> str:
+    """Field `key` as text; only its absence is an error."""
+    return _kv(fields, key, path, str, "text")
+
+
+def write_private(path: Path, text: str) -> None:
+    """Write a secret file that is owner-only (0600) before it holds a byte;
+    a file that already exists is narrowed to 0600 too."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        os.fchmod(fd, 0o600)
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +106,11 @@ def _curve_text(params: CurveParams) -> str:
 
 def _curve_from_fields(fields: dict[str, str], path: Path) -> CurveParams:
     params = CurveParams(
-        p=_kv_int(fields, "p", str(path)),
-        q=_kv_int(fields, "q", str(path)),
-        cofactor=_kv_int(fields, "cofactor", str(path)),
-        gx=_kv_int(fields, "Px", str(path)),
-        gy=_kv_int(fields, "Py", str(path)),
+        p=kv_int(fields, "p", path),
+        q=kv_int(fields, "q", path),
+        cofactor=kv_int(fields, "cofactor", path),
+        gx=kv_int(fields, "Px", path),
+        gy=kv_int(fields, "Py", path),
         security_label=fields.get("security_label", ""),
     )
     params.validate()
@@ -119,7 +139,7 @@ def load_system_params(path: Path) -> SystemParams:
     fields = read_kv(path)
     curve = _curve_from_fields(fields, path)
     p_pub = G1Point(
-        curve.p, _kv_int(fields, "Ppubx", str(path)), _kv_int(fields, "Ppuby", str(path))
+        curve.p, kv_int(fields, "Ppubx", path), kv_int(fields, "Ppuby", path)
     )
     if not p_pub.on_curve():
         raise DecodeError(f"{path}: system public key is not on the curve")
@@ -138,16 +158,16 @@ def load_system_params(path: Path) -> SystemParams:
 
 
 def save_master_secret(msk: MasterSecret, path: Path) -> None:
-    _write_private(path, f"s = {msk.s}\n")
+    write_private(path, f"s = {msk.s}\n")
 
 
 def load_master_secret(path: Path) -> MasterSecret:
     fields = read_kv(path)
-    return MasterSecret(s=_kv_int(fields, "s", str(path)))
+    return MasterSecret(s=kv_int(fields, "s", path))
 
 
 def save_identity_key(key: KeyPair, path: Path) -> None:
-    _write_private(
+    write_private(
         path,
         f"identity = {key.identity.decode('utf-8')}\n"
         f"Sx = {key.secret.x}\n"
@@ -157,11 +177,9 @@ def save_identity_key(key: KeyPair, path: Path) -> None:
 
 def load_identity_key(path: Path, system: SystemParams) -> KeyPair:
     fields = read_kv(path)
-    if "identity" not in fields:
-        raise DecodeError(f"{path}: missing field 'identity'")
-    identity = fields["identity"].encode("utf-8")
+    identity = kv_text(fields, "identity", path).encode("utf-8")
     secret = G1Point(
-        system.curve.p, _kv_int(fields, "Sx", str(path)), _kv_int(fields, "Sy", str(path))
+        system.curve.p, kv_int(fields, "Sx", path), kv_int(fields, "Sy", path)
     )
     if not secret.on_curve():
         raise DecodeError(f"{path}: secret key point is not on the curve")
@@ -183,12 +201,7 @@ def signature_to_text(signature: Signature) -> str:
 
 def signature_from_text(text: str, params: CurveParams, path: str = "<text>") -> Signature:
     fields = parse_kv(text, path)
-    try:
-        raw = bytes.fromhex(fields["u_prime"]) + bytes.fromhex(fields["sigma"])
-    except KeyError as exc:
-        raise DecodeError(f"{path}: envelope missing field {exc}") from None
-    except ValueError as exc:
-        raise DecodeError(f"{path}: bad hex payload: {exc}") from None
+    raw = kv_hex(fields, "u_prime", path) + kv_hex(fields, "sigma", path)
     return decode_signature(raw, params)
 
 

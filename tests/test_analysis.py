@@ -256,6 +256,13 @@ class TestDlogBruteforce:
         for k in range(Q):
             assert dlog_bruteforce(g, scalar_mul(k, g), Q) == k
 
+    def test_sweep_counts_no_group_operations(self, toy_params):
+        g = toy_params.generator
+        target = scalar_mul(7, g)
+        with measure() as counter:
+            assert dlog_bruteforce(g, target, Q) == 7
+        assert counter.counts == {kind: 0 for kind in counter.counts}
+
     def test_guard(self, toy_params):
         g = toy_params.generator
         with pytest.raises(RefusedTooLarge):

@@ -1,3 +1,7 @@
+import os
+import re
+import stat
+
 import pytest
 
 from dvbsig import cli, storage
@@ -177,6 +181,59 @@ class TestStepwiseSigning:
         assert not (workspace / "sessions" / "s2" / "response.frame").exists()
         assert (workspace / "sessions" / "s1" / "response.frame").exists()
 
+    def _commit_and_blind(self, run, workspace, message_file, name="s1"):
+        assert run(
+            "-w", workspace, "sign", "commit", "--signer", "alice",
+            "--session", name, "--seed", "c",
+        )[0] == 0
+        assert run(
+            "-w", workspace, "sign", "blind", "--session", name, "--signer", "alice",
+            "--message-file", message_file, "--seed", "b",
+        )[0] == 0
+        return workspace / "sessions" / name
+
+    def test_secret_files_are_owner_only(self, run, workspace, message_file):
+        # r in signer.state, with the public h1 and V, gives S_s = (r + h1)^-1 * V
+        old = os.umask(0o022)
+        try:
+            sdir = self._commit_and_blind(run, workspace, message_file)
+        finally:
+            os.umask(old)
+        for path in (
+            sdir / "signer.state",
+            sdir / "user.state",
+            workspace / "master.key",
+            workspace / "keys" / "alice.key",
+        ):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600, path
+
+    def test_respond_consumes_signer_state(self, run, workspace, message_file):
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        assert run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")[0] == 0
+        assert (sdir / "response.frame").exists()
+        assert not (sdir / "signer.state").exists()
+
+    def test_signer_state_without_r_rejected(self, run, workspace, message_file):
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        state = sdir / "signer.state"
+        lines = state.read_text().splitlines(True)
+        state.write_text("".join(line for line in lines if not line.startswith("r ")))
+        code, _, err = run("-w", workspace, "sign", "respond", "--session", "s1")
+        assert code == 3
+        assert "signer.state: missing field 'r'" in err
+        assert not (sdir / "response.frame").exists()
+
+    def test_user_state_bad_integer_rejected(self, run, workspace, message_file):
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        assert run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")[0] == 0
+        state = sdir / "user.state"
+        state.write_text(re.sub(r"(?m)^x = .*$", "x = zz", state.read_text()))
+        code, _, err = run(
+            "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
+        )
+        assert code == 3
+        assert "user.state: field 'x' is not a decimal integer" in err
+
 
 class TestDeterminism:
     def test_golden_pipeline_artifacts(self, run, tmp_path):
@@ -256,6 +313,13 @@ class TestAnalysisCommands:
         code, out, _ = run("-w", tmp_path, "analyze", "bounds", "--budget-file", budget)
         assert code == 0
         assert "advantage = 19712/2851875" in out
+
+    def test_bounds_budget_file_bad_count(self, run, tmp_path):
+        budget = tmp_path / "budget.txt"
+        budget.write_text("qh1 = abc\neps = 1/2\n")
+        code, out, err = run("-w", tmp_path, "analyze", "bounds", "--budget-file", budget)
+        assert code == 3 and out == ""
+        assert "budget.txt: field 'qh1' is not a decimal integer" in err
 
     def test_bounds_domain_error(self, run, tmp_path):
         code, _, err = run("-w", tmp_path, "analyze", "bounds", "--qh1", 1, "--eps", "1")

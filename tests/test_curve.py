@@ -18,6 +18,7 @@ from dvbsig.curve import (
     tate_pairing,
 )
 from dvbsig.errors import DecodeError, InvalidPoint, ParamMismatch, ParamSearchFailed
+from dvbsig.meter import G1_GROUP_OP, G1_SCALAR_MUL, measure
 
 P, Q = 311, 13
 
@@ -227,6 +228,19 @@ class TestGroupLaw:
             for k in range(2 * Q + 2):
                 assert _mul_raw(P, k, x, y) == (mul_oracle(P, k, pt) or (None, None))
                 assert _mul_raw(P, -k, x, y) == (mul_oracle(P, k, neg) or (None, None))
+
+    def test_point_add_matches_oracle_on_every_pair(self, toy_params):
+        # every ordered pair of the 312 points: P + P, P + (-P), the 2-torsion
+        # point (0, 0) and the identity on either side; one group op each
+        points = all_points(P)
+        with measure() as counter:
+            for a in points:
+                pa = G1Point(P, *(a or (None, None)))
+                for b in points:
+                    pb = G1Point(P, *(b or (None, None)))
+                    assert as_pair(point_add(pa, pb)) == add_oracle(P, a, b)
+        assert counter.counts[G1_GROUP_OP] == len(points) ** 2
+        assert counter.counts[G1_SCALAR_MUL] == 0
 
     def test_in_subgroup_counts_q_points(self, toy_params):
         members = [

@@ -7,7 +7,6 @@ from dvbsig.errors import DecodeError, DuplicateSession
 from dvbsig.rng import SeededRng
 from dvbsig.scheme import BlindedChallenge, Commitment, Response
 from dvbsig.session import (
-    Abort,
     FileTranscriptStore,
     LogicalClock,
     RetryPolicy,
@@ -58,7 +57,6 @@ class TestFraming:
             BlindedChallenge(0),
             BlindedChallenge(12),
             Response(scalar_mul(5, g)),
-            Abort("degenerate"),
         ):
             encoded = encode_message(message, toy_params)
             assert decode_message(encoded, toy_params) == message
@@ -73,8 +71,9 @@ class TestFraming:
             decode_message(b"", toy_params)
 
     def test_unknown_tag(self, toy_params):
-        with pytest.raises(DecodeError, match="unknown tag 7"):
-            decode_message(b"\x07" + (0).to_bytes(4, "big"), toy_params)
+        for tag in (7, 255):
+            with pytest.raises(DecodeError, match=f"unknown tag {tag}"):
+                decode_message(bytes([tag]) + (0).to_bytes(4, "big"), toy_params)
 
     def test_truncated_header_and_payload(self, toy_params):
         with pytest.raises(DecodeError):
