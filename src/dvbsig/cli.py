@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import re
 import sys
 import time
@@ -429,53 +430,70 @@ def cmd_analyze_perf(ws: storage.Workspace, args) -> int:
 
 
 def cmd_bench(ws: storage.Workspace, args) -> int:
+    from .algebra import sample_unit
     from .curve import scalar_mul, tate_pairing
+    from .scheme import MasterSecret
 
     if ws.system_file.exists():
         system = _load_system(ws)
     else:
         params = params_for_subgroup_order(13, b"bench-toy")
         system, _ = scheme.setup(params, SeededRng("bench"))
-        print("no workspace system; benchmarking built-in toy parameters")
+        print("no workspace system; benchmarking built-in toy parameters", file=sys.stderr)
+    curve = system.curve
     rng, _ = _rng_and_clock(args.seed or "bench")
     if ws.master_file.exists():
         msk = storage.load_master_secret(ws.master_file)
     else:
-        from .algebra import sample_unit
-        from .scheme import MasterSecret
-
-        msk = MasterSecret(sample_unit(rng, system.curve.q))
+        msk = MasterSecret(sample_unit(rng, curve.q))
     signer = scheme.keygen(system, msk, b"bench-signer")
     verifier = scheme.keygen(system, msk, b"bench-verifier")
     n = args.iterations
 
-    def timed(label, fn):
+    def timed(label, fn, inputs):
         start = time.perf_counter()
-        for _ in range(n):
-            fn()
-        elapsed = (time.perf_counter() - start) * 1000 / n
-        print(f"{label} = {elapsed:.3f} ms")
+        for item in inputs:
+            fn(item)
+        ms = (time.perf_counter() - start) * 1000 / n
+        if args.json:
+            row = {"label": label, "ms": ms, "iterations": n, "params": curve.security_label}
+            print(json.dumps(row))
+        else:
+            print(f"{label} = {ms:.3f} ms")
 
-    point = signer.public
-    timed("g1_scalar_mul", lambda: scalar_mul(12345, point))
-    timed("pairing", lambda: tate_pairing(point, verifier.public, system.curve))
+    # Full-width scalars.  `g1_scalar_mul` and `pairing` reuse one base and
+    # one Miller argument, whose comb table and lines an untimed first call
+    # builds; the `_first_use` rows take a fresh point per iteration and so
+    # pay for building them.
+    scalars = [sample_unit(rng, curve.q) for _ in range(n)]
+    fresh = [scalar_mul(sample_unit(rng, curve.q), curve.generator) for _ in range(2 * n)]
+    base, other = signer.public, verifier.public
+    scalar_mul(scalars[0], base)
+    tate_pairing(base, other, curve)
+    timed("g1_scalar_mul", lambda k: scalar_mul(k, base), scalars)
+    timed("g1_scalar_mul_first_use", lambda i: scalar_mul(scalars[i], fresh[i]), range(n))
+    timed("pairing", lambda b: tate_pairing(base, b, curve), fresh[n:])
+    timed("pairing_first_use", lambda a: tate_pairing(a, other, curve), fresh[n:])
     counter = iter(range(10**9))
     timed(
         "map_to_point",
-        lambda: hash_to_point(f"bench{next(counter)}".encode(), system.curve),
+        lambda _: hash_to_point(f"bench{next(counter)}".encode(), curve),
+        range(n),
     )
     timed(
         "sign_session",
-        lambda: session.run_local_session(
+        lambda _: session.run_local_session(
             system, signer, b"bench message", verifier.public, rng
         ),
+        range(n),
     )
     outcome = session.run_local_session(system, signer, b"bench message", verifier.public, rng)
     timed(
         "verify",
-        lambda: scheme.verify_with_identity(
+        lambda _: scheme.verify_with_identity(
             system, verifier.secret, b"bench-signer", b"bench message", outcome.signature
         ),
+        range(n),
     )
     return 0
 
@@ -602,6 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="wall-clock micro-benchmarks")
     p_bench.add_argument("--seed")
     p_bench.add_argument("--iterations", type=int, default=20)
+    p_bench.add_argument(
+        "--json", action="store_true", help="print each row as one JSON object"
+    )
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

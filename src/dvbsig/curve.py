@@ -11,11 +11,19 @@ erased by the final exponentiation, so such factors are skipped.
 
 Ladders and the Miller loop keep their running point in Jacobian
 coordinates (x, y) = (X/Z^2, Y/Z^3), so each inverts at most once.
+
+Long-lived points are precomputed once, on first use, into bounded caches
+keyed by their exact affine coordinates: a fixed-base comb table per
+`scalar_mul` base and the Miller line coefficients per first pairing
+argument.  Every cached value is a pure function of its key, so results are
+the same cold or warm.  A point object also keeps its own order-q verdict.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import meter
@@ -162,13 +170,125 @@ def _add_mixed(p, tx, ty, tz, x, y):
     return x3, (r * (v - x3) - ty * hhh) % p, tz * h % p, r
 
 
+def _batch_to_affine(p, points):
+    """(X/Z^2, Y/Z^3) for each Jacobian point, sharing one inversion among
+    them (Montgomery's trick); (None, None) where Z = 0."""
+    prefix, acc = [], 1
+    for _, _, z in points:
+        prefix.append(acc)
+        if z:
+            acc = acc * z % p
+    inv = pow(acc, -1, p)
+    out = []
+    for (x, y, z), before in zip(reversed(points), reversed(prefix)):
+        if not z:
+            out.append((None, None))
+            continue
+        zinv = inv * before % p
+        inv = inv * z % p
+        zinv2 = zinv * zinv % p
+        out.append((x * zinv2 % p, y * zinv2 * zinv % p))
+    out.reverse()
+    return out
+
+
 def _to_affine(p, x, y, z):
     """(X/Z^2, Y/Z^3) with one inversion; (None, None) when Z = 0."""
-    if not z:
-        return None, None
-    zinv = pow(z, -1, p)
-    zinv2 = zinv * zinv % p
-    return x * zinv2 % p, y * zinv2 * zinv % p
+    return _batch_to_affine(p, [(x, y, z)])[0]
+
+
+class _Lru:
+    """A bounded, thread-safe least-recently-used map of derived values.
+
+    A miss builds its value outside the lock, so two threads may build the
+    same entry at once; both get equal values, because every value is a pure
+    function of its key.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._items: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        """The value stored under key, or build() stored there on a miss."""
+        with self._lock:
+            if key in self._items:
+                self._items.move_to_end(key)
+                return self._items[key]
+        value = build()
+        with self._lock:
+            self._items[key] = value
+            if len(self._items) > self.size:
+                self._items.popitem(last=False)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+
+
+# comb tables per (p, x, y) and Miller lines per (q, p, x, y): a session's
+# long-lived keys fit, with room for the fresh points that pass through
+# between their uses
+_COMB_TABLES = _Lru(16)
+_MILLER_LINES = _Lru(8)
+
+
+def _comb_columns(k_bits: int) -> int:
+    """Columns d of a 4-tooth comb covering k_bits rounded up to a multiple
+    of 32, so scalars reduced mod one q share a table size: for a 160-bit q,
+    all but a 2^-31 share of them."""
+    return -(-max(k_bits, 1) // 32) * 8
+
+
+def _comb_table(p, x, y, d):
+    """Lim-Lee comb table: entry i (0 < i < 16) is the sum of 2^(t*d)*(x, y)
+    over the set bits t of i, affine; (None, None) is the identity."""
+    spaced, (tx, ty, tz) = [(x, y, 1)], (x, y, 1)
+    for _ in range(3):
+        for _ in range(d):
+            tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
+        spaced.append((tx, ty, tz))
+    bases = _batch_to_affine(p, spaced)
+    sums = [(1, 1, 0)]
+    for i in range(1, 16):
+        top = i.bit_length() - 1
+        bx, by = bases[top]
+        tx, ty, tz = sums[i - (1 << top)]
+        sums.append((tx, ty, tz) if bx is None else _add_mixed(p, tx, ty, tz, bx, by)[:3])
+    return d, _batch_to_affine(p, sums)
+
+
+def _mul_comb(p, k, x, y):
+    """k*(x, y) for k != 0 and a non-identity base, from the base's comb
+    table: d doublings and at most d mixed additions, one inversion.
+
+    The table is built on the base's first use, sized from that scalar; a
+    later scalar longer than the table goes to `_mul_raw`.
+    """
+    n = abs(k)
+    d, table = _COMB_TABLES.get(
+        (p, x, y), lambda: _comb_table(p, x, y, _comb_columns(n.bit_length()))
+    )
+    if n.bit_length() > 4 * d:
+        return _mul_raw(p, k, x, y)
+    mask = (1 << d) - 1
+    rows = [format(n >> (t * d) & mask, f"0{d}b") for t in range(4)]
+    tx, ty, tz = 1, 1, 0
+    for b0, b1, b2, b3 in zip(*rows):
+        if tz:
+            tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
+        ax, ay = table[int(b3 + b2 + b1 + b0, 2)]
+        if ax is not None:
+            tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, ax, ay)
+    rx, ry = _to_affine(p, tx, ty, tz)
+    if k < 0 and rx is not None:
+        ry = -ry % p
+    return rx, ry
 
 
 def _mul_raw(p, k, x, y):
@@ -193,9 +313,19 @@ def _mul_raw(p, k, x, y):
 def in_subgroup(point: G1Point, q: int) -> bool:
     """True when q*point is the identity (the identity itself included).
 
-    One ladder through `_mul_raw`; curve membership is the caller's check.
+    One ladder through `_mul_raw` per point object: the (frozen) point keeps
+    its verdict for q, so a point that `decode_point` checked is not checked
+    again by `scheme.blind` / `unblind`.  Curve membership is the caller's
+    check.
     """
-    return point.is_identity or _mul_raw(point.p, q, point.x, point.y)[0] is None
+    if point.is_identity:
+        return True
+    known = getattr(point, "_order_q", None)
+    if known is not None and known[0] == q:
+        return known[1]
+    verdict = _mul_raw(point.p, q, point.x, point.y)[0] is None
+    object.__setattr__(point, "_order_q", (q, verdict))
+    return verdict
 
 
 def _require_on_curve(point: G1Point) -> None:
@@ -225,11 +355,13 @@ def point_add(a: G1Point, b: G1Point) -> G1Point:
 
 
 def scalar_mul(k: int, a: G1Point) -> G1Point:
-    """Double-and-add k*A; counts as one G1 scalar multiplication."""
+    """k*A by a fixed-base comb over A's cached table; counts as one G1
+    scalar multiplication."""
     _require_on_curve(a)
     meter.tally(meter.G1_SCALAR_MUL)
-    x, y = _mul_raw(a.p, k, a.x, a.y)
-    return G1Point(a.p, x, y)
+    if a.is_identity or k == 0:
+        return G1Point.identity(a.p)
+    return G1Point(a.p, *_mul_comb(a.p, k, a.x, a.y))
 
 
 def tate_pairing(a: G1Point, b: G1Point, params: CurveParams) -> GTElement:
@@ -249,38 +381,55 @@ def tate_pairing(a: G1Point, b: G1Point, params: CurveParams) -> GTElement:
     return GTElement(_final_exponentiation(f, params))
 
 
-def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Element:
-    """Accumulate f_{q,A} evaluated at phi(B) = (-bx, i*by), up to F_p factors.
+def _miller_lines(q: int, p: int, ax: int, ay: int) -> tuple:
+    """The lines of f_{q,A}, per bit of q, as (c1, c0, c2) with the line's
+    value at phi(B) = (-bx, i*by) being (c1*bx + c0) + c2*by * i; c0 is
+    left unreduced, as it is only added to c1*bx before a reduction.
 
     T runs in Jacobian coordinates (Chatterjee-Sarkar-Barua).  The tangent
     at T evaluates at phi(B) to lam*(bx + x_T) - y_T + by*i; scaled by its
-    denominator 2YZ*Z^2 it is M*(bx*Z^2 + X) - 2Y^2 + by*2YZ*Z^2 * i.  The
-    chord through T and A, taken at A and scaled by the new Z', is
-    R*(bx + ax) - ay*Z' + by*Z' * i (the tangent when T = A, where R = M).
+    denominator 2YZ*Z^2 it is M*Z^2*bx + (M*X - 2Y^2) + by*2YZ*Z^2 * i.
+    The chord through T and A, taken at A and scaled by the new Z', is
+    R*bx + (R*ax - ay*Z') + by*Z' * i (the tangent when T = A, where R = M).
     The scale factors and the vertical lines lie in F_p^* and vanish in the
     final exponentiation.
     """
-    fa, fb = 1, 0  # f as fa + fb*i
+    steps = []
     tx, ty, tz = ax, ay, 1
-    abx = ax + bx
     for bit in bin(q)[3:]:
-        # f <- f^2 * line_{T,T}(phi(B)); T <- 2T
-        fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
+        lines = []
         if tz:
             x0 = tx
             tx, ty, tz, m, zz, yy = _double_jacobian(p, tx, ty, tz)
-            la = (m * (bx * zz + x0) - 2 * yy) % p
-            lb = by * tz * zz % p
-            fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
+            lines.append((m * zz % p, m * x0 - 2 * yy, tz * zz % p))
         if bit == "1":
-            # f <- f * line_{T,A}(phi(B)); T <- T + A.  T = O has no chord
-            # and T = -A a vertical one (in F_p): both are skipped
+            # T = O has no chord and T = -A a vertical one (in F_p): both
+            # are skipped
             chord = tz
             tx, ty, tz, r = _add_mixed(p, tx, ty, tz, ax, ay)
             if chord and tz:
-                la = (r * abx - ay * tz) % p
-                lb = by * tz % p
-                fa, fb = (fa * la - fb * lb) % p, (fa * lb + fb * la) % p
+                lines.append((r, r * ax - ay * tz, tz))
+        steps.append(tuple(lines))
+    return tuple(steps)
+
+
+def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Element:
+    """Accumulate f_{q,A} evaluated at phi(B) = (-bx, i*by), up to F_p factors.
+
+    The lines depend on A alone; they are built on A's first use and cached
+    per (q, p, ax, ay), so a long-lived first argument pays for them once.
+    """
+    lines = _MILLER_LINES.get((q, p, ax, ay), lambda: _miller_lines(q, p, ax, ay))
+    fa, fb = 1, 0  # f as fa + fb*i
+    for step in lines:
+        # f <- f^2 * the step's tangent, then its chord, at phi(B)
+        fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
+        for c1, c0, c2 in step:
+            la = (c1 * bx + c0) % p
+            lb = c2 * by % p
+            # (fa + fb*i)(la + lb*i) with three products
+            aa, bb = fa * la, fb * lb
+            fa, fb = (aa - bb) % p, ((fa + fb) * (la + lb) - aa - bb) % p
     return Fp2Element(fa, fb, p)
 
 

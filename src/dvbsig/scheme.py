@@ -188,13 +188,18 @@ def unblind(
     response: Response,
     verifier_public: G1Point,
 ) -> Signature:
-    """User's unblinding: V' = x * V, sigma = e(V', Q_verifier)."""
+    """User's unblinding: V' = x * V, sigma = e(V', Q_verifier).
+
+    The pairing is evaluated as e(Q_verifier, V'), which is equal on the
+    order-q subgroup, so the long-lived key is the argument whose Miller
+    lines are cached.
+    """
     if not response.point.on_curve():
         raise InvalidPoint("response is not a curve point")
     if not in_subgroup(response.point, system.curve.q):
         raise InvalidPoint("response is outside the order-q subgroup")
     v_prime = scalar_mul(state.x, response.point)
-    sigma = tate_pairing(v_prime, verifier_public, system.curve)
+    sigma = tate_pairing(verifier_public, v_prime, system.curve)
     return Signature(u_prime=state.u_prime, sigma=sigma)
 
 
@@ -208,11 +213,13 @@ def verify(
     """Designated verification: sigma == e(U' + h*Q_signer, S_verifier).
 
     Only the holder of the designated verifier's private key can evaluate
-    the right-hand side.
+    the right-hand side, which is computed as e(S_verifier, U' + h*Q_signer)
+    (equal on the order-q subgroup) so that the key's Miller lines are the
+    cached ones.
     """
     h = h2(message, signature.u_prime, system.curve.q)
     lhs = point_add(signature.u_prime, scalar_mul(h, signer_public))
-    return tate_pairing(lhs, verifier_secret, system.curve) == signature.sigma
+    return tate_pairing(verifier_secret, lhs, system.curve) == signature.sigma
 
 
 def verify_with_identity(

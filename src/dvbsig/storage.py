@@ -183,6 +183,8 @@ def load_identity_key(path: Path, system: SystemParams) -> KeyPair:
     )
     if not secret.on_curve():
         raise DecodeError(f"{path}: secret key point is not on the curve")
+    if not in_subgroup(secret, system.curve.q):
+        raise DecodeError(f"{path}: secret key point is outside the order-q subgroup")
     public = hash_to_point(identity, system.curve)
     return KeyPair(identity=identity, public=public, secret=secret)
 

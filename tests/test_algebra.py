@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,13 +8,13 @@ from dvbsig.algebra import (
     byte_width,
     encode_int,
     is_prime,
-    legendre,
     mod_inv,
     sample_unit,
     sqrt_mod,
 )
 from dvbsig.errors import DomainError, InversionOfZero, ParamMismatch
 from dvbsig.rng import SeededRng
+from tests.test_curve import legendre
 
 P = 311  # toy curve modulus, 3 mod 4
 Q = 13  # toy subgroup order
@@ -115,6 +117,24 @@ class TestFp2:
     def test_conjugate_is_frobenius(self):
         x = Fp2Element(123, 45, P)
         assert x.conjugate() == x**P
+
+    def test_pow_matches_repeated_multiplication(self):
+        # exponents 0..300 meet every window (1, 11, 101, 111, ..., 1111) and
+        # zero runs between windows
+        x = Fp2Element(123, 45, P)
+        acc = Fp2Element.one(P)
+        for e in range(301):
+            assert x**e == acc
+            acc = acc * x
+
+    def test_pow_exponent_laws_at_wide_moduli(self):
+        p = 2**521 - 1  # prime, 3 mod 4
+        rnd = random.Random(11)
+        x = Fp2Element(rnd.getrandbits(520), rnd.getrandbits(520), p)
+        for _ in range(4):
+            e1, e2 = rnd.getrandbits(352), rnd.getrandbits(352)
+            assert x ** (e1 + e2) == x**e1 * x**e2
+            assert x ** (e1 * e2) == (x**e1) ** e2
 
 
 class TestEncoding:

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import stat
@@ -5,6 +6,7 @@ import stat
 import pytest
 
 from dvbsig import cli, storage
+from dvbsig import curve as dvbsig_curve
 from dvbsig.curve import hash_to_point
 
 
@@ -354,12 +356,45 @@ class TestBlindnessDemo:
         assert "cannot link" in out
 
 
+BENCH_LABELS = (
+    "g1_scalar_mul", "g1_scalar_mul_first_use", "pairing", "pairing_first_use",
+    "map_to_point", "sign_session", "verify",
+)
+
+
 class TestBench:
     def test_bench_runs(self, run, workspace):
         code, out, _ = run("-w", workspace, "bench", "--iterations", 2, "--seed", "bench")
         assert code == 0
-        for label in ("g1_scalar_mul", "pairing", "map_to_point", "sign_session", "verify"):
+        for label in BENCH_LABELS:
             assert f"{label} = " in out
+
+    def test_bench_json_rows(self, run, workspace):
+        code, out, _ = run("-w", workspace, "bench", "--iterations", 2, "--seed", "bench", "--json")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert tuple(row["label"] for row in rows) == BENCH_LABELS
+        label = storage.load_system_params(workspace / "system.txt").curve.security_label
+        for row in rows:
+            assert row["iterations"] == 2 and row["params"] == label and row["ms"] >= 0
+
+    def test_bench_scalars_and_bases(self, run, tmp_path, monkeypatch):
+        # full-width scalars; the first-use row takes a new base each time
+        ws = tmp_path / "ws"
+        assert run("-w", ws, "params", "gen", "--q-bits", 32, "--seed", "bench")[0] == 0
+        assert run("-w", ws, "setup", "--seed", "pkg")[0] == 0
+        curve = storage.load_system_params(ws / "system.txt").curve
+        calls = []
+        scalar_mul = dvbsig_curve.scalar_mul
+        monkeypatch.setattr(
+            dvbsig_curve, "scalar_mul", lambda k, a: calls.append((k, a)) or scalar_mul(k, a)
+        )
+        assert run("-w", ws, "bench", "--iterations", 4, "--seed", "bench")[0] == 0
+        signer = hash_to_point(b"bench-signer", curve)
+        fixed = [k for k, a in calls if a == signer]
+        first_use = [a for _, a in calls if a not in (signer, curve.generator)]
+        assert len(fixed) == 5 and max(k.bit_length() for k in fixed) > 24
+        assert len(first_use) == len(set(first_use)) == 4
 
 
 class TestErrorPaths:

@@ -1,9 +1,12 @@
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
-from dvbsig.algebra import Fp2Element, legendre
+from dvbsig import curve
+from dvbsig.algebra import Fp2Element
 from dvbsig.curve import (
     G1Point,
     _mul_raw,
@@ -21,6 +24,14 @@ from dvbsig.errors import DecodeError, InvalidPoint, ParamMismatch, ParamSearchF
 from dvbsig.meter import G1_GROUP_OP, G1_SCALAR_MUL, measure
 
 P, Q = 311, 13
+
+
+def legendre(a, p):
+    """Euler criterion: 1 for nonzero residues, -1 for non-residues, 0 for 0."""
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def add_oracle(p, a, b):
@@ -83,7 +94,10 @@ def miller_oracle(params, a, b):
         return Fp2Element(v, 0, p)
 
     def line(t, r):
-        """Line through t and r at phi(B), over the vertical at t + r."""
+        """Line through t and r at phi(B), over the vertical at t + r; 1 when
+        t = O (the vertical at r over itself)."""
+        if t is None:
+            return fp(1)
         s = add_oracle(p, t, r)
         if s is None:
             return u - fp(t[0])
@@ -322,6 +336,127 @@ class TestTatePairing:
             assert tate_pairing(scalar_mul(a, g), scalar_mul(b, g), mid_params) == base ** (
                 a * b % mid_params.q
             )
+
+
+CACHES = (curve._COMB_TABLES, curve._MILLER_LINES)
+
+
+@pytest.fixture()
+def cold_caches():
+    """Start from, and leave behind, empty precomputation caches."""
+    for cache in CACHES:
+        cache.clear()
+    yield
+    for cache in CACHES:
+        cache.clear()
+
+
+def negated(pair):
+    return pair and (pair[0], -pair[1] % P)
+
+
+class TestPrecompute:
+    def test_scalar_mul_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
+        # all 312 points: comb entries of small-order bases are the identity,
+        # and the additions meet T = A and T = -A
+        for pt in all_points(P):
+            a = G1Point(P, *(pt or (None, None)))
+            multiples = [None]
+            for _ in range(27):
+                multiples.append(add_oracle(P, multiples[-1], pt))
+            want = {k: multiples[k] if k >= 0 else negated(multiples[-k]) for k in range(-27, 28)}
+            for k in range(-27, 28):  # k = -27 builds the table, the rest reuse it
+                assert as_pair(scalar_mul(k, a)) == want[k]
+            for k in range(-27, 28):
+                curve._COMB_TABLES.clear()
+                assert as_pair(scalar_mul(k, a)) == want[k]
+            # 32-bit scalars read all four rows, where entries built from an
+            # identity 2^(8t)*A meet the other terms
+            for k in (2**32 - 1, 0x89ABCDEF, -0x80000001):
+                assert as_pair(scalar_mul(k, a)) == mul_oracle(P, k % (P + 1), pt)
+
+    def test_scalar_longer_than_table_uses_ladder(self, mid_params, cold_caches, monkeypatch):
+        g, p, q = mid_params.generator, mid_params.p, mid_params.q
+        scalar_mul(q - 2, g)  # a 32-bit table
+        ladders = []
+        ladder = curve._mul_raw
+        monkeypatch.setattr(curve, "_mul_raw", lambda *args: ladders.append(args) or ladder(*args))
+        k = (1 << 40) + 12345
+        got = scalar_mul(k, g)
+        assert ladders == [(p, k, g.x, g.y)]
+        assert got == G1Point(p, *ladder(p, k, g.x, g.y)) == scalar_mul(k % q, g)
+        assert scalar_mul(-k, g) == -got
+        assert len(ladders) == 2
+
+    def test_pairing_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
+        # every point as the Miller (cached) argument, every subgroup point as
+        # the other; T = O inside the loop for the 11 points whose order
+        # divides 12 (T runs through 1, 2, 3, 6, 12 times A)
+        points = [G1Point(P, *pt) for pt in all_points(P)[1:]]
+        subgroup = [b for b in points if in_subgroup(b, Q)]
+        for a in points:
+            for b in subgroup:
+                want = miller_oracle(toy_params, a, b)
+                curve._MILLER_LINES.clear()
+                assert tate_pairing(a, b, toy_params).value == want
+                assert tate_pairing(a, b, toy_params).value == want
+
+    def test_pairing_is_symmetric_on_the_subgroup(self, toy_params, mid_params):
+        subgroup = [scalar_mul(k, toy_params.generator) for k in range(Q)]
+        for a in subgroup:
+            for b in subgroup:
+                assert tate_pairing(a, b, toy_params) == tate_pairing(b, a, toy_params)
+        g, rnd = mid_params.generator, random.Random(23)
+        for _ in range(5):
+            a = scalar_mul(rnd.randrange(mid_params.q), g)
+            b = scalar_mul(rnd.randrange(mid_params.q), g)
+            assert tate_pairing(a, b, mid_params) == tate_pairing(b, a, mid_params)
+
+    def test_order_verdict_is_kept_per_q(self, toy_params):
+        g = G1Point(P, toy_params.gx, toy_params.gy)
+        assert in_subgroup(g, Q) and not in_subgroup(g, 2) and in_subgroup(g, Q)
+
+    def test_caches_are_shared_safely_between_threads(self, toy_params, cold_caches):
+        # more threads than cores, switching often, over more bases than the
+        # comb cache holds: every result must still match the ladder
+        points = [G1Point(P, *pt) for pt in all_points(P)[1:41]]
+        want = {(k, a): G1Point(P, *_mul_raw(P, k, a.x, a.y)) for a in points for k in (5, 11)}
+        errors = []
+
+        def work(seed):
+            rnd = random.Random(seed)
+            try:
+                for _ in range(300):
+                    a, k = rnd.choice(points), rnd.choice((5, 11))
+                    if scalar_mul(k, a) != want[(k, a)]:
+                        errors.append((k, a))
+                    tate_pairing(a, toy_params.generator, toy_params)
+            except Exception as exc:  # reported below; a thread cannot raise into the test
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(curve._COMB_TABLES) <= curve._COMB_TABLES.size
+
+    def test_caches_stay_bounded(self, toy_params, cold_caches):
+        g = toy_params.generator
+        for pt in all_points(P)[1:101]:
+            a = G1Point(P, *pt)
+            scalar_mul(5, a)
+            tate_pairing(a, g, toy_params)
+        for cache in CACHES:
+            assert 0 < len(cache) <= cache.size
+        assert [cache.size for cache in CACHES] == [16, 8]
 
 
 class TestHashToPoint:

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dvbsig import scheme
-from dvbsig.curve import G1Point, scalar_mul, tate_pairing
+from dvbsig import curve, scheme
+from dvbsig.curve import G1Point, decode_point, in_subgroup, scalar_mul, tate_pairing
 from dvbsig.errors import DecodeError, InvalidPoint
 from dvbsig.rng import SeededRng
 from dvbsig.scheme import (
@@ -262,6 +262,38 @@ class TestUnblind:
             scheme.unblind(system, blind_state, Response(rogue), toy_keys[TOY_VERIFIER].public)
 
 
+    def test_off_subgroup_point_refused_after_its_negation(self, toy_system, toy_keys):
+        # a point object keeps its own order-q verdict: the one on -R must
+        # not let R through
+        system, _ = toy_system
+        signer = toy_keys[TOY_SIGNER]
+        rng = SeededRng("rogue-negation")
+        _, commitment = scheme.sign_commit(system, signer, rng)
+        blind_state, _ = scheme.blind(system, MESSAGE, commitment, signer.public, rng)
+        rogue = off_subgroup_point(P, Q)
+        assert not in_subgroup(-rogue, Q)
+        with pytest.raises(DecodeError, match="subgroup"):
+            decode_point(rogue.encode(), system.curve)
+        with pytest.raises(InvalidPoint, match="subgroup"):
+            scheme.blind(system, MESSAGE, Commitment(rogue), signer.public, rng)
+        with pytest.raises(InvalidPoint, match="subgroup"):
+            scheme.unblind(system, blind_state, Response(rogue), toy_keys[TOY_VERIFIER].public)
+
+
+    def test_decoded_point_is_checked_once(self, toy_system, toy_keys, monkeypatch):
+        # decode_point's order-q check stands for blind's check of that point
+        system, _ = toy_system
+        signer = toy_keys[TOY_SIGNER]
+        rng = SeededRng("checked-once")
+        _, commitment = scheme.sign_commit(system, signer, rng)
+        ladders = []
+        ladder = curve._mul_raw
+        monkeypatch.setattr(curve, "_mul_raw", lambda *args: ladders.append(args) or ladder(*args))
+        decoded, _ = decode_point(commitment.point.encode(), system.curve)
+        scheme.blind(system, MESSAGE, Commitment(decoded), signer.public, rng)
+        assert ladders == [(P, Q, decoded.x, decoded.y)]
+
+
 class TestVerify:
     def _sign(self, system, signer, verifier, message, seed="sign"):
         rng = SeededRng(seed)
@@ -269,6 +301,24 @@ class TestVerify:
         blind_state, challenge = scheme.blind(system, message, commitment, signer.public, rng)
         response = scheme.sign_respond(system, state, challenge)
         return scheme.unblind(system, blind_state, response, verifier.public)
+
+    def test_verifier_keys_are_the_miller_argument(self, toy_system, toy_keys, monkeypatch):
+        # unblind pairs Q_v, and verify S_v, as the first argument, whose
+        # Miller lines are cached: three sessions build each set once
+        system, _ = toy_system
+        signer, verifier = toy_keys[TOY_SIGNER], toy_keys[TOY_VERIFIER]
+        built = []
+        lines = curve._miller_lines
+        monkeypatch.setattr(
+            curve, "_miller_lines", lambda *args: built.append(args[2:]) or lines(*args)
+        )
+        curve._MILLER_LINES.clear()
+        for seed in ("one", "two", "three"):
+            sig = self._sign(system, signer, verifier, MESSAGE, seed)
+            assert scheme.verify(system, verifier.secret, signer.public, MESSAGE, sig)
+        curve._MILLER_LINES.clear()
+        keys = [verifier.public, verifier.secret]
+        assert built == [(key.x, key.y) for key in keys]
 
     def test_honest_signature_accepts(self, toy_system, toy_keys):
         system, _ = toy_system

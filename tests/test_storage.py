@@ -89,6 +89,20 @@ class TestKeyFiles:
         with pytest.raises(DecodeError):
             storage.load_identity_key(path, system)
 
+    def test_secret_outside_subgroup_rejected(self, toy_system, toy_keys, tmp_path):
+        # on the curve, so only the order-q check can refuse it
+        system, _ = toy_system
+        key = toy_keys[TOY_SIGNER]
+        rogue = off_subgroup_point(system.curve.p, system.curve.q)
+        path = tmp_path / "alice.key"
+        storage.save_identity_key(key, path)
+        text = path.read_text()
+        text = text.replace(f"Sx = {key.secret.x}", f"Sx = {rogue.x}")
+        text = text.replace(f"Sy = {key.secret.y}", f"Sy = {rogue.y}")
+        path.write_text(text)
+        with pytest.raises(DecodeError, match=r"alice\.key: .*order-q subgroup"):
+            storage.load_identity_key(path, system)
+
 
 @pytest.fixture()
 def signature(toy_system, toy_keys):
