@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import analysis, scheme, session, storage
 from .curve import decode_point, generate_params, hash_to_point, params_for_subgroup_order
-from .errors import DvbsigError
+from .errors import DecodeError, DvbsigError
 from .rng import SeededRng, SystemRng
 from .scheme import KeyPair
 from .session import FileTranscriptStore, LogicalClock, RetryPolicy
@@ -227,6 +227,9 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     fields = storage.read_kv(state_path)
     signer_name = _identity(storage.kv_text(fields, "signer", state_path))
     r = storage.kv_int(fields, "r", state_path)
+    session_id = storage.kv_hex(fields, "session_id", state_path)
+    if len(session_id) != (size := session.SESSION_ID_BYTES):
+        raise DecodeError(f"{state_path}: field 'session_id' is not {size} bytes")
     signer = _load_key(ws, system, signer_name)
     challenge = session.decode_message(challenge_path.read_bytes(), system.curve)
     if not isinstance(challenge, scheme.BlindedChallenge):
@@ -242,7 +245,7 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     # that was already answered raises DuplicateSession and writes nothing
     store.record(
         session.Transcript(
-            session_id=storage.kv_hex(fields, "session_id", state_path),
+            session_id=session_id,
             signer_identity=signer_name.encode("utf-8"),
             commitment=commitment.point,
             challenge=challenge.value,

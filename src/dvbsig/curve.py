@@ -12,18 +12,21 @@ erased by the final exponentiation, so such factors are skipped.
 Ladders and the Miller loop keep their running point in Jacobian
 coordinates (x, y) = (X/Z^2, Y/Z^3), so each inverts at most once.
 
-Long-lived points are precomputed once, on first use, into bounded caches
-keyed by their exact affine coordinates: a fixed-base comb table per
-`scalar_mul` base and the Miller line coefficients per first pairing
-argument.  Every cached value is a pure function of its key, so results are
-the same cold or warm.  A point object also keeps its own order-q verdict.
+Long-lived points are precomputed once, on first use, into bounded
+`functools.lru_cache`s keyed by their exact affine coordinates: a fixed-base
+comb table per `scalar_mul` base and scalar width, and the Miller line
+coefficients per first pairing argument.  Every cached value is a pure
+function of its key, so results are the same cold or warm.
+
+A point from outside the program is accepted by one rule, `point_fault`;
+a point object keeps its own order-q verdict.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import meter
@@ -121,10 +124,9 @@ class CurveParams:
         if self.cofactor % self.q == 0:
             raise InvalidPoint("q divides the cofactor")
         g = self.generator
-        if g.is_identity or not g.on_curve():
-            raise InvalidPoint("generator is not a curve point")
-        if not in_subgroup(g, self.q):
-            raise InvalidPoint("generator does not have order q")
+        fault = "is the identity" if g.is_identity else point_fault(g, self.q)
+        if fault:
+            raise InvalidPoint(f"generator {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,47 +199,6 @@ def _to_affine(p, x, y, z):
     return _batch_to_affine(p, [(x, y, z)])[0]
 
 
-class _Lru:
-    """A bounded, thread-safe least-recently-used map of derived values.
-
-    A miss builds its value outside the lock, so two threads may build the
-    same entry at once; both get equal values, because every value is a pure
-    function of its key.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._items: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, build):
-        """The value stored under key, or build() stored there on a miss."""
-        with self._lock:
-            if key in self._items:
-                self._items.move_to_end(key)
-                return self._items[key]
-        value = build()
-        with self._lock:
-            self._items[key] = value
-            if len(self._items) > self.size:
-                self._items.popitem(last=False)
-        return value
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._items.clear()
-
-
-# comb tables per (p, x, y) and Miller lines per (q, p, x, y): a session's
-# long-lived keys fit, with room for the fresh points that pass through
-# between their uses
-_COMB_TABLES = _Lru(16)
-_MILLER_LINES = _Lru(8)
-
-
 def _comb_columns(k_bits: int) -> int:
     """Columns d of a 4-tooth comb covering k_bits rounded up to a multiple
     of 32, so scalars reduced mod one q share a table size: for a 160-bit q,
@@ -245,6 +206,9 @@ def _comb_columns(k_bits: int) -> int:
     return -(-max(k_bits, 1) // 32) * 8
 
 
+# a session's long-lived keys fit, with room for the fresh points that pass
+# through between their uses
+@functools.lru_cache(maxsize=16)
 def _comb_table(p, x, y, d):
     """Lim-Lee comb table: entry i (0 < i < 16) is the sum of 2^(t*d)*(x, y)
     over the set bits t of i, affine; (None, None) is the identity."""
@@ -260,22 +224,16 @@ def _comb_table(p, x, y, d):
         bx, by = bases[top]
         tx, ty, tz = sums[i - (1 << top)]
         sums.append((tx, ty, tz) if bx is None else _add_mixed(p, tx, ty, tz, bx, by)[:3])
-    return d, _batch_to_affine(p, sums)
+    return tuple(_batch_to_affine(p, sums))
 
 
 def _mul_comb(p, k, x, y):
     """k*(x, y) for k != 0 and a non-identity base, from the base's comb
-    table: d doublings and at most d mixed additions, one inversion.
-
-    The table is built on the base's first use, sized from that scalar; a
-    later scalar longer than the table goes to `_mul_raw`.
-    """
+    table for k's width: d doublings and at most d mixed additions, one
+    inversion."""
     n = abs(k)
-    d, table = _COMB_TABLES.get(
-        (p, x, y), lambda: _comb_table(p, x, y, _comb_columns(n.bit_length()))
-    )
-    if n.bit_length() > 4 * d:
-        return _mul_raw(p, k, x, y)
+    d = _comb_columns(n.bit_length())
+    table = _comb_table(p, x, y, d)
     mask = (1 << d) - 1
     rows = [format(n >> (t * d) & mask, f"0{d}b") for t in range(4)]
     tx, ty, tz = 1, 1, 0
@@ -315,8 +273,8 @@ def in_subgroup(point: G1Point, q: int) -> bool:
 
     One ladder through `_mul_raw` per point object: the (frozen) point keeps
     its verdict for q, so a point that `decode_point` checked is not checked
-    again by `scheme.blind` / `unblind`.  Curve membership is the caller's
-    check.
+    again by `scheme.blind` / `unblind`.  Range and curve membership are
+    `point_fault`'s checks.
     """
     if point.is_identity:
         return True
@@ -326,6 +284,21 @@ def in_subgroup(point: G1Point, q: int) -> bool:
     verdict = _mul_raw(point.p, q, point.x, point.y)[0] is None
     object.__setattr__(point, "_order_q", (q, verdict))
     return verdict
+
+
+def point_fault(point: G1Point, q: int) -> str | None:
+    """The one acceptance rule for a point from outside the program: why it is
+    not in the order-q subgroup ("is not on the curve"), or None when it is.
+    It checks coordinates in [0, p), the curve equation, then order q."""
+    if point.is_identity:
+        return None
+    if not (0 <= point.x < point.p and 0 <= point.y < point.p):
+        return "has coordinates out of range"
+    if not point.on_curve():
+        return "is not on the curve"
+    if not in_subgroup(point, q):
+        return "is outside the order-q subgroup"
+    return None
 
 
 def _require_on_curve(point: G1Point) -> None:
@@ -381,6 +354,7 @@ def tate_pairing(a: G1Point, b: G1Point, params: CurveParams) -> GTElement:
     return GTElement(_final_exponentiation(f, params))
 
 
+@functools.lru_cache(maxsize=8)
 def _miller_lines(q: int, p: int, ax: int, ay: int) -> tuple:
     """The lines of f_{q,A}, per bit of q, as (c1, c0, c2) with the line's
     value at phi(B) = (-bx, i*by) being (c1*bx + c0) + c2*by * i; c0 is
@@ -419,7 +393,7 @@ def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Eleme
     The lines depend on A alone; they are built on A's first use and cached
     per (q, p, ax, ay), so a long-lived first argument pays for them once.
     """
-    lines = _MILLER_LINES.get((q, p, ax, ay), lambda: _miller_lines(q, p, ax, ay))
+    lines = _miller_lines(q, p, ax, ay)
     fa, fb = 1, 0  # f as fa + fb*i
     for step in lines:
         # f <- f^2 * the step's tangent, then its chord, at phi(B)
@@ -534,14 +508,7 @@ def params_for_subgroup_order(
                 security_label=security_label or f"q={q.bit_length()}b,p={p.bit_length()}b",
             )
             generator = _try_and_increment(b"generator|" + seed, params)
-            return CurveParams(
-                p=p,
-                q=q,
-                cofactor=12 * r,
-                gx=generator.x,
-                gy=generator.y,
-                security_label=params.security_label,
-            )
+            return dataclasses.replace(params, gx=generator.x, gy=generator.y)
     raise ParamSearchFailed(f"no prime p = 12*q*r - 1 found for q = {q} within the search bound")
 
 
@@ -569,7 +536,7 @@ def generate_params(
 def decode_point(data: bytes, params: CurveParams, offset: int = 0) -> tuple[G1Point, int]:
     """Parse one point, returning (point, bytes consumed).
 
-    Validates curve and order-q subgroup membership; any malformation raises
+    Validates the point by `point_fault`; any malformation raises
     DecodeError carrying the offending byte position.
     """
     if len(data) == 0:
@@ -584,15 +551,10 @@ def decode_point(data: bytes, params: CurveParams, offset: int = 0) -> tuple[G1P
         raise DecodeError("truncated point encoding", offset + len(data))
     x = int.from_bytes(data[1 : 1 + w], "big")
     y = int.from_bytes(data[1 + w : 1 + 2 * w], "big")
-    if x >= params.p:
-        raise DecodeError("x coordinate out of range", offset + 1)
-    if y >= params.p:
-        raise DecodeError("y coordinate out of range", offset + 1 + w)
     point = G1Point(params.p, x, y)
-    if not point.on_curve():
-        raise DecodeError("coordinates not on the curve", offset + 1)
-    if not in_subgroup(point, params.q):
-        raise DecodeError("point outside the order-q subgroup", offset + 1)
+    fault = point_fault(point, params.q)
+    if fault:
+        raise DecodeError(f"point {fault}", offset + 1)
     return point, 1 + 2 * w
 
 

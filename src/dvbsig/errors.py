@@ -26,10 +26,12 @@ class HashToPointFailed(DvbsigError):
 
 
 class DecodeError(DvbsigError):
-    """Malformed serialized value.  `position` is the byte offset at fault."""
+    """Malformed serialized value.  `position` is the byte offset at fault,
+    and `reason` the message without it."""
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at byte {position})")
+        self.reason = message
         self.position = position
 
 

@@ -38,10 +38,6 @@ class OpCounter:
     def __getitem__(self, kind: str) -> int:
         return self.counts[kind]
 
-    def merge(self, other: OpCounter) -> None:
-        for kind, n in other.counts.items():
-            self.counts[kind] += n
-
 
 _active: ContextVar[OpCounter | None] = ContextVar("dvbsig_op_counter", default=None)
 

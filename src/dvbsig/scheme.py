@@ -21,8 +21,8 @@ from .curve import (
     decode_gt,
     decode_point,
     hash_to_point,
-    in_subgroup,
     point_add,
+    point_fault,
     scalar_mul,
     tate_pairing,
 )
@@ -34,12 +34,11 @@ H2_NAME = "sha256-mod-q-star"
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Public output of setup: pairing context plus the PKG public key."""
+    """Public output of setup: pairing context plus the PKG public key.  The
+    hash functions are fixed: H1 is `H1_NAME` and H2 is `H2_NAME`."""
 
     curve: CurveParams
     p_pub: G1Point
-    hash_h1: str = H1_NAME
-    hash_h2: str = H2_NAME
 
 
 @dataclass(frozen=True)
@@ -155,12 +154,10 @@ def blind(
     Draws blinding factors x, y in Z_q^*, then
         U' = x*U + (x*y)*Q_signer,  h = H2(message, U'),  h1 = x^-1*h + y.
     """
-    point = commitment.point
-    if not point.on_curve():
-        raise InvalidPoint("commitment is not a curve point")
-    if not in_subgroup(point, system.curve.q):
-        raise InvalidPoint("commitment is outside the order-q subgroup")
     q = system.curve.q
+    fault = point_fault(commitment.point, q)
+    if fault:
+        raise InvalidPoint(f"commitment {fault}")
     x = sample_unit(rng, q)
     y = sample_unit(rng, q)
     u_prime = point_add(scalar_mul(x, commitment.point), scalar_mul(x * y % q, signer_public))
@@ -194,10 +191,9 @@ def unblind(
     order-q subgroup, so the long-lived key is the argument whose Miller
     lines are cached.
     """
-    if not response.point.on_curve():
-        raise InvalidPoint("response is not a curve point")
-    if not in_subgroup(response.point, system.curve.q):
-        raise InvalidPoint("response is outside the order-q subgroup")
+    fault = point_fault(response.point, system.curve.q)
+    if fault:
+        raise InvalidPoint(f"response {fault}")
     v_prime = scalar_mul(state.x, response.point)
     sigma = tate_pairing(verifier_public, v_prime, system.curve)
     return Signature(u_prime=state.u_prime, sigma=sigma)

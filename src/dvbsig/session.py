@@ -338,7 +338,6 @@ class TranscriptStore:
     may share one store.
     """
 
-    _records: list[Transcript] = field(default_factory=list)
     _by_id: dict[bytes, Transcript] = field(default_factory=dict)
     _lock: threading.RLock = field(default_factory=threading.RLock)
 
@@ -348,21 +347,21 @@ class TranscriptStore:
                 raise DuplicateSession(
                     f"session {transcript.session_id.hex()} already recorded"
                 )
-            self._records.append(transcript)
             self._by_id[transcript.session_id] = transcript
 
     def get(self, session_id: bytes) -> Transcript:
         return self._by_id[session_id]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_id)
 
     def __iter__(self) -> Iterator[Transcript]:
-        return iter(self._records)
+        return iter(self._by_id.values())
 
 
 class FileTranscriptStore(TranscriptStore):
-    """Store backed by an append-only file of transcript frames."""
+    """Store backed by an append-only file of transcript frames.  A malformed
+    record is a DecodeError naming the file and the offset in it."""
 
     def __init__(self, path: str | Path, params: CurveParams):
         super().__init__()
@@ -372,7 +371,10 @@ class FileTranscriptStore(TranscriptStore):
             data = self.path.read_bytes()
             pos = 0
             while pos < len(data):
-                transcript, used = decode_transcript(data[pos:], params)
+                try:
+                    transcript, used = decode_transcript(data[pos:], params)
+                except DecodeError as exc:
+                    raise DecodeError(f"{self.path}: {exc.reason}", pos + exc.position) from None
                 super().record(transcript)
                 pos += used
 

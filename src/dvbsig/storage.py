@@ -13,9 +13,11 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .curve import CurveParams, G1Point, hash_to_point, in_subgroup
-from .errors import DecodeError
+from .curve import CurveParams, G1Point, hash_to_point, point_fault
+from .errors import DecodeError, InvalidPoint
 from .scheme import (
+    H1_NAME,
+    H2_NAME,
     KeyPair,
     MasterSecret,
     Signature,
@@ -104,6 +106,18 @@ def _curve_text(params: CurveParams) -> str:
     )
 
 
+def _point_from_fields(
+    fields: dict[str, str], name: str, curve: CurveParams, path: Path, what: str
+) -> G1Point:
+    """The point in fields `<name>x` and `<name>y`, accepted by `point_fault`;
+    a refusal is a DecodeError naming the file."""
+    point = G1Point(curve.p, kv_int(fields, name + "x", path), kv_int(fields, name + "y", path))
+    fault = point_fault(point, curve.q)
+    if fault:
+        raise DecodeError(f"{path}: {what} {fault}")
+    return point
+
+
 def _curve_from_fields(fields: dict[str, str], path: Path) -> CurveParams:
     params = CurveParams(
         p=kv_int(fields, "p", path),
@@ -113,7 +127,10 @@ def _curve_from_fields(fields: dict[str, str], path: Path) -> CurveParams:
         gy=kv_int(fields, "Py", path),
         security_label=fields.get("security_label", ""),
     )
-    params.validate()
+    try:
+        params.validate()
+    except InvalidPoint as exc:
+        raise DecodeError(f"{path}: {exc}") from None
     return params
 
 
@@ -130,27 +147,19 @@ def save_system_params(system: SystemParams, path: Path) -> None:
         _curve_text(system.curve)
         + f"Ppubx = {system.p_pub.x}\n"
         f"Ppuby = {system.p_pub.y}\n"
-        f"hash_h1 = {system.hash_h1}\n"
-        f"hash_h2 = {system.hash_h2}\n"
+        f"hash_h1 = {H1_NAME}\n"
+        f"hash_h2 = {H2_NAME}\n"
     )
 
 
 def load_system_params(path: Path) -> SystemParams:
     fields = read_kv(path)
+    for key, name in (("hash_h1", H1_NAME), ("hash_h2", H2_NAME)):
+        if kv_text(fields, key, path) != name:
+            raise DecodeError(f"{path}: field {key!r} is not {name!r}")
     curve = _curve_from_fields(fields, path)
-    p_pub = G1Point(
-        curve.p, kv_int(fields, "Ppubx", path), kv_int(fields, "Ppuby", path)
-    )
-    if not p_pub.on_curve():
-        raise DecodeError(f"{path}: system public key is not on the curve")
-    if not in_subgroup(p_pub, curve.q):
-        raise DecodeError(f"{path}: system public key is outside the order-q subgroup")
-    return SystemParams(
-        curve=curve,
-        p_pub=p_pub,
-        hash_h1=fields.get("hash_h1", ""),
-        hash_h2=fields.get("hash_h2", ""),
-    )
+    p_pub = _point_from_fields(fields, "Ppub", curve, path, "system public key")
+    return SystemParams(curve=curve, p_pub=p_pub)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +187,7 @@ def save_identity_key(key: KeyPair, path: Path) -> None:
 def load_identity_key(path: Path, system: SystemParams) -> KeyPair:
     fields = read_kv(path)
     identity = kv_text(fields, "identity", path).encode("utf-8")
-    secret = G1Point(
-        system.curve.p, kv_int(fields, "Sx", path), kv_int(fields, "Sy", path)
-    )
-    if not secret.on_curve():
-        raise DecodeError(f"{path}: secret key point is not on the curve")
-    if not in_subgroup(secret, system.curve.q):
-        raise DecodeError(f"{path}: secret key point is outside the order-q subgroup")
+    secret = _point_from_fields(fields, "S", system.curve, path, "secret key point")
     public = hash_to_point(identity, system.curve)
     return KeyPair(identity=identity, public=public, secret=secret)
 

@@ -225,16 +225,6 @@ class TestInstrumentation:
         assert counts.pairing == 1
         assert counts.map_to_point == 0
 
-    def test_counters_merge(self):
-        with measure() as a:
-            pass
-        with measure() as b:
-            pass
-        a.counts["pairing"] = 2
-        b.counts["pairing"] = 3
-        a.merge(b)
-        assert a["pairing"] == 5
-
     def test_no_counting_outside_regions(self, toy_params):
         with measure() as counter:
             pass

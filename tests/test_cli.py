@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import re
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +227,18 @@ class TestStepwiseSigning:
         assert "signer.state: missing field 'r'" in err
         assert not (sdir / "response.frame").exists()
 
+    @pytest.mark.parametrize("size", [15, 70_000])
+    def test_signer_state_session_id_size_checked(self, run, workspace, message_file, size):
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        state = sdir / "signer.state"
+        text = re.sub(r"(?m)^session_id = .*$", f"session_id = {'ab' * size}", state.read_text())
+        state.write_text(text)
+        code, _, err = run("-w", workspace, "sign", "respond", "--session", "s1")
+        assert code == 3
+        assert "signer.state: field 'session_id' is not 16 bytes" in err
+        assert not (sdir / "response.frame").exists()
+        assert not (workspace / "transcripts.log").exists()
+
     def test_user_state_bad_integer_rejected(self, run, workspace, message_file):
         sdir = self._commit_and_blind(run, workspace, message_file)
         assert run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")[0] == 0
@@ -235,6 +249,25 @@ class TestStepwiseSigning:
         )
         assert code == 3
         assert "user.state: field 'x' is not a decimal integer" in err
+
+
+SURFACE_DIGESTS = {
+    "<stdout>": "1c0b0efeacb6ede10bf0d5f906b4e9d4150845914d262c1aecd8fe41e5dcf50c",
+    "keys/alice.key": "cd07509ea3978b513fb009de516fd030adae2cd6815e730102d2ac27bcb1ce9c",
+    "keys/bob.key": "b9f05079b8f64baa24c7d1dfde9447c8e2613e0e3b44b132e65b625fd18146da",
+    "master.key": "b679c58f29d532f852072e455756634b20e2125a3fcbb7d17ea35b92a3395224",
+    "params.txt": "0fa4d5ab451b6d0f849cbcb52c3ce7d2a9fa2d914680d24c95b9e35fae350c46",
+    "run.bin": "2424e8dc0cf89f292a1135a60beec194e2ff120ff3f3499699952c311c3358e9",
+    "run.txt": "0639a903695503f53a0d7f44107a3a04e2df4b0959d205a02f0d451d1ef9356b",
+    "sessions/s1/challenge.frame": "faf61777ecf9e3e84ed5ca4c53497128cd2285c04fcf7a2b59ea3a3c55bf8a94",
+    "sessions/s1/commit.frame": "b54d9db1f489c71e218f61470bb3b6175f2810c202b3c16b75095c88bb4760e7",
+    "sessions/s1/response.frame": "e2e3a1f8ef12a88be4350b5134112cc5771b2dfcd8ccd480d5a0561f746b09f4",
+    "sessions/s1/sig.bin": "05c5ba7fadaec9762a8f5ee8dc7c51abf3d88731125f555d3632f54e302f4121",
+    "sessions/s1/user.state": "253c1e86fb51d77098064074496c1706d5914007ccdf42d1e15c0baecf14d971",
+    "sim.bin": "c93568ee0ea06186aef3cf67a8a6b04e3e06a998cb03366cfa835d4ca940996d",
+    "system.txt": "06c7fca79d0f13d97eded9e1d2e65070efe62f58be87a00fa06f2ce327f47d02",
+    "transcripts.log": "64cf25109c14cdb3ec3d6360c431b2fab2434aea0e95d51e54400b55b95169b4",
+}
 
 
 class TestDeterminism:
@@ -263,6 +296,44 @@ class TestDeterminism:
             "1000000030001046036653ff28504852a661f12c369d050005616c69636504790d"
             "07043c2100000000000000000000000000000001"
         )
+
+    def test_seeded_cli_surface_digests(self, run, tmp_path, monkeypatch):
+        """Every workspace file and all stdout of a seeded run of the CLI
+        surface, pinned by SHA-256 at mid scale (q of 32 bits)."""
+        monkeypatch.chdir(tmp_path)
+        Path("m.txt").write_bytes(b"golden surface message")
+        msg = ("--message-file", "m.txt")
+        steps = [
+            ("params", "gen", "--q-bits", 32, "--seed", "surface"),
+            ("setup", "--seed", "pkg"),
+            ("keygen", "--id", "alice"),
+            ("keygen", "--id", "bob"),
+            ("sign", "run", "--signer", "alice", "--verifier", "bob", *msg,
+             "--seed", "run-bin", "--out", "ws/run.bin"),
+            ("sign", "run", "--signer", "alice", "--verifier", "bob", *msg,
+             "--seed", "run-txt", "--out", "ws/run.txt", "--format", "text"),
+            ("sign", "commit", "--signer", "alice", "--session", "s1", "--seed", "c"),
+            ("sign", "blind", "--session", "s1", "--signer", "alice", *msg, "--seed", "b"),
+            ("sign", "respond", "--session", "s1", "--seed", "r"),
+            ("sign", "unblind", "--session", "s1", "--verifier", "bob"),
+            ("simulate", "--signer", "alice", "--verifier", "bob", *msg,
+             "--seed", "sim", "--out", "ws/sim.bin"),
+        ] + [
+            ("verify", "--signer", "alice", "--verifier", "bob", *msg, "--sig", sig)
+            for sig in ("ws/run.bin", "ws/run.txt", "ws/sessions/s1/sig.bin", "ws/sim.bin")
+        ]
+        stdout = []
+        for step in steps:
+            code, out, _ = run("-w", "ws", *step)
+            assert code == 0, step
+            stdout.append(out)
+        digests = {
+            path.relative_to("ws").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path("ws").rglob("*"))
+            if path.is_file()
+        }
+        digests["<stdout>"] = hashlib.sha256("".join(stdout).encode()).hexdigest()
+        assert digests == SURFACE_DIGESTS
 
     def test_params_gen_reproducible(self, run, tmp_path):
         outs = []
@@ -438,6 +509,20 @@ class TestErrorPaths:
         )
         assert code == 3 and out == ""
         assert "garbage.txt: not UTF-8 text (at byte 0)" in err
+
+    def test_damaged_transcript_log_named(self, run, workspace, message_file):
+        sign = (
+            "-w", workspace, "sign", "run", "--signer", "alice", "--verifier", "bob",
+            "--message-file", message_file,
+        )
+        assert run(*sign, "--seed", "s1")[0] == 0
+        log = workspace / "transcripts.log"
+        with log.open("ab") as fh:
+            fh.write(b"\x10\x00\x00")
+        code, out, err = run(*sign, "--seed", "s2")
+        assert code == 3 and out == ""
+        size = log.stat().st_size
+        assert f"{log}: truncated frame header (at byte {size})" in err
 
     def test_missing_workspace(self, run, tmp_path, message_file):
         code, _, err = run(

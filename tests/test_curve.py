@@ -338,17 +338,17 @@ class TestTatePairing:
             )
 
 
-CACHES = (curve._COMB_TABLES, curve._MILLER_LINES)
+CACHES = (curve._comb_table, curve._miller_lines)
 
 
 @pytest.fixture()
 def cold_caches():
     """Start from, and leave behind, empty precomputation caches."""
     for cache in CACHES:
-        cache.clear()
+        cache.cache_clear()
     yield
     for cache in CACHES:
-        cache.clear()
+        cache.cache_clear()
 
 
 def negated(pair):
@@ -368,25 +368,28 @@ class TestPrecompute:
             for k in range(-27, 28):  # k = -27 builds the table, the rest reuse it
                 assert as_pair(scalar_mul(k, a)) == want[k]
             for k in range(-27, 28):
-                curve._COMB_TABLES.clear()
+                curve._comb_table.cache_clear()
                 assert as_pair(scalar_mul(k, a)) == want[k]
             # 32-bit scalars read all four rows, where entries built from an
             # identity 2^(8t)*A meet the other terms
             for k in (2**32 - 1, 0x89ABCDEF, -0x80000001):
                 assert as_pair(scalar_mul(k, a)) == mul_oracle(P, k % (P + 1), pt)
 
-    def test_scalar_longer_than_table_uses_ladder(self, mid_params, cold_caches, monkeypatch):
+    def test_scalar_longer_than_table_gets_its_own_table(
+        self, mid_params, cold_caches, monkeypatch
+    ):
         g, p, q = mid_params.generator, mid_params.p, mid_params.q
         scalar_mul(q - 2, g)  # a 32-bit table
         ladders = []
         ladder = curve._mul_raw
         monkeypatch.setattr(curve, "_mul_raw", lambda *args: ladders.append(args) or ladder(*args))
         k = (1 << 40) + 12345
-        got = scalar_mul(k, g)
-        assert ladders == [(p, k, g.x, g.y)]
+        got = scalar_mul(k, g)  # a 64-bit table
+        assert curve._comb_table.cache_info().currsize == 2
         assert got == G1Point(p, *ladder(p, k, g.x, g.y)) == scalar_mul(k % q, g)
         assert scalar_mul(-k, g) == -got
-        assert len(ladders) == 2
+        assert curve._comb_table.cache_info().currsize == 2
+        assert ladders == []
 
     def test_pairing_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
         # every point as the Miller (cached) argument, every subgroup point as
@@ -397,7 +400,7 @@ class TestPrecompute:
         for a in points:
             for b in subgroup:
                 want = miller_oracle(toy_params, a, b)
-                curve._MILLER_LINES.clear()
+                curve._miller_lines.cache_clear()
                 assert tate_pairing(a, b, toy_params).value == want
                 assert tate_pairing(a, b, toy_params).value == want
 
@@ -446,7 +449,8 @@ class TestPrecompute:
             sys.setswitchinterval(old)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(curve._COMB_TABLES) <= curve._COMB_TABLES.size
+        info = curve._comb_table.cache_info()
+        assert info.currsize <= info.maxsize
 
     def test_caches_stay_bounded(self, toy_params, cold_caches):
         g = toy_params.generator
@@ -454,9 +458,10 @@ class TestPrecompute:
             a = G1Point(P, *pt)
             scalar_mul(5, a)
             tate_pairing(a, g, toy_params)
-        for cache in CACHES:
-            assert 0 < len(cache) <= cache.size
-        assert [cache.size for cache in CACHES] == [16, 8]
+        infos = [cache.cache_info() for cache in CACHES]
+        for info in infos:
+            assert 0 < info.currsize <= info.maxsize
+        assert [info.maxsize for info in infos] == [16, 8]
 
 
 class TestHashToPoint:
@@ -514,6 +519,19 @@ class TestEncodings:
         # on-curve but outside the order-13 subgroup
         with pytest.raises(DecodeError):
             decode_point(off_subgroup_point(P, Q).encode(), toy_params)
+
+    def test_point_fault_is_the_acceptance_rule(self, toy_params):
+        g = toy_params.generator
+        faults = {
+            G1Point.identity(P): None,
+            g: None,
+            G1Point(P, g.x + P, g.y): "has coordinates out of range",
+            G1Point(P, g.x, g.y - P): "has coordinates out of range",
+            G1Point(P, 1, 1): "is not on the curve",
+            off_subgroup_point(P, Q): "is outside the order-q subgroup",
+        }
+        for point, fault in faults.items():
+            assert curve.point_fault(point, Q) == fault
 
     def test_gt_decode_rejects_garbage(self, toy_params):
         with pytest.raises(DecodeError):

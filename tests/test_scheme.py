@@ -302,23 +302,21 @@ class TestVerify:
         response = scheme.sign_respond(system, state, challenge)
         return scheme.unblind(system, blind_state, response, verifier.public)
 
-    def test_verifier_keys_are_the_miller_argument(self, toy_system, toy_keys, monkeypatch):
+    def test_verifier_keys_are_the_miller_argument(self, toy_system, toy_keys):
         # unblind pairs Q_v, and verify S_v, as the first argument, whose
         # Miller lines are cached: three sessions build each set once
         system, _ = toy_system
         signer, verifier = toy_keys[TOY_SIGNER], toy_keys[TOY_VERIFIER]
-        built = []
         lines = curve._miller_lines
-        monkeypatch.setattr(
-            curve, "_miller_lines", lambda *args: built.append(args[2:]) or lines(*args)
-        )
-        curve._MILLER_LINES.clear()
+        lines.cache_clear()
         for seed in ("one", "two", "three"):
             sig = self._sign(system, signer, verifier, MESSAGE, seed)
             assert scheme.verify(system, verifier.secret, signer.public, MESSAGE, sig)
-        curve._MILLER_LINES.clear()
-        keys = [verifier.public, verifier.secret]
-        assert built == [(key.x, key.y) for key in keys]
+        assert lines.cache_info()[:2] == (4, 2)  # hits, misses
+        for key in (verifier.public, verifier.secret):
+            lines(Q, P, key.x, key.y)
+        assert lines.cache_info()[:2] == (6, 2)
+        lines.cache_clear()
 
     def test_honest_signature_accepts(self, toy_system, toy_keys):
         system, _ = toy_system

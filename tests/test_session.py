@@ -364,3 +364,24 @@ class TestTranscriptStore:
         assert list(reopened) == transcripts
         with pytest.raises(DuplicateSession):
             reopened.record(transcripts[2])
+
+    @pytest.mark.parametrize("damage", ["stray tail", "second record's commitment tag"])
+    def test_file_store_error_names_file_and_offset(self, toy_params, tmp_path, damage):
+        path = tmp_path / "transcripts.log"
+        store = FileTranscriptStore(path, toy_params)
+        first, second = self._transcripts(toy_params, 2)
+        store.record(first)
+        store.record(second)
+        data = bytearray(path.read_bytes())
+        if damage == "stray tail":
+            data += b"\x10\x00\x00"
+            offset = len(data)  # the header runs out at the end of the file
+        else:
+            # frame header 5, session id 2 + 16 and identity 2 + 5 bytes
+            offset = len(encode_transcript(first, toy_params)) + 30
+            data[offset] = 0x07
+        path.write_bytes(bytes(data))
+        with pytest.raises(DecodeError) as info:
+            FileTranscriptStore(path, toy_params)
+        assert str(info.value).startswith(f"{path}: ")
+        assert info.value.position == offset

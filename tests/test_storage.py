@@ -59,6 +59,23 @@ class TestParamsFiles:
         with pytest.raises(DecodeError, match="subgroup"):
             storage.load_system_params(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("hash_h1 = sha256-try-increment", "hash_h1 = md5", "field 'hash_h1' is not"),
+            ("hash_h2 = sha256-mod-q-star\n", "", "missing field 'hash_h2'"),
+        ],
+    )
+    def test_system_hash_identifiers_checked(self, toy_system, tmp_path, old, new, message):
+        system, _ = toy_system
+        path = tmp_path / "system.txt"
+        storage.save_system_params(system, path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(DecodeError, match=f"system.txt: {message}"):
+            storage.load_system_params(path)
+
     def test_missing_field(self, toy_params, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("p = 311\nq = 13\n")
@@ -101,6 +118,41 @@ class TestKeyFiles:
         text = text.replace(f"Sy = {key.secret.y}", f"Sy = {rogue.y}")
         path.write_text(text)
         with pytest.raises(DecodeError, match=r"alice\.key: .*order-q subgroup"):
+            storage.load_identity_key(path, system)
+
+
+def _add_p_to(path, field, p):
+    """Rewrite `field = v` as `field = v + p`: the same residue, out of range."""
+    fields = storage.read_kv(path)
+    text = path.read_text()
+    path.write_text(text.replace(f"{field} = {fields[field]}", f"{field} = {int(fields[field]) + p}"))
+
+
+class TestCoordinatesBelowP:
+    """A coordinate of p or more satisfies the curve equation mod p, but no
+    encoding can carry it; each file that holds a point refuses it."""
+
+    def test_params_file(self, toy_params, tmp_path):
+        path = tmp_path / "params.txt"
+        storage.save_curve_params(toy_params, path)
+        _add_p_to(path, "Px", toy_params.p)
+        with pytest.raises(DecodeError, match=r"params\.txt: generator has coordinates out of range"):
+            storage.load_curve_params(path)
+
+    def test_system_file(self, toy_system, tmp_path):
+        system, _ = toy_system
+        path = tmp_path / "system.txt"
+        storage.save_system_params(system, path)
+        _add_p_to(path, "Ppubx", system.curve.p)
+        with pytest.raises(DecodeError, match=r"system\.txt: system public key has coordinates"):
+            storage.load_system_params(path)
+
+    def test_key_file(self, toy_system, toy_keys, tmp_path):
+        system, _ = toy_system
+        path = tmp_path / "alice.key"
+        storage.save_identity_key(toy_keys[TOY_SIGNER], path)
+        _add_p_to(path, "Sx", system.curve.p)
+        with pytest.raises(DecodeError, match=r"alice\.key: secret key point has coordinates"):
             storage.load_identity_key(path, system)
 
 
