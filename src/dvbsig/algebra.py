@@ -8,7 +8,7 @@ Values are plain Python integers wrapped in small immutable dataclasses, so a
 
 from __future__ import annotations
 
-import hashlib
+import math
 import re
 from dataclasses import dataclass
 
@@ -56,41 +56,98 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(root, p - root)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _SMALL_PRIMES (Sorenson and
+# Webster, 2017); below it those bases decide primality
+_SMALL_BASES_LIMIT = 3_317_044_064_679_887_385_961_981
 
-    The fixed small-prime bases decide every n < 3.3 * 10^24; beyond that,
-    48 further bases derived from SHA-256(n) keep the test deterministic with
-    error below 4^-48 for an adversarially chosen composite.
+
+def is_prime(n: int) -> bool:
+    """Primality of n.
+
+    Below 3.3 * 10^24 the twelve prime bases up to 37 make Miller-Rabin a
+    proof.  From there on it is Baillie-PSW: a strong base-2 test and a
+    strong Lucas test (Selfridge's parameters).  No composite is known to
+    pass both, including adversarially built ones (Albrecht et al., "Prime
+    and Prejudice", CCS 2018), and their pseudoprimes are believed disjoint.
     """
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for sp in small:
+    for sp in _SMALL_PRIMES:
         if n % sp == 0:
             return n == sp
+    if n < _SMALL_BASES_LIMIT:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: odd n > 2 passes to base a (not a multiple of n)."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-
-    def witness(a: int) -> bool:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            return False
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                return False
+    x = pow(a, d, n)
+    if x in (1, n - 1):
         return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
-    bases = list(small)
-    if n >= 3_317_044_064_679_887_385_961_981:
-        nb = n.to_bytes(byte_width(n), "big")
-        for i in range(48):
-            digest = hashlib.sha256(nb + i.to_bytes(4, "big")).digest()
-            bases.append(int.from_bytes(digest, "big") % (n - 3) + 2)
-    return not any(witness(a) for a in bases)
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 1 with Selfridge's method A: D is the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4.
+
+    A perfect square has no such D, so it is refused before the search.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return n == abs(d)
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    # n + 1 = k * 2^s with k odd; U_k, V_k and Q^k by doubling along k's bits
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            # U_{m+1} = (U_m + V_m)/2 and V_{m+1} = (D U_m + V_m)/2 for P = 1
+            u, v = u + v, d * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,31 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import analysis, scheme, session, storage
+from . import scheme, session, storage
 from .curve import decode_point, generate_params, hash_to_point, params_for_subgroup_order
 from .errors import DecodeError, DvbsigError
 from .rng import SeededRng, SystemRng
 from .scheme import KeyPair
 from .session import FileTranscriptStore, LogicalClock, RetryPolicy
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import analysis
+
+# `analysis`, `fractions` and `json` are imported by the commands that use
+# them: every process pays for what it imports, and most commands need none.
+
 IDENTITY_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+# identities and session names become file names; this stays below the
+# usual 255-byte name limit once a suffix such as ".key" is added
+IDENTITY_MAX_CHARS = 128
 
 
 class CommandLineError(Exception):
@@ -43,6 +53,10 @@ def _rng_and_clock(seed: str | None):
 def _identity(name: str) -> str:
     if not IDENTITY_RE.match(name):
         raise CommandLineError(f"identity {name!r} may only contain [A-Za-z0-9_.-]")
+    if len(name) > IDENTITY_MAX_CHARS:
+        raise CommandLineError(
+            f"identity of {len(name)} characters is longer than {IDENTITY_MAX_CHARS}"
+        )
     return name
 
 
@@ -80,6 +94,8 @@ def _load_key(ws: storage.Workspace, system, identity: str) -> KeyPair:
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -130,7 +146,9 @@ def cmd_setup(ws: storage.Workspace, args) -> int:
 
 def cmd_keygen(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
-    msk = storage.load_master_secret(_require(ws.master_file, "master secret (run setup)"))
+    msk = storage.load_master_secret(
+        _require(ws.master_file, "master secret (run setup)"), system.curve.q
+    )
     identity = _identity(args.id)
     key = scheme.keygen(system, msk, identity.encode("utf-8"))
     ws.ensure()
@@ -315,13 +333,17 @@ def cmd_simulate(ws: storage.Workspace, args) -> int:
 
 
 def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
+    from . import analysis
+
     system = _load_system(ws)
     if system.curve.q > analysis.DLOG_ORDER_LIMIT:
         raise CommandLineError(
             "blindness-demo needs toy-scale parameters (witness extraction brute-forces"
             f" discrete logs; q = {system.curve.q} is too large)"
         )
-    msk = storage.load_master_secret(_require(ws.master_file, "master secret (run setup)"))
+    msk = storage.load_master_secret(
+        _require(ws.master_file, "master secret (run setup)"), system.curve.q
+    )
     signer = scheme.keygen(system, msk, _identity(args.signer).encode("utf-8"))
     verifier = scheme.keygen(system, msk, _identity(args.verifier).encode("utf-8"))
     rng, clock = _rng_and_clock(args.seed)
@@ -359,6 +381,8 @@ def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
 
 
 def _load_costs(args) -> analysis.OpCosts:
+    from . import analysis
+
     if getattr(args, "costs", None) is None:
         return analysis.OpCosts.reference()
     fields = storage.read_kv(_require(Path(args.costs), "costs file"))
@@ -370,6 +394,8 @@ def _load_costs(args) -> analysis.OpCosts:
 
 
 def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
+    from . import analysis
+
     if args.budget_file is not None:
         path = _require(Path(args.budget_file), "budget file")
         fields = storage.read_kv(path)
@@ -407,6 +433,8 @@ def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
 
 
 def cmd_analyze_perf(ws: storage.Workspace, args) -> int:
+    from . import analysis
+
     for entry in analysis.perf_report(_load_costs(args)):
         counts = entry.counts
         parts = [
@@ -433,6 +461,8 @@ def cmd_analyze_perf(ws: storage.Workspace, args) -> int:
 
 
 def cmd_bench(ws: storage.Workspace, args) -> int:
+    import json
+
     from .algebra import sample_unit
     from .curve import scalar_mul, tate_pairing
     from .scheme import MasterSecret
@@ -446,7 +476,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
     curve = system.curve
     rng, _ = _rng_and_clock(args.seed or "bench")
     if ws.master_file.exists():
-        msk = storage.load_master_secret(ws.master_file)
+        msk = storage.load_master_secret(ws.master_file, curve.q)
     else:
         msk = MasterSecret(sample_unit(rng, curve.q))
     signer = scheme.keygen(system, msk, b"bench-signer")
@@ -464,6 +494,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
         else:
             print(f"{label} = {ms:.3f} ms")
 
+    timed("params_validate", lambda _: curve.validate(), range(n))
     # Full-width scalars.  `g1_scalar_mul` and `pairing` reuse one base and
     # one Miller argument, whose comb table and lines an untimed first call
     # builds; the `_first_use` rows take a fresh point per iteration and so

@@ -170,9 +170,13 @@ def save_master_secret(msk: MasterSecret, path: Path) -> None:
     write_private(path, f"s = {msk.s}\n")
 
 
-def load_master_secret(path: Path) -> MasterSecret:
-    fields = read_kv(path)
-    return MasterSecret(s=kv_int(fields, "s", path))
+def load_master_secret(path: Path, q: int) -> MasterSecret:
+    """The master secret s of a curve with subgroup order q; s outside
+    [1, q - 1] is a DecodeError naming the file and the field."""
+    s = kv_int(read_kv(path), "s", path)
+    if not 0 < s < q:
+        raise DecodeError(f"{path}: field 's' is not in [1, q - 1]")
+    return MasterSecret(s=s)
 
 
 def save_identity_key(key: KeyPair, path: Path) -> None:

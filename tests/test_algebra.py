@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dvbsig.algebra import (
+    _SMALL_PRIMES,
     Fp2Element,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     byte_width,
     encode_int,
     is_prime,
@@ -16,6 +19,26 @@ from dvbsig.errors import DomainError, InversionOfZero, ParamMismatch
 from dvbsig.rng import SeededRng
 from tests.test_curve import legendre
 
+SIEVE_LIMIT = 10**5
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return [n for n in range(limit) if sieve[n]]
+
+
+PRIMES_BELOW_1E5 = _primes_below(SIEVE_LIMIT)
+ODD_COMPOSITES_BELOW_1E5 = sorted(set(range(9, SIEVE_LIMIT, 2)) - set(PRIMES_BELOW_1E5))
+# p = 12*q*r - 1 for the least r giving a 512-bit prime with the Solinas q:
+# the production-scale field modulus
+PRODUCTION_R = int(
+    "7644995386633571705369402984340289802655215259296677475227949867542364473"
+    "46418243059358251698375624054239"
+)
 P = 311  # toy curve modulus, 3 mod 4
 Q = 13  # toy subgroup order
 
@@ -202,3 +225,47 @@ class TestPrimality:
     def test_against_trial_division(self, n):
         by_trial = all(n % d for d in range(2, int(n**0.5) + 1))
         assert is_prime(n) == by_trial
+
+    def test_every_n_below_1e5(self):
+        assert [n for n in range(SIEVE_LIMIT) if is_prime(n)] == PRIMES_BELOW_1E5
+
+    def test_strong_lucas_pseudoprimes(self):
+        # Selfridge method A; OEIS A217255 below 10^5
+        assert [n for n in ODD_COMPOSITES_BELOW_1E5 if _strong_lucas_probable_prime(n)] == [
+            5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+        ]
+        assert all(_strong_lucas_probable_prime(n) for n in PRIMES_BELOW_1E5[1:])
+
+    def test_strong_base_2_pseudoprimes(self):
+        # OEIS A001262 below 10^5
+        assert [n for n in ODD_COMPOSITES_BELOW_1E5 if _strong_probable_prime(n, 2)] == [
+            2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+            74665, 80581, 85489, 88357, 90751,
+        ]
+
+    def test_pseudoprimes_to_many_bases_rejected(self):
+        # strong pseudoprime to every prime base up to 37, the first n that
+        # Baillie-PSW decides; 1093^2 is a strong base-2 pseudoprime (1093 is
+        # a Wieferich prime) and a square, which the Lucas half refuses
+        psi_12 = 3317044064679887385961981
+        assert all(_strong_probable_prime(psi_12, a) for a in _SMALL_PRIMES)
+        assert not is_prime(psi_12)
+        assert _strong_probable_prime(1093**2, 2) and not _strong_lucas_probable_prime(1093**2)
+        assert not is_prime(1093**2)
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 41041, 825265])
+    def test_carmichael_numbers_rejected(self, n):
+        assert not is_prime(n)
+
+    def test_composites_above_the_fixed_bases(self):
+        p90, p100a, p100b = 2**90 - 33, 2**100 - 15, 2**100 - 99
+        assert is_prime(p90) and is_prime(p100a) and is_prime(p100b)
+        assert not is_prime(p90 * p90) and not _strong_lucas_probable_prime(p90 * p90)
+        assert not is_prime(p100a * p100b)
+
+    def test_production_moduli(self):
+        q = 2**159 + 2**17 + 1
+        p = 12 * q * PRODUCTION_R - 1
+        assert p.bit_length() == 512
+        assert is_prime(q) and is_prime(p)
+        assert not is_prime(p + 2) and not is_prime(q * p)

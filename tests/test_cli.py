@@ -3,6 +3,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -428,7 +430,7 @@ class TestBlindnessDemo:
 
 
 BENCH_LABELS = (
-    "g1_scalar_mul", "g1_scalar_mul_first_use", "pairing", "pairing_first_use",
+    "params_validate", "g1_scalar_mul", "g1_scalar_mul_first_use", "pairing", "pairing_first_use",
     "map_to_point", "sign_session", "verify",
 )
 
@@ -468,6 +470,21 @@ class TestBench:
         assert len(first_use) == len(set(first_use)) == 4
 
 
+class TestImports:
+    def test_cli_import_leaves_command_modules_out(self):
+        # analysis, fractions and json are imported by the commands that use them
+        src = Path(cli.__file__).resolve().parents[1]
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, dvbsig.cli; print(*sorted(sys.modules))"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert "dvbsig.cli" in loaded
+        assert {"dvbsig.analysis", "fractions", "json"}.isdisjoint(loaded)
+
+
 class TestErrorPaths:
     def test_unknown_command(self, run):
         code, *_ = run("frobnicate")
@@ -490,6 +507,22 @@ class TestErrorPaths:
     def test_bad_identity_name(self, run, workspace):
         code, _, err = run("-w", workspace, "keygen", "--id", "../evil")
         assert code == 2
+
+    def test_identity_length_bounded(self, run, workspace):
+        code, _, err = run("-w", workspace, "keygen", "--id", "a" * 300)
+        assert code == 2 and "longer than 128" in err
+        assert run("-w", workspace, "keygen", "--id", "a" * 128)[0] == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [("keygen", "--id", "dave"), ("blindness-demo",), ("bench", "--iterations", 1)],
+    )
+    def test_master_secret_outside_units_refused(self, run, workspace, command):
+        (workspace / "master.key").write_text("s = 0\n")
+        code, out, err = run("-w", workspace, *command)
+        assert code == 3 and out == ""
+        assert f"{workspace / 'master.key'}: field 's' is not in [1, q - 1]" in err
+        assert not (workspace / "keys" / "dave.key").exists()
 
     def test_verify_garbage_signature(self, run, workspace, message_file, tmp_path):
         garbage = tmp_path / "garbage.bin"

@@ -85,11 +85,20 @@ class TestParamsFiles:
 
 class TestKeyFiles:
     def test_master_secret_roundtrip(self, toy_system, tmp_path):
-        _, msk = toy_system
+        system, msk = toy_system
         path = tmp_path / "master.key"
         storage.save_master_secret(msk, path)
-        assert storage.load_master_secret(path) == msk
+        assert storage.load_master_secret(path, system.curve.q) == msk
         assert (path.stat().st_mode & 0o777) == 0o600
+
+    @pytest.mark.parametrize("s", ["0", "q"])
+    def test_master_secret_outside_units_rejected(self, toy_system, tmp_path, s):
+        system, _ = toy_system
+        q = system.curve.q
+        path = tmp_path / "master.key"
+        path.write_text(f"s = {q if s == 'q' else s}\n")
+        with pytest.raises(DecodeError, match=r"master.key: field 's' is not in \[1, q - 1\]"):
+            storage.load_master_secret(path, q)
 
     def test_identity_key_roundtrip(self, toy_system, toy_keys, tmp_path):
         system, _ = toy_system
