@@ -23,7 +23,6 @@ from .scheme import (
     verify_with_identity,
 )
 from .session import (
-    RetryPolicy,
     SessionOutcome,
     Transcript,
     TranscriptStore,
@@ -38,7 +37,6 @@ __all__ = [
     "GTElement",
     "KeyPair",
     "MasterSecret",
-    "RetryPolicy",
     "SeededRng",
     "SessionOutcome",
     "Signature",

@@ -7,8 +7,7 @@ Three independent things live here:
   a solver for the bilinear Diffie-Hellman problem (resp. its decisional
   variant), evaluated in exact rational arithmetic;
 * the operation-count performance model (per-phase millisecond estimates
-  from published unit costs) plus instrumentation plumbing re-exported from
-  `meter`;
+  from published unit costs);
 * the toy-scale blindness witness extractor: given any signer transcript and
   any same-signer signature, recover blinding factors (x, y) that connect
   them, using brute-force discrete logs.  Its success on every cross pair is
@@ -23,10 +22,9 @@ from fractions import Fraction
 from . import scheme
 from .curve import G1Point, _add_mixed, _to_affine, point_add, scalar_mul, tate_pairing
 from .errors import Degenerate, DomainError, RefusedTooLarge
-from .meter import OpCounter, measure  # noqa: F401  (re-exported surface)
 from .algebra import mod_inv
 from .scheme import Signature, SystemParams
-from .session import LogicalClock, RetryPolicy, Transcript, run_local_session
+from .session import LogicalClock, SessionOutcome, Transcript, run_local_session
 
 DLOG_ORDER_LIMIT = 1 << 20
 
@@ -56,7 +54,6 @@ class OpCosts:
     g2_group_op: Rational = 0
     pairing: Rational = 0
     map_to_point: Rational = 0
-    g2_exp: Rational = 0
 
     @classmethod
     def reference(cls) -> OpCosts:
@@ -69,7 +66,6 @@ class OpCosts:
             g2_scalar_mul=Fraction(531, 100),
             pairing=Fraction(2004, 100),
             map_to_point=Fraction(304, 100),
-            g2_exp=Fraction(531, 100),
         )
 
 
@@ -160,11 +156,6 @@ class OperationCounts:
     g2_group_op: int = 0
     pairing: int = 0
     map_to_point: int = 0
-    g2_exp: int = 0
-
-    @classmethod
-    def from_counter(cls, counter: OpCounter) -> OperationCounts:
-        return cls(**counter.counts)
 
 
 def perf_model(counts: OperationCounts, costs: OpCosts) -> Fraction:
@@ -287,48 +278,22 @@ def extract_blinding_witness(
 # blindness experiment harness
 
 
-@dataclass(frozen=True)
-class BlindSessionRecord:
-    """One honest session with its ground-truth blinding factors."""
-
-    transcript: Transcript
-    signature: Signature
-    message: bytes
-    x: int
-    y: int
-
-
 def run_blind_sessions(
     system: SystemParams,
     signer: scheme.KeyPair,
     verifier_public: G1Point,
     messages: list[bytes],
     rng,
-    max_retries: int = 4,
-    clock=None,
-) -> list[BlindSessionRecord]:
-    """Run one honest session per message through the session runner,
-    keeping the user-side secrets.
+) -> list[SessionOutcome]:
+    """Run one honest session per message through the session runner, on one
+    logical clock.
 
-    Unlike a plain session this deliberately leaks (x, y) so tests and the
-    demo can compare extracted witnesses against the truth.
+    Each outcome keeps the user side's secrets (`outcome.blinding.x`, `.y`
+    and `.message`), so tests and the demo can compare extracted witnesses
+    against the truth.
     """
-    clock = clock or LogicalClock()
-    policy = RetryPolicy(max_retries=max_retries)
-    records = []
-    for message in messages:
-        outcome = run_local_session(
-            system, signer, message, verifier_public, rng, policy=policy, clock=clock
-        )
-        if not outcome.ok:
-            raise Degenerate(f"session for {message!r} stayed degenerate after retries")
-        records.append(
-            BlindSessionRecord(
-                transcript=outcome.transcript,
-                signature=outcome.signature,
-                message=message,
-                x=outcome.blinding.x,
-                y=outcome.blinding.y,
-            )
-        )
-    return records
+    clock = LogicalClock()
+    return [
+        run_local_session(system, signer, message, verifier_public, rng, clock=clock)
+        for message in messages
+    ]

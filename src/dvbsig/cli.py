@@ -1,8 +1,8 @@
 """Command-line driver for the whole lifecycle.
 
 Exit codes: 0 success, 1 verification/property failure, 2 usage error
-(bad flags, missing files, out-of-order protocol steps), 3 crypto or
-decode error.
+(bad flags, missing or unreadable files, out-of-order protocol steps), 3
+crypto or decode error.
 
 All randomness honors --seed: when given, every draw comes from the
 SHA-256(seed || counter) stream and timestamps come from a logical clock,
@@ -24,7 +24,7 @@ from .curve import decode_point, generate_params, hash_to_point, params_for_subg
 from .errors import DecodeError, DvbsigError
 from .rng import SeededRng, SystemRng
 from .scheme import KeyPair
-from .session import FileTranscriptStore, LogicalClock, RetryPolicy
+from .session import FileTranscriptStore, LogicalClock
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -93,6 +93,13 @@ def _load_key(ws: storage.Workspace, system, identity: str) -> KeyPair:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def _fraction(text: str) -> Fraction:
     from fractions import Fraction
 
@@ -114,7 +121,7 @@ def cmd_params_gen(ws: storage.Workspace, args) -> int:
     seed = (args.seed or "dvbsig-params").encode("utf-8")
     if args.q_value is not None:
         params = params_for_subgroup_order(
-            int(args.q_value), seed, p_bits=args.p_bits, security_label=args.label or ""
+            args.q_value, seed, p_bits=args.p_bits, security_label=args.label or ""
         )
     else:
         if args.q_bits is None:
@@ -171,13 +178,9 @@ def cmd_sign_run(ws: storage.Workspace, args) -> int:
         message,
         verifier_public,
         rng,
-        policy=RetryPolicy(max_retries=args.max_retries),
         store=store,
         clock=clock,
     )
-    if not outcome.ok:
-        print(f"ABORT {outcome.abort_reason}", file=sys.stderr)
-        return 3
     out = Path(args.out) if args.out else ws.root / "sig.bin"
     storage.save_signature(outcome.signature, out, text=args.format == "text")
     print(f"wrote {out} (retries: {outcome.retries})")
@@ -346,19 +349,18 @@ def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
     )
     signer = scheme.keygen(system, msk, _identity(args.signer).encode("utf-8"))
     verifier = scheme.keygen(system, msk, _identity(args.verifier).encode("utf-8"))
-    rng, clock = _rng_and_clock(args.seed)
+    rng, _ = _rng_and_clock(args.seed)
     messages = [f"demo message {i}".encode("utf-8") for i in range(args.sessions)]
-    records = analysis.run_blind_sessions(
-        system, signer, verifier.public, messages, rng, clock=clock
-    )
+    outcomes = analysis.run_blind_sessions(system, signer, verifier.public, messages, rng)
     failures = 0
-    for i, rec_t in enumerate(records):
-        for j, rec_s in enumerate(records):
+    for i, rec_t in enumerate(outcomes):
+        for j, rec_s in enumerate(outcomes):
+            truth = rec_s.blinding
             witness = analysis.extract_blinding_witness(
                 system,
                 rec_t.transcript,
                 rec_s.signature,
-                rec_s.message,
+                truth.message,
                 signer.public,
                 verifier.public,
                 verifier.secret,
@@ -368,13 +370,13 @@ def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
                 failures += 1
             else:
                 x, y = witness
-                exact = " (true factors)" if (i == j and (x, y) == (rec_s.x, rec_s.y)) else ""
+                exact = " (true factors)" if (i == j and (x, y) == (truth.x, truth.y)) else ""
                 print(f"pair ({i},{j}): x = {x}, y = {y}{exact}")
     if failures:
         print(f"FAILED: {failures} cross pairs had no blinding witness", file=sys.stderr)
         return 1
     print(
-        f"all {len(records) ** 2} transcript x signature pairs admit blinding factors;"
+        f"all {len(outcomes) ** 2} transcript x signature pairs admit blinding factors;"
         " the signer cannot link transcripts to signatures"
     )
     return 0
@@ -396,30 +398,25 @@ def _load_costs(args) -> analysis.OpCosts:
 def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
     from . import analysis
 
+    # the flags give the defaults; a budget file's fields override them
+    fields, path = {}, None
     if args.budget_file is not None:
         path = _require(Path(args.budget_file), "budget file")
         fields = storage.read_kv(path)
-        budget = analysis.QueryBudget(
-            h1_queries=storage.kv_int(fields, "qh1", path, default=0),
-            h2_queries=storage.kv_int(fields, "qh2", path, default=0),
-            extract_queries=storage.kv_int(fields, "qe", path, default=0),
-            sign_queries=storage.kv_int(fields, "qs", path, default=0),
-            verify_queries=storage.kv_int(fields, "qv", path, default=0),
-            advantage=_fraction(fields.get("eps", "0")),
-            runtime=_fraction(fields.get("t", "0")),
-        )
-        group_order = storage.kv_int(fields, "q", path, default=args.q)
-    else:
-        budget = analysis.QueryBudget(
-            h1_queries=args.qh1,
-            h2_queries=args.qh2,
-            extract_queries=args.qe,
-            sign_queries=args.qs,
-            verify_queries=args.qv,
-            advantage=_fraction(args.eps),
-            runtime=_fraction(args.t),
-        )
-        group_order = args.q
+
+    def count(key: str) -> int:
+        return storage.kv_int(fields, key, path, default=getattr(args, key))
+
+    budget = analysis.QueryBudget(
+        h1_queries=count("qh1"),
+        h2_queries=count("qh2"),
+        extract_queries=count("qe"),
+        sign_queries=count("qs"),
+        verify_queries=count("qv"),
+        advantage=_fraction(fields.get("eps", args.eps)),
+        runtime=_fraction(fields.get("t", args.t)),
+    )
+    group_order = count("q")
     costs = _load_costs(args)
     forge = analysis.unforgeability_bound(budget, costs, group_order)
     dver = analysis.unverifiability_bound(budget, costs, group_order)
@@ -550,8 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     params_sub = p_params.add_subparsers(dest="subcommand", required=True)
     p_gen = params_sub.add_parser("gen", help="generate pairing parameters")
     p_gen.add_argument("--q-bits", type=int, help="bit length of the subgroup order")
-    p_gen.add_argument("--q-value", help="explicit decimal subgroup order (overrides --q-bits)")
-    p_gen.add_argument("--p-bits", type=int, help="target bit length for the field prime")
+    p_gen.add_argument(
+        "--q-value", type=int, help="explicit decimal subgroup order (overrides --q-bits)"
+    )
+    p_gen.add_argument("--p-bits", type=_positive_int, help="target bit length for the field prime")
     p_gen.add_argument("--seed", help="derivation seed")
     p_gen.add_argument("--label", help="security label stored in the params file")
     p_gen.add_argument("--out", help="output file (default: workspace params.txt)")
@@ -579,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_message_flags(p_run)
     p_run.add_argument("--seed")
     p_run.add_argument("--out", help="signature output (default: workspace sig.bin)")
-    p_run.add_argument("--max-retries", type=int, default=4)
     p_run.add_argument("--format", choices=["binary", "text"], default="binary")
     p_run.set_defaults(func=cmd_sign_run)
 
@@ -625,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_demo = sub.add_parser("blindness-demo", help="cross-pair witness extraction demo")
-    p_demo.add_argument("--sessions", type=int, default=4)
+    p_demo.add_argument("--sessions", type=_positive_int, default=4)
     p_demo.add_argument("--signer", default="demo-signer")
     p_demo.add_argument("--verifier", default="demo-verifier")
     p_demo.add_argument("--seed")
@@ -653,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="wall-clock micro-benchmarks")
     p_bench.add_argument("--seed")
-    p_bench.add_argument("--iterations", type=int, default=20)
+    p_bench.add_argument("--iterations", type=_positive_int, default=20)
     p_bench.add_argument(
         "--json", action="store_true", help="print each row as one JSON object"
     )
@@ -674,8 +672,10 @@ def main(argv=None) -> int:
     except CommandLineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a path that is missing, a directory, unreadable or unwritable; the
+        # message names it
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except DvbsigError as exc:
         print(f"error: {exc}", file=sys.stderr)

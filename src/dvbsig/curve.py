@@ -40,6 +40,7 @@ from .errors import (
 )
 
 HASH_TO_POINT_MAX_COUNTER = 1 << 16
+R_SEARCH_LIMIT = 1 << 22  # cofactor candidates r tried by params_for_subgroup_order
 
 
 @dataclass(frozen=True)
@@ -473,7 +474,6 @@ def params_for_subgroup_order(
     q: int,
     seed: bytes,
     p_bits: int | None = None,
-    r_limit: int = 1 << 22,
     security_label: str = "",
 ) -> CurveParams:
     """Build curve parameters around a given prime subgroup order q.
@@ -481,15 +481,15 @@ def params_for_subgroup_order(
     Searches the smallest r with p = 12*q*r - 1 prime, p = 3 (mod 4) and
     q not dividing 12*r.  When p_bits is given, r starts at the least value
     putting p at exactly p_bits bits and the search stays inside that window;
-    r_limit then bounds the number of candidates tried, not r itself.
+    R_SEARCH_LIMIT then bounds the number of candidates tried, not r itself.
     """
     if not is_prime(q):
         raise ParamSearchFailed(f"subgroup order {q} is not prime")
     if p_bits is None:
-        r_start, r_stop = 1, r_limit + 1
+        r_start, r_stop = 1, R_SEARCH_LIMIT + 1
     else:
         r_start = ((1 << (p_bits - 1)) + 1 + 12 * q - 1) // (12 * q)
-        r_stop = min(((1 << p_bits) + 1) // (12 * q) + 1, r_start + r_limit)
+        r_stop = min(((1 << p_bits) + 1) // (12 * q) + 1, r_start + R_SEARCH_LIMIT)
         if r_start >= r_stop:
             raise ParamSearchFailed(f"no {p_bits}-bit p of the form 12*q*r - 1 for this q")
     for r in range(r_start, r_stop):

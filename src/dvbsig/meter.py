@@ -35,9 +35,6 @@ class OpCounter:
     def bump(self, kind: str) -> None:
         self.counts[kind] += 1
 
-    def __getitem__(self, kind: str) -> int:
-        return self.counts[kind]
-
 
 _active: ContextVar[OpCounter | None] = ContextVar("dvbsig_op_counter", default=None)
 

@@ -1,8 +1,8 @@
 """The interactive three-move signing protocol: wire framing for the messages
 that cross the signer/user boundary (scheme's Commitment, BlindedChallenge
 and Response), state machines for both sides, a local in-process runner
-with a retry policy for degenerate sessions, and an append-only transcript
-store.
+that reruns degenerate sessions a fixed number of times, and an append-only
+transcript store.
 
 A transcript is exactly the signer's view of one session: the commitment it
 sent, the blinded challenge it received, and the response it returned.  It
@@ -19,7 +19,7 @@ from typing import Iterator, Union
 
 from . import scheme
 from .curve import CurveParams, G1Point, decode_point
-from .errors import DecodeError, DuplicateSession
+from .errors import DecodeError, Degenerate, DuplicateSession
 from .scheme import BlindedChallenge, Commitment, KeyPair, Response, Signature, SystemParams
 
 TAG_COMMIT = 1
@@ -28,6 +28,7 @@ TAG_RESPOND = 3
 TAG_TRANSCRIPT = 16  # store records only; not a protocol message
 
 SESSION_ID_BYTES = 16
+MAX_RETRIES = 4  # degenerate attempts rerun before a session raises Degenerate
 
 
 ProtocolMessage = Union[Commitment, BlindedChallenge, Response]
@@ -47,26 +48,14 @@ class Transcript:
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """How many fresh-randomness reruns a degenerate session gets."""
-
-    max_retries: int = 4
-
-
-@dataclass(frozen=True)
 class SessionOutcome:
-    """Result of a local session; `blinding` is the user side's state of the
-    decisive attempt on success, None on abort."""
+    """A completed local session.  `blinding` is the user side's state of the
+    decisive attempt: its blinding factors x and y and the message."""
 
-    signature: Signature | None
-    abort_reason: str | None
+    signature: Signature
     transcript: Transcript
     retries: int
-    blinding: scheme.BlindState | None
-
-    @property
-    def ok(self) -> bool:
-        return self.signature is not None
+    blinding: scheme.BlindState
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +264,6 @@ def run_local_session(
     message: bytes,
     verifier_public: G1Point,
     rng,
-    policy: RetryPolicy = RetryPolicy(),
     store: "TranscriptStore | None" = None,
     clock=None,
 ) -> SessionOutcome:
@@ -283,19 +271,20 @@ def run_local_session(
 
     A degenerate response (V = identity, i.e. r + h1 = 0 mod q) aborts the
     attempt; the whole session reruns with fresh randomness up to
-    policy.max_retries times.  Draws are the session id, then r, x and y per
-    attempt.  The transcript of the decisive attempt is returned, and
-    recorded in `store` on success.
+    MAX_RETRIES times, then raises Degenerate.  Draws are the session id,
+    then r, x and y per attempt.  Only the decisive attempt's transcript is
+    returned and recorded in `store`; a session that raises records nothing.
     """
     clock = clock or _now_ms
     session_id = rng.next_bytes(SESSION_ID_BYTES)
-    transcript = None
-    for attempt in range(policy.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         started = clock()
         signer_side, commitment = begin_sign(system, signer, rng)
         user_side, challenge = begin_blind(system, message, commitment, signer.public, rng)
         response = signer_side.respond(challenge)
         finished = clock()
+        if response.degenerate:
+            continue
         transcript = Transcript(
             session_id=session_id,
             signer_identity=signer.identity,
@@ -305,24 +294,12 @@ def run_local_session(
             started_ms=started,
             finished_ms=finished,
         )
-        if response.degenerate:
-            continue
         signature = user_side.unblind(response, verifier_public)
         if store is not None:
             store.record(transcript)
-        return SessionOutcome(
-            signature=signature,
-            abort_reason=None,
-            transcript=transcript,
-            retries=attempt,
-            blinding=user_side.state,
-        )
-    return SessionOutcome(
-        signature=None,
-        abort_reason="degenerate",
-        transcript=transcript,
-        retries=policy.max_retries,
-        blinding=None,
+        return SessionOutcome(signature, transcript, attempt, user_side.state)
+    raise Degenerate(
+        f"signing session stayed degenerate (r + h1 = 0 mod q) in {MAX_RETRIES + 1} attempts"
     )
 
 

@@ -36,6 +36,32 @@ def scalar_chunk(value: int, q: int) -> bytes:
     return value.to_bytes((q.bit_length() + 7) // 8, "big")
 
 
+def session_tape(q: int, *triples) -> TapeRng:
+    """Tape for one run_local_session: a zero session id, then (r, x, y) per
+    attempt."""
+    return TapeRng([bytes(16)] + [scalar_chunk(v, q) for triple in triples for v in triple])
+
+
+def find_tape_triples(system, signer, message):
+    """First degenerate and first benign (r, x, y) for `message`, searched by
+    whether they force h1 = -r (mod q).  Toy scale only."""
+    q = system.curve.q
+    degenerate, benign = None, None
+    for r in range(1, q):
+        for x in range(1, q):
+            for y in range(1, q):
+                tape = TapeRng([scalar_chunk(r, q), scalar_chunk(x, q), scalar_chunk(y, q)])
+                state, commitment = scheme.sign_commit(system, signer, tape)
+                _, challenge = scheme.blind(system, message, commitment, signer.public, tape)
+                if (state.r + challenge.value) % q == 0:
+                    degenerate = degenerate or (r, x, y)
+                else:
+                    benign = benign or (r, x, y)
+                if degenerate and benign:
+                    return degenerate, benign
+    raise AssertionError("toy search space exhausted")
+
+
 @pytest.fixture(scope="session")
 def toy_params():
     return params_for_subgroup_order(13, b"toy")

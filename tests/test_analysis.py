@@ -23,8 +23,14 @@ from dvbsig.curve import G1Point, scalar_mul
 from dvbsig.errors import Degenerate, DomainError, RefusedTooLarge
 from dvbsig.meter import measure
 from dvbsig.rng import SeededRng
-from dvbsig.session import Transcript, encode_transcript, run_local_session
-from tests.conftest import TOY_SIGNER, TOY_THIRD_PARTY, TOY_VERIFIER
+from dvbsig.session import MAX_RETRIES, Transcript, encode_transcript, run_local_session
+from tests.conftest import (
+    TOY_SIGNER,
+    TOY_THIRD_PARTY,
+    TOY_VERIFIER,
+    find_tape_triples,
+    session_tape,
+)
 
 Q = 13
 
@@ -37,7 +43,6 @@ COSTS = OpCosts(
     g2_group_op=F(1, 5),
     pairing=F(2004, 100),
     map_to_point=F(304, 100),
-    g2_exp=F(531, 100),
 )
 
 
@@ -181,8 +186,8 @@ class TestInstrumentation:
                 toy_keys[TOY_VERIFIER].public,
                 SeededRng("count"),
             )
-        assert outcome.ok and outcome.retries == 0
-        counts = OperationCounts.from_counter(counter)
+        assert outcome.retries == 0
+        counts = OperationCounts(**counter.counts)
         assert counts.g1_scalar_mul == 5
         assert counts.pairing == 1
         assert counts.map_to_point == 0
@@ -204,7 +209,7 @@ class TestInstrumentation:
                 b"count me",
                 outcome.signature,
             )
-        counts = OperationCounts.from_counter(counter)
+        counts = OperationCounts(**counter.counts)
         assert counts.g1_scalar_mul == 1
         assert counts.map_to_point == 1
         assert counts.pairing == 1
@@ -219,7 +224,7 @@ class TestInstrumentation:
                 b"count me",
                 SeededRng("count"),
             )
-        counts = OperationCounts.from_counter(counter)
+        counts = OperationCounts(**counter.counts)
         assert counts.g1_scalar_mul == 5
         assert counts.g1_group_op == 1
         assert counts.pairing == 1
@@ -229,7 +234,7 @@ class TestInstrumentation:
         with measure() as counter:
             pass
         scalar_mul(5, toy_params.generator)
-        assert counter["g1_scalar_mul"] == 0
+        assert counter.counts["g1_scalar_mul"] == 0
 
 
 class TestDlogBruteforce:
@@ -260,7 +265,7 @@ class TestDlogBruteforce:
 
 
 class TestBlindSessionHarness:
-    # Pinned SHA-256 over every record's transcript, signature, x and y; any
+    # Pinned SHA-256 over every outcome's transcript, signature, x and y; any
     # change to the draw order (session id, then r, x, y per attempt) or the
     # clock order changes it.  "blindness-retry-3" reruns its third session
     # twice, so the retry path is pinned too.
@@ -291,20 +296,22 @@ class TestBlindSessionHarness:
         for rec in records:
             h.update(encode_transcript(rec.transcript, curve))
             h.update(scheme.encode_signature(rec.signature))
-            h.update(scheme.encode_scalar(rec.x, curve) + scheme.encode_scalar(rec.y, curve))
+            x, y = rec.blinding.x, rec.blinding.y
+            h.update(scheme.encode_scalar(x, curve) + scheme.encode_scalar(y, curve))
         assert h.hexdigest() == digest
 
     def test_exhausted_retries_raise(self, toy_system, toy_keys):
         system, _ = toy_system
-        # the third session of "blindness-retry-3" needs two reruns
+        signer = toy_keys[TOY_SIGNER]
+        message = b"blind statement 0"
+        degenerate, _ = find_tape_triples(system, signer, message)
         with pytest.raises(Degenerate):
             run_blind_sessions(
                 system,
-                toy_keys[TOY_SIGNER],
+                signer,
                 toy_keys[TOY_VERIFIER].public,
-                [f"blind statement {i}".encode() for i in range(3)],
-                SeededRng("blindness-retry-3"),
-                max_retries=1,
+                [message],
+                session_tape(Q, *[degenerate] * (MAX_RETRIES + 1)),
             )
 
 
@@ -328,7 +335,7 @@ class TestBlindnessWitness:
                 system,
                 toy_keys[TOY_VERIFIER].secret,
                 toy_keys[TOY_SIGNER].public,
-                rec.message,
+                rec.blinding.message,
                 rec.signature,
             )
 
@@ -339,12 +346,12 @@ class TestBlindnessWitness:
                 system,
                 rec.transcript,
                 rec.signature,
-                rec.message,
+                rec.blinding.message,
                 toy_keys[TOY_SIGNER].public,
                 toy_keys[TOY_VERIFIER].public,
                 toy_keys[TOY_VERIFIER].secret,
             )
-            assert witness == (rec.x, rec.y)
+            assert witness == (rec.blinding.x, rec.blinding.y)
 
     def test_every_cross_pair_consistent(self, toy_system, toy_keys, records):
         system, _ = toy_system
@@ -355,7 +362,7 @@ class TestBlindnessWitness:
                     system,
                     rec_t.transcript,
                     rec_s.signature,
-                    rec_s.message,
+                    rec_s.blinding.message,
                     signer_public,
                     toy_keys[TOY_VERIFIER].public,
                     toy_keys[TOY_VERIFIER].secret,
@@ -385,7 +392,7 @@ class TestBlindnessWitness:
             system,
             records[0].transcript,
             other.signature,
-            other.message,
+            other.blinding.message,
             toy_keys[TOY_SIGNER].public,
             toy_keys[TOY_VERIFIER].public,
             toy_keys[TOY_VERIFIER].secret,
@@ -410,7 +417,7 @@ class TestBlindnessWitness:
                 system,
                 rigged,
                 records[0].signature,
-                records[0].message,
+                records[0].blinding.message,
                 signer.public,
                 toy_keys[TOY_VERIFIER].public,
                 toy_keys[TOY_VERIFIER].secret,

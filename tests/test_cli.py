@@ -12,6 +12,8 @@ import pytest
 from dvbsig import cli, storage
 from dvbsig import curve as dvbsig_curve
 from dvbsig.curve import hash_to_point
+from dvbsig.session import MAX_RETRIES
+from tests.conftest import find_tape_triples, session_tape
 
 
 @pytest.fixture()
@@ -396,6 +398,16 @@ class TestAnalysisCommands:
         assert code == 3 and out == ""
         assert "budget.txt: field 'qh1' is not a decimal integer" in err
 
+    def test_bounds_budget_file_overrides_flags(self, run, tmp_path):
+        # fields the file leaves out keep the flag values
+        budget = tmp_path / "budget.txt"
+        budget.write_text("qe = 1\neps = 1/2\nq = 13\n")
+        flags = ("-w", tmp_path, "analyze", "bounds", "--qh1", 10)
+        code, out, _ = run(*flags, "--budget-file", budget)
+        assert code == 0
+        assert "advantage = 112/12675" in out
+        assert run(*flags, "--qe", 1, "--eps", "1/2", "--q", 13)[1] == out
+
     def test_bounds_domain_error(self, run, tmp_path):
         code, _, err = run("-w", tmp_path, "analyze", "bounds", "--qh1", 1, "--eps", "1")
         assert code == 3
@@ -416,6 +428,13 @@ class TestAnalysisCommands:
         code, out, _ = run("-w", tmp_path, "analyze", "perf", "--costs", costs)
         assert code == 0
         assert "modeled_ms = 7 (7.0000)" in out  # ours sign: 5 + 1 + 1
+
+    def test_perf_costs_file_unknown_field(self, run, tmp_path):
+        costs = tmp_path / "costs.txt"
+        costs.write_text("pairing = 1\ng2_exp = 1\n")
+        code, out, err = run("-w", tmp_path, "analyze", "perf", "--costs", costs)
+        assert code == 2 and out == ""
+        assert "unknown cost fields: ['g2_exp']" in err
 
 
 class TestBlindnessDemo:
@@ -543,6 +562,20 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert "garbage.txt: not UTF-8 text (at byte 0)" in err
 
+    def test_sign_run_out_of_attempts(self, run, workspace, message_file, monkeypatch):
+        system = storage.load_system_params(workspace / "system.txt")
+        signer = storage.load_identity_key(workspace / "keys" / "alice.key", system)
+        degenerate, _ = find_tape_triples(system, signer, message_file.read_bytes())
+        tape = session_tape(system.curve.q, *[degenerate] * (MAX_RETRIES + 1))
+        monkeypatch.setattr(cli, "_rng_and_clock", lambda seed: (tape, None))
+        code, out, err = run(
+            "-w", workspace, "sign", "run", "--signer", "alice", "--verifier", "bob",
+            "--message-file", message_file,
+        )
+        assert code == 3 and out == ""
+        assert "degenerate" in err
+        assert not (workspace / "transcripts.log").exists()
+
     def test_damaged_transcript_log_named(self, run, workspace, message_file):
         sign = (
             "-w", workspace, "sign", "run", "--signer", "alice", "--verifier", "bob",
@@ -556,6 +589,37 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         size = log.stat().st_size
         assert f"{log}: truncated frame header (at byte {size})" in err
+
+    def test_message_file_is_a_directory(self, run, workspace, tmp_path):
+        code, out, err = run(
+            "-w", workspace, "sign", "run", "--signer", "alice", "--verifier", "bob",
+            "--message-file", tmp_path, "--seed", "s1",
+        )
+        assert code == 2 and out == ""
+        assert str(tmp_path) in err
+        assert not (workspace / "transcripts.log").exists()
+
+    def test_signature_file_is_a_directory(self, run, workspace, message_file, tmp_path):
+        code, out, err = run(
+            "-w", workspace, "verify", "--verifier", "bob", "--signer", "alice",
+            "--message-file", message_file, "--sig", tmp_path,
+        )
+        assert code == 2 and out == ""
+        assert str(tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("bench", "--iterations", "0"),
+            ("params", "gen", "--q-value", "abc"),
+            ("params", "gen", "--q-value", "13", "--p-bits", "0"),
+            ("blindness-demo", "--sessions", "-2"),
+        ],
+    )
+    def test_numeric_flags_checked(self, run, workspace, command):
+        code, out, err = run("-w", workspace, *command)
+        assert code == 2 and out == ""
+        assert command[-2] in err
 
     def test_missing_workspace(self, run, tmp_path, message_file):
         code, _, err = run(

@@ -174,7 +174,8 @@ class TestParameterSearch:
 
     def test_search_exhaustion(self):
         with pytest.raises(ParamSearchFailed):
-            params_for_subgroup_order(13, b"toy", r_limit=1)
+            # the only 8-bit candidate, 12*13*1 - 1 = 155, is composite
+            params_for_subgroup_order(13, b"toy", p_bits=8)
 
     def test_rejects_composite_order(self):
         with pytest.raises(ParamSearchFailed):

@@ -3,13 +3,13 @@ from hypothesis import given, strategies as st
 
 from dvbsig import scheme, session
 from dvbsig.curve import G1Point, point_add, scalar_mul
-from dvbsig.errors import DecodeError, DuplicateSession
+from dvbsig.errors import DecodeError, Degenerate, DuplicateSession
 from dvbsig.rng import SeededRng
 from dvbsig.scheme import BlindedChallenge, Commitment, Response
 from dvbsig.session import (
+    MAX_RETRIES,
     FileTranscriptStore,
     LogicalClock,
-    RetryPolicy,
     Transcript,
     TranscriptStore,
     begin_blind,
@@ -20,32 +20,10 @@ from dvbsig.session import (
     encode_transcript,
     run_local_session,
 )
-from tests.conftest import TOY_SIGNER, TOY_VERIFIER, TapeRng, scalar_chunk
+from tests.conftest import TOY_SIGNER, TOY_VERIFIER, find_tape_triples, session_tape
 
 Q = 13
 MESSAGE = b"settle the invoice"
-
-
-def find_tape_triples(system, signer):
-    """Search (r, x, y) triples by whether they force h1 = -r (mod q)."""
-    degenerate, benign = None, None
-    for r in range(1, Q):
-        for x in range(1, Q):
-            for y in range(1, Q):
-                tape = TapeRng(
-                    [scalar_chunk(r, Q), scalar_chunk(x, Q), scalar_chunk(y, Q)]
-                )
-                state, commitment = scheme.sign_commit(system, signer, tape)
-                _, challenge = scheme.blind(
-                    system, MESSAGE, commitment, signer.public, tape
-                )
-                if (state.r + challenge.value) % Q == 0:
-                    degenerate = degenerate or (r, x, y)
-                else:
-                    benign = benign or (r, x, y)
-                if degenerate and benign:
-                    return degenerate, benign
-    raise AssertionError("toy search space exhausted")
 
 
 class TestFraming:
@@ -169,7 +147,7 @@ class TestLocalRunner:
             SeededRng("runner"),
             clock=LogicalClock(),
         )
-        assert outcome.ok and outcome.abort_reason is None
+        assert outcome.blinding.message == MESSAGE
         assert scheme.verify(
             system,
             toy_keys[TOY_VERIFIER].secret,
@@ -248,18 +226,8 @@ class TestLocalRunner:
     def test_degenerate_session_retries_once(self, toy_system, toy_keys):
         system, _ = toy_system
         signer = toy_keys[TOY_SIGNER]
-        (r1, x1, y1), (r2, x2, y2) = find_tape_triples(system, signer)
-        tape = TapeRng(
-            [
-                bytes(16),  # session id
-                scalar_chunk(r1, Q),
-                scalar_chunk(x1, Q),
-                scalar_chunk(y1, Q),
-                scalar_chunk(r2, Q),
-                scalar_chunk(x2, Q),
-                scalar_chunk(y2, Q),
-            ]
-        )
+        degenerate, (r2, x2, y2) = find_tape_triples(system, signer, MESSAGE)
+        tape = session_tape(Q, degenerate, (r2, x2, y2))
         outcome = run_local_session(
             system,
             signer,
@@ -268,7 +236,6 @@ class TestLocalRunner:
             tape,
             clock=LogicalClock(),
         )
-        assert outcome.ok
         assert outcome.retries == 1
         # the user-side state is the decisive attempt's
         assert (outcome.blinding.x, outcome.blinding.y) == (x2, y2)
@@ -280,26 +247,26 @@ class TestLocalRunner:
             outcome.signature,
         )
 
-    def test_zero_retry_budget_aborts(self, toy_system, toy_keys):
+    def test_exhausted_attempts_raise_and_record_nothing(self, toy_system, toy_keys, tmp_path):
         system, _ = toy_system
         signer = toy_keys[TOY_SIGNER]
-        (r1, x1, y1), _ = find_tape_triples(system, signer)
-        tape = TapeRng(
-            [bytes(16), scalar_chunk(r1, Q), scalar_chunk(x1, Q), scalar_chunk(y1, Q)]
-        )
-        outcome = run_local_session(
-            system,
-            signer,
-            MESSAGE,
-            toy_keys[TOY_VERIFIER].public,
-            tape,
-            policy=RetryPolicy(max_retries=0),
-            clock=LogicalClock(),
-        )
-        assert not outcome.ok
-        assert outcome.abort_reason == "degenerate"
-        assert outcome.transcript.response.is_identity
-        assert outcome.blinding is None
+        degenerate, _ = find_tape_triples(system, signer, MESSAGE)
+        assert MAX_RETRIES == 4
+        tape = session_tape(Q, *[degenerate] * (MAX_RETRIES + 1))
+        log = tmp_path / "transcripts.log"
+        store = FileTranscriptStore(log, system.curve)
+        with pytest.raises(Degenerate):
+            run_local_session(
+                system,
+                signer,
+                MESSAGE,
+                toy_keys[TOY_VERIFIER].public,
+                tape,
+                store=store,
+                clock=LogicalClock(),
+            )
+        assert tape.chunks == []  # all MAX_RETRIES + 1 attempts ran
+        assert len(store) == 0 and not log.exists()
 
     def test_store_receives_successful_sessions(self, toy_system, toy_keys):
         system, _ = toy_system
