@@ -20,8 +20,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import scheme, session, storage
-from .curve import decode_point, generate_params, hash_to_point, params_for_subgroup_order
-from .errors import DecodeError, DvbsigError
+from .curve import (
+    decode_point,
+    generate_params,
+    hash_to_point,
+    params_for_subgroup_order,
+    scalar_mul,
+)
+from .errors import DecodeError, Degenerate, DvbsigError
 from .rng import SeededRng, SystemRng
 from .scheme import KeyPair
 from .session import FileTranscriptStore, LogicalClock
@@ -45,8 +51,10 @@ class CommandLineError(Exception):
 
 
 def _rng_and_clock(seed: str | None):
+    """The draws and the millisecond clock of one command: system randomness
+    and the wall clock, or the seeded stream and a logical clock."""
     if seed is None:
-        return SystemRng(), None
+        return SystemRng(), session.wall_clock_ms
     return SeededRng(seed), LogicalClock()
 
 
@@ -77,6 +85,10 @@ def _message_bytes(args) -> bytes:
         tag, sep, threshold = args.asset_statement.partition(":")
         if not sep or not tag or not threshold:
             raise CommandLineError("--asset-statement must look like <address-tag>:<threshold>")
+        # '|' separates the fields of the signed string, so two statements
+        # could otherwise sign the same bytes ("a|b:5" and "a:b|5")
+        if "|" in args.asset_statement:
+            raise CommandLineError("--asset-statement may not contain '|'")
         return f"POA|v1|{tag}|{threshold}".encode("utf-8")
     if getattr(args, "message_file", None) is not None:
         return Path(_require(Path(args.message_file), "message file")).read_bytes()
@@ -91,6 +103,14 @@ def _load_key(ws: storage.Workspace, system, identity: str) -> KeyPair:
     return storage.load_identity_key(
         _require(ws.key_file(identity), f"key for {identity!r} (run keygen)"), system
     )
+
+
+def _read_message(path: Path, kind: type, what: str, curve) -> session.ProtocolMessage:
+    """The protocol message of type `kind` in the frame file at `path`."""
+    message = session.decode_message(path.read_bytes(), curve)
+    if not isinstance(message, kind):
+        raise CommandLineError(f"{path} does not hold a {what}")
+    return message
 
 
 def _positive_int(text: str) -> int:
@@ -202,7 +222,7 @@ def cmd_sign_commit(ws: storage.Workspace, args) -> int:
     session_id = rng.next_bytes(session.SESSION_ID_BYTES)
     state, commitment = scheme.sign_commit(system, signer, rng)
     commit_path.write_bytes(session.encode_message(commitment, system.curve))
-    started = (clock or session._now_ms)()
+    started = clock()
     storage.write_private(
         sdir / "signer.state",
         f"session_id = {session_id.hex()}\n"
@@ -220,9 +240,7 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
     _require(commit_path, "commit artifact (run sign commit first)")
     _fresh(challenge_path, "challenge artifact")
     message = _message_bytes(args)
-    commitment = session.decode_message(commit_path.read_bytes(), system.curve)
-    if not isinstance(commitment, scheme.Commitment):
-        raise CommandLineError(f"{commit_path} does not hold a commitment")
+    commitment = _read_message(commit_path, scheme.Commitment, "commitment", system.curve)
     signer_public = hash_to_point(_identity(args.signer).encode("utf-8"), system.curve)
     rng, _ = _rng_and_clock(args.seed)
     state, challenge = scheme.blind(system, message, commitment, signer_public, rng)
@@ -240,11 +258,10 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
 
 def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
-    sdir, commit_path, challenge_path, response_path = _session_paths(ws, args.session)
-    _require(commit_path, "commit artifact (run sign commit first)")
+    sdir, _, challenge_path, response_path = _session_paths(ws, args.session)
+    state_path = _require(sdir / "signer.state", "signer state (run sign commit first)")
     _require(challenge_path, "challenge artifact (run sign blind first)")
     _fresh(response_path, "response artifact")
-    state_path = _require(sdir / "signer.state", "signer state")
     fields = storage.read_kv(state_path)
     signer_name = _identity(storage.kv_text(fields, "signer", state_path))
     r = storage.kv_int(fields, "r", state_path)
@@ -252,15 +269,13 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     if len(session_id) != (size := session.SESSION_ID_BYTES):
         raise DecodeError(f"{state_path}: field 'session_id' is not {size} bytes")
     signer = _load_key(ws, system, signer_name)
-    challenge = session.decode_message(challenge_path.read_bytes(), system.curve)
-    if not isinstance(challenge, scheme.BlindedChallenge):
-        raise CommandLineError(f"{challenge_path} does not hold a challenge")
-    commitment = session.decode_message(commit_path.read_bytes(), system.curve)
-    if not isinstance(commitment, scheme.Commitment):
-        raise CommandLineError(f"{commit_path} does not hold a commitment")
+    challenge = _read_message(challenge_path, scheme.BlindedChallenge, "challenge", system.curve)
+    # U is the commitment to this state's r, r*Q_s, whatever commit.frame
+    # (which the user side can rewrite) holds now
+    commitment = scalar_mul(r, signer.public)
     response = scheme.sign_respond(system, scheme.SignerState(r=r, key=signer), challenge)
     started = storage.kv_int(fields, "started_ms", state_path, default=0)
-    finished = started + 1 if args.seed else session._now_ms()
+    finished = started + 1 if args.seed else session.wall_clock_ms()
     store = FileTranscriptStore(ws.transcript_log, system.curve)
     # the transcript is recorded before the response leaves: a session id
     # that was already answered raises DuplicateSession and writes nothing
@@ -268,7 +283,7 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
         session.Transcript(
             session_id=session_id,
             signer_identity=signer_name.encode("utf-8"),
-            commitment=commitment.point,
+            commitment=commitment,
             challenge=challenge.value,
             response=response.point,
             started_ms=started,
@@ -293,12 +308,9 @@ def cmd_sign_unblind(ws: storage.Workspace, args) -> int:
     u_prime, _ = decode_point(storage.kv_hex(fields, "u_prime", state_path), system.curve)
     x, y, h = (storage.kv_int(fields, key, state_path) for key in ("x", "y", "h"))
     blind_state = scheme.BlindState(x=x, y=y, u_prime=u_prime, h=h, message=b"")
-    response = session.decode_message(response_path.read_bytes(), system.curve)
-    if not isinstance(response, scheme.Response):
-        raise CommandLineError(f"{response_path} does not hold a response")
+    response = _read_message(response_path, scheme.Response, "response", system.curve)
     if response.degenerate:
-        print("ABORT degenerate (response is the identity; rerun the session)", file=sys.stderr)
-        return 3
+        raise Degenerate("degenerate response (V is the identity); rerun the session")
     verifier_public = hash_to_point(_identity(args.verifier).encode("utf-8"), system.curve)
     signature = scheme.unblind(system, blind_state, response, verifier_public)
     out = Path(args.out) if args.out else sdir / "sig.bin"

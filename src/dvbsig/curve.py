@@ -19,7 +19,8 @@ coefficients per first pairing argument.  Every cached value is a pure
 function of its key, so results are the same cold or warm.
 
 A point from outside the program is accepted by one rule, `point_fault`;
-a point object keeps its own order-q verdict.
+a point object keeps its own order-q verdict.  Binary artifacts are read
+through one cursor, `Reader`, on top of `decode_point` and `decode_gt`.
 """
 
 from __future__ import annotations
@@ -573,3 +574,49 @@ def decode_gt(data: bytes, params: CurveParams, offset: int = 0) -> tuple[GTElem
     if value.is_zero() or not (value**params.q).is_one():
         raise DecodeError("value outside the order-q subgroup of F_p2^*", offset)
     return GTElement(value), 2 * w
+
+
+class Reader:
+    """Cursor over one binary artifact (wire frame, transcript record or
+    signature) whose first byte lies at absolute offset `base`.  Every
+    DecodeError it raises names the absolute offset of the first byte of the
+    field at fault, or the end of the data when the data runs out."""
+
+    def __init__(self, data: bytes, base: int = 0):
+        self.data = data
+        self.base = base
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.pos + n > len(self.data):
+            raise DecodeError(f"truncated {what}", self.base + len(self.data))
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def take_lv(self, what: str) -> bytes:
+        """A field with a 2-byte big-endian length prefix."""
+        return self.take(int.from_bytes(self.take(2, what), "big"), what)
+
+    def scalar(self, q: int, what: str) -> int:
+        """A Z_q element: byte_width(q) big-endian bytes, below q."""
+        start = self.base + self.pos
+        value = int.from_bytes(self.take(byte_width(q), what), "big")
+        if value >= q:
+            raise DecodeError(f"{what} out of range", start)
+        return value
+
+    def point(self, params: CurveParams) -> G1Point:
+        return self._decode(decode_point, params)
+
+    def gt(self, params: CurveParams) -> GTElement:
+        return self._decode(decode_gt, params)
+
+    def _decode(self, decode, params: CurveParams):
+        value, used = decode(self.data[self.pos :], params, self.base + self.pos)
+        self.pos += used
+        return value
+
+    def done(self, where: str) -> None:
+        """Refuse unread bytes; `where` completes "trailing bytes ..."."""
+        if self.pos != len(self.data):
+            raise DecodeError(f"trailing bytes {where}", self.base + self.pos)

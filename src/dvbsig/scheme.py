@@ -13,20 +13,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .algebra import byte_width, encode_int, mod_inv, sample_unit
+from .algebra import mod_inv, sample_unit
 from .curve import (
     CurveParams,
     G1Point,
     GTElement,
-    decode_gt,
-    decode_point,
+    Reader,
     hash_to_point,
     point_add,
     point_fault,
     scalar_mul,
     tate_pairing,
 )
-from .errors import DecodeError, InvalidPoint
+from .errors import InvalidPoint
 
 H1_NAME = "sha256-try-increment"
 H2_NAME = "sha256-mod-q-star"
@@ -262,17 +261,7 @@ def encode_signature(signature: Signature) -> bytes:
 
 def decode_signature(data: bytes, params: CurveParams) -> Signature:
     """Strict inverse of encode_signature; trailing bytes are an error."""
-    u_prime, consumed = decode_point(data, params)
-    sigma, used = decode_gt(data[consumed:], params, offset=consumed)
-    if consumed + used != len(data):
-        raise DecodeError("trailing bytes after signature", consumed + used)
-    return Signature(u_prime=u_prime, sigma=sigma)
-
-
-def scalar_width(params: CurveParams) -> int:
-    """Serialized width of Z_q scalars (protocol challenge values)."""
-    return byte_width(params.q)
-
-
-def encode_scalar(value: int, params: CurveParams) -> bytes:
-    return encode_int(value, params.q)
+    r = Reader(data)
+    signature = Signature(u_prime=r.point(params), sigma=r.gt(params))
+    r.done("after signature")
+    return signature

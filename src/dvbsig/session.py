@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Iterator, Union
 
 from . import scheme
-from .curve import CurveParams, G1Point, decode_point
+from .algebra import encode_int
+from .curve import CurveParams, G1Point, Reader
 from .errors import DecodeError, Degenerate, DuplicateSession
 from .scheme import BlindedChallenge, Commitment, KeyPair, Response, Signature, SystemParams
 
@@ -66,58 +67,38 @@ def _frame(tag: int, payload: bytes) -> bytes:
     return bytes([tag]) + len(payload).to_bytes(4, "big") + payload
 
 
+def _open_frame(r: Reader) -> tuple[int, Reader]:
+    """Read the frame at the head of `r`: its tag, and a cursor over exactly
+    the declared payload, which starts at byte 5."""
+    header = r.take(5, "frame header")
+    return header[0], Reader(r.take(int.from_bytes(header[1:], "big"), "frame payload"), 5)
+
+
 def encode_message(message: ProtocolMessage, params: CurveParams) -> bytes:
     if isinstance(message, Commitment):
         return _frame(TAG_COMMIT, message.point.encode())
     if isinstance(message, BlindedChallenge):
-        return _frame(TAG_CHALLENGE, scheme.encode_scalar(message.value, params))
+        return _frame(TAG_CHALLENGE, encode_int(message.value, params.q))
     if isinstance(message, Response):
         return _frame(TAG_RESPOND, message.point.encode())
     raise TypeError(f"not a protocol message: {message!r}")
 
 
-def _split_frame(data: bytes, expect_exhausted: bool) -> tuple[int, bytes, int]:
-    """Return (tag, payload, total length); never reads past the declared length."""
-    if len(data) == 0:
-        raise DecodeError("empty frame", 0)
-    if len(data) < 5:
-        raise DecodeError("truncated frame header", len(data))
-    tag = data[0]
-    length = int.from_bytes(data[1:5], "big")
-    if len(data) < 5 + length:
-        raise DecodeError("frame payload shorter than declared", len(data))
-    if expect_exhausted and len(data) > 5 + length:
-        raise DecodeError("trailing bytes after frame", 5 + length)
-    return tag, data[5 : 5 + length], 5 + length
-
-
-def _decode_scalar_payload(payload: bytes, params: CurveParams, offset: int) -> int:
-    width = scheme.scalar_width(params)
-    if len(payload) != width:
-        raise DecodeError(f"challenge payload must be {width} bytes", offset)
-    value = int.from_bytes(payload, "big")
-    if value >= params.q:
-        raise DecodeError("challenge out of range", offset)
-    return value
-
-
-def _decode_point_payload(payload: bytes, params: CurveParams, offset: int) -> G1Point:
-    point, consumed = decode_point(payload, params, offset)
-    if consumed != len(payload):
-        raise DecodeError("trailing bytes in point payload", offset + consumed)
-    return point
-
-
 def decode_message(data: bytes, params: CurveParams) -> ProtocolMessage:
     """Parse exactly one protocol frame; round-trips encode_message."""
-    tag, payload, _ = _split_frame(data, expect_exhausted=True)
+    r = Reader(data)
+    tag, body = _open_frame(r)
+    r.done("after frame")
     if tag == TAG_COMMIT:
-        return Commitment(_decode_point_payload(payload, params, 5))
-    if tag == TAG_CHALLENGE:
-        return BlindedChallenge(_decode_scalar_payload(payload, params, 5))
-    if tag == TAG_RESPOND:
-        return Response(_decode_point_payload(payload, params, 5))
-    raise DecodeError(f"unknown tag {tag}", 0)
+        message = Commitment(body.point(params))
+    elif tag == TAG_CHALLENGE:
+        message = BlindedChallenge(body.scalar(params.q, "challenge"))
+    elif tag == TAG_RESPOND:
+        message = Response(body.point(params))
+    else:
+        raise DecodeError(f"unknown tag {tag}", 0)
+    body.done("in frame payload")
+    return message
 
 
 # ---------------------------------------------------------------------------
@@ -130,34 +111,12 @@ def _lv(blob: bytes) -> bytes:
     return len(blob).to_bytes(2, "big") + blob
 
 
-class _Reader:
-    def __init__(self, data: bytes, base: int):
-        self.data = data
-        self.pos = 0
-        self.base = base
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError(f"truncated {what}", self.base + len(self.data))
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def take_lv(self, what: str) -> bytes:
-        n = int.from_bytes(self.take(2, what), "big")
-        return self.take(n, what)
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise DecodeError("trailing bytes in transcript record", self.base + self.pos)
-
-
 def encode_transcript(t: Transcript, params: CurveParams) -> bytes:
     payload = (
         _lv(t.session_id)
         + _lv(t.signer_identity)
         + t.commitment.encode()
-        + scheme.encode_scalar(t.challenge, params)
+        + encode_int(t.challenge, params.q)
         + t.response.encode()
         + t.started_ms.to_bytes(8, "big")
         + t.finished_ms.to_bytes(8, "big")
@@ -166,33 +125,23 @@ def encode_transcript(t: Transcript, params: CurveParams) -> bytes:
 
 
 def decode_transcript(data: bytes, params: CurveParams) -> tuple[Transcript, int]:
-    """Parse one transcript frame from the head of `data`."""
-    tag, payload, total = _split_frame(data, expect_exhausted=False)
+    """Parse one transcript frame from the head of `data`; returns it and
+    the frame's length."""
+    r = Reader(data)
+    tag, body = _open_frame(r)
     if tag != TAG_TRANSCRIPT:
         raise DecodeError(f"not a transcript record (tag {tag})", 0)
-    r = _Reader(payload, 5)
-    session_id = r.take_lv("session id")
-    identity = r.take_lv("signer identity")
-    commitment, used = decode_point(payload[r.pos :], params, 5 + r.pos)
-    r.pos += used
-    challenge = _decode_scalar_payload(
-        r.take(scheme.scalar_width(params), "challenge"), params, 5 + r.pos
-    )
-    response, used = decode_point(payload[r.pos :], params, 5 + r.pos)
-    r.pos += used
-    started = int.from_bytes(r.take(8, "start timestamp"), "big")
-    finished = int.from_bytes(r.take(8, "finish timestamp"), "big")
-    r.done()
     t = Transcript(
-        session_id=session_id,
-        signer_identity=identity,
-        commitment=commitment,
-        challenge=challenge,
-        response=response,
-        started_ms=started,
-        finished_ms=finished,
+        session_id=body.take_lv("session id"),
+        signer_identity=body.take_lv("signer identity"),
+        commitment=body.point(params),
+        challenge=body.scalar(params.q, "challenge"),
+        response=body.point(params),
+        started_ms=int.from_bytes(body.take(8, "start timestamp"), "big"),
+        finished_ms=int.from_bytes(body.take(8, "finish timestamp"), "big"),
     )
-    return t, total
+    body.done("in transcript record")
+    return t, r.pos
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +192,8 @@ def begin_blind(
 # local runner
 
 
-def _now_ms() -> int:
+def wall_clock_ms() -> int:
+    """Milliseconds since the epoch: the clock of unseeded runs."""
     return time.time_ns() // 1_000_000
 
 
@@ -275,7 +225,7 @@ def run_local_session(
     then r, x and y per attempt.  Only the decisive attempt's transcript is
     returned and recorded in `store`; a session that raises records nothing.
     """
-    clock = clock or _now_ms
+    clock = clock or wall_clock_ms
     session_id = rng.next_bytes(SESSION_ID_BYTES)
     for attempt in range(MAX_RETRIES + 1):
         started = clock()

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from dvbsig import analysis, scheme
+from dvbsig.algebra import encode_int
 from dvbsig.analysis import (
     OpCosts,
     OperationCounts,
@@ -297,7 +298,7 @@ class TestBlindSessionHarness:
             h.update(encode_transcript(rec.transcript, curve))
             h.update(scheme.encode_signature(rec.signature))
             x, y = rec.blinding.x, rec.blinding.y
-            h.update(scheme.encode_scalar(x, curve) + scheme.encode_scalar(y, curve))
+            h.update(encode_int(x, curve.q) + encode_int(y, curve.q))
         assert h.hexdigest() == digest
 
     def test_exhausted_retries_raise(self, toy_system, toy_keys):

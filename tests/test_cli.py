@@ -12,8 +12,8 @@ import pytest
 from dvbsig import cli, storage
 from dvbsig import curve as dvbsig_curve
 from dvbsig.curve import hash_to_point
-from dvbsig.session import MAX_RETRIES
-from tests.conftest import find_tape_triples, session_tape
+from dvbsig.session import MAX_RETRIES, FileTranscriptStore, LogicalClock, decode_message
+from tests.conftest import TapeRng, find_tape_triples, scalar_chunk, session_tape
 
 
 @pytest.fixture()
@@ -143,8 +143,6 @@ class TestStepwiseSigning:
         assert code == 0 and out.strip() == "VALID"
         # the signer's view landed in the transcript log
         system = storage.load_system_params(workspace / "system.txt")
-        from dvbsig.session import FileTranscriptStore
-
         store = FileTranscriptStore(workspace / "transcripts.log", system.curve)
         assert len(store) == 1
 
@@ -199,6 +197,47 @@ class TestStepwiseSigning:
             "--message-file", message_file, "--seed", "b",
         )[0] == 0
         return workspace / "sessions" / name
+
+    def test_respond_records_its_own_commitment(self, run, workspace, message_file):
+        # the user side can rewrite commit.frame; the transcript must keep
+        # the U = r*Q_s that this session's r committed to
+        sdir = self._commit_and_blind(run, workspace, message_file, "x")
+        assert run(
+            "-w", workspace, "sign", "commit", "--signer", "alice",
+            "--session", "y", "--seed", "c2",
+        )[0] == 0
+        system = storage.load_system_params(workspace / "system.txt")
+        own = decode_message((sdir / "commit.frame").read_bytes(), system.curve).point
+        other = workspace / "sessions" / "y" / "commit.frame"
+        assert decode_message(other.read_bytes(), system.curve).point != own
+        (sdir / "commit.frame").write_bytes(other.read_bytes())
+        assert run("-w", workspace, "sign", "respond", "--session", "x", "--seed", "r")[0] == 0
+        (record,) = FileTranscriptStore(workspace / "transcripts.log", system.curve)
+        assert record.commitment == own
+
+    def test_degenerate_session(self, run, workspace, message_file, monkeypatch):
+        system = storage.load_system_params(workspace / "system.txt")
+        signer = storage.load_identity_key(workspace / "keys" / "alice.key", system)
+        (r, x, y), _ = find_tape_triples(system, signer, message_file.read_bytes())
+        q = system.curve.q
+        tapes = iter([
+            TapeRng([bytes(16), scalar_chunk(r, q)]),  # sign commit: session id, r
+            TapeRng([scalar_chunk(x, q), scalar_chunk(y, q)]),  # sign blind
+        ])
+        monkeypatch.setattr(cli, "_rng_and_clock", lambda seed: (next(tapes), LogicalClock()))
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        code, out, _ = run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")
+        assert code == 0 and "degenerate" in out
+        assert (sdir / "response.frame").exists()
+        assert not (sdir / "signer.state").exists()
+        (record,) = FileTranscriptStore(workspace / "transcripts.log", system.curve)
+        assert record.response.is_identity
+        code, out, err = run(
+            "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: degenerate response")
+        assert not (sdir / "sig.bin").exists()
 
     def test_secret_files_are_owner_only(self, run, workspace, message_file):
         # r in signer.state, with the public h1 and V, gives S_s = (r + h1)^-1 * V
@@ -522,6 +561,18 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "asset-statement" in err
+
+    @pytest.mark.parametrize("statement", ["a|b:5", "a:b|5"])
+    def test_asset_statement_separator_refused(self, run, workspace, tmp_path, statement):
+        # both would sign POA|v1|a|b|5, so a signature for one verified for the other
+        sig = tmp_path / "sig.bin"
+        code, out, err = run(
+            "-w", workspace, "sign", "run", "--signer", "alice", "--verifier", "bob",
+            "--asset-statement", statement, "--seed", "s1", "--out", sig,
+        )
+        assert code == 2 and out == ""
+        assert "--asset-statement" in err
+        assert not sig.exists()
 
     def test_bad_identity_name(self, run, workspace):
         code, _, err = run("-w", workspace, "keygen", "--id", "../evil")

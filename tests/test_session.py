@@ -2,12 +2,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dvbsig import scheme, session
-from dvbsig.curve import G1Point, point_add, scalar_mul
+from dvbsig.algebra import byte_width
+from dvbsig.curve import G1Point, decode_gt, decode_point, point_add, scalar_mul, tate_pairing
 from dvbsig.errors import DecodeError, Degenerate, DuplicateSession
 from dvbsig.rng import SeededRng
-from dvbsig.scheme import BlindedChallenge, Commitment, Response
+from dvbsig.scheme import (
+    BlindedChallenge,
+    Commitment,
+    Response,
+    Signature,
+    decode_signature,
+    encode_signature,
+)
 from dvbsig.session import (
     MAX_RETRIES,
+    TAG_TRANSCRIPT,
     FileTranscriptStore,
     LogicalClock,
     Transcript,
@@ -116,6 +125,125 @@ class TestTranscriptCodec:
         framed = encode_message(BlindedChallenge(3), toy_params)
         with pytest.raises(DecodeError, match="not a transcript"):
             decode_transcript(framed, toy_params)
+
+
+def _layout(*fields):
+    """(kind, start, end) per (kind, length), laid end to end from byte 0."""
+    out, pos = [], 0
+    for kind, n in fields:
+        out.append((kind, pos, pos + n))
+        pos += n
+    return out
+
+
+def _refused(decode, raw, params) -> bool:
+    try:
+        decode(raw, params)
+    except DecodeError:
+        return True
+    return False
+
+
+class TestFieldOffsets:
+    """Every decoder names a byte inside the field at fault; data that runs
+    out (a cut, or a length that claims more than is there) is named at its
+    end."""
+
+    def _artifacts(self, params, k, v):
+        """(blob, decode, fields, valid tags) for each binary artifact."""
+        g = params.generator
+        point, gt = 1 + 2 * byte_width(params.p), 2 * byte_width(params.p)
+        scalar = byte_width(params.q)
+        frames = [
+            (Commitment(scalar_mul(k, g)), "point", point),
+            (BlindedChallenge(v), "scalar", scalar),
+            (Response(scalar_mul(v or 1, g)), "point", point),
+        ]
+        out = [
+            (
+                encode_message(message, params),
+                decode_message,
+                _layout(("tag", 1), ("length", 4), (kind, n)),
+                {1, 2, 3},
+            )
+            for message, kind, n in frames
+        ]
+        t = Transcript(
+            session_id=bytes(range(16)),
+            signer_identity=b"alice",
+            commitment=scalar_mul(k, g),
+            challenge=v,
+            response=scalar_mul(12, g),
+            started_ms=1,
+            finished_ms=2,
+        )
+        out.append(
+            (
+                encode_transcript(t, params),
+                decode_transcript,
+                _layout(
+                    ("tag", 1), ("length", 4), ("lv", 2), ("opaque", 16), ("lv", 2),
+                    ("opaque", 5), ("point", point), ("scalar", scalar), ("point", point),
+                    ("opaque", 8), ("opaque", 8),
+                ),
+                {TAG_TRANSCRIPT},
+            )
+        )
+        signature = Signature(scalar_mul(k, g), tate_pairing(g, scalar_mul(v or 1, g), params))
+        out.append(
+            (
+                encode_signature(signature),
+                decode_signature,
+                _layout(("point", point), ("gt", gt)),
+                set(),
+            )
+        )
+        return out
+
+    def _corruption(self, params, kind, blob, start, end, tags):
+        """Bytes for blob[start:end] that the decoder must refuse."""
+        n = end - start
+        if kind == "tag":
+            return st.integers(0, 255).filter(lambda t: t not in tags).map(lambda t: bytes([t]))
+        if kind == "length":  # more payload than the frame holds
+            return st.integers(len(blob) - 4, 2**32 - 1).map(lambda x: x.to_bytes(4, "big"))
+        if kind == "lv":  # more bytes than the record has left
+            return st.integers(len(blob) - end + 1, 0xFFFF).map(lambda x: x.to_bytes(2, "big"))
+        if kind == "scalar":
+            return st.integers(params.q, 256**n - 1).map(lambda x: x.to_bytes(n, "big"))
+        decode = {"point": decode_point, "gt": decode_gt}[kind]
+        return st.binary(min_size=n, max_size=n).filter(lambda raw: _refused(decode, raw, params))
+
+    @given(data=st.data(), k=st.integers(1, 12), v=st.integers(0, 12))
+    def test_corrupt_field_named_inside_it(self, toy_params, data, k, v):
+        blob, decode, fields, tags = data.draw(
+            st.sampled_from(self._artifacts(toy_params, k, v))
+        )
+        kind, start, end = data.draw(st.sampled_from([f for f in fields if f[0] != "opaque"]))
+        raw = data.draw(self._corruption(toy_params, kind, blob, start, end, tags))
+        with pytest.raises(DecodeError) as info:
+            decode(blob[:start] + raw + blob[end:], toy_params)
+        if kind in ("length", "lv"):
+            assert info.value.position == len(blob)
+        else:
+            assert start <= info.value.position < end, (kind, start, end)
+
+    @given(data=st.data(), k=st.integers(1, 12), v=st.integers(0, 12))
+    def test_cut_named_at_end(self, toy_params, data, k, v):
+        blob, decode, _, _ = data.draw(st.sampled_from(self._artifacts(toy_params, k, v)))
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(DecodeError) as info:
+            decode(blob[:cut], toy_params)
+        assert info.value.position == cut
+
+    def test_trailing_bytes_named_at_first(self, toy_params):
+        for blob, decode, _, _ in self._artifacts(toy_params, 3, 7):
+            if decode is decode_transcript:  # a log holds records back to back
+                assert decode(blob + b"\x00", toy_params)[1] == len(blob)
+                continue
+            with pytest.raises(DecodeError, match="trailing") as info:
+                decode(blob + b"\x00", toy_params)
+            assert info.value.position == len(blob)
 
 
 class TestStateMachines:

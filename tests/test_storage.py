@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dvbsig import storage
@@ -40,6 +42,23 @@ class TestParamsFiles:
         path.write_text(tampered)
         with pytest.raises(Exception):
             storage.load_curve_params(path)
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"p": 315}, "p = 315 is not prime"),
+            ({"p": 313}, "p = 313 is not 3 mod 4"),
+            ({"cofactor": 25}, "q * cofactor != p + 1"),
+            ({"p": 7, "q": 2, "cofactor": 4}, "q divides the cofactor"),
+        ],
+    )
+    def test_structural_checks_name_file(self, toy_params, tmp_path, fields, reason):
+        # toy p = 311 = 13 * 24 - 1; 7 + 1 = 2 * 4 with 2 | 4
+        path = tmp_path / "params.txt"
+        storage.save_curve_params(dataclasses.replace(toy_params, **fields), path)
+        with pytest.raises(DecodeError) as info:
+            storage.load_curve_params(path)
+        assert str(info.value).startswith(f"{path}: {reason}")
 
     def test_system_roundtrip(self, toy_system, tmp_path):
         system, _ = toy_system
