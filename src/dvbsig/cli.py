@@ -107,7 +107,7 @@ def _load_key(ws: storage.Workspace, system, identity: str) -> KeyPair:
 
 def _read_message(path: Path, kind: type, what: str, curve) -> session.ProtocolMessage:
     """The protocol message of type `kind` in the frame file at `path`."""
-    message = session.decode_message(path.read_bytes(), curve)
+    message = storage.decode_named(path, session.decode_message, path.read_bytes(), curve)
     if not isinstance(message, kind):
         raise CommandLineError(f"{path} does not hold a {what}")
     return message
@@ -305,7 +305,8 @@ def cmd_sign_unblind(ws: storage.Workspace, args) -> int:
     _require(response_path, "response artifact (run sign respond first)")
     state_path = _require(sdir / "user.state", "user state (run sign blind first)")
     fields = storage.read_kv(state_path)
-    u_prime, _ = decode_point(storage.kv_hex(fields, "u_prime", state_path), system.curve)
+    u_prime_bytes = storage.kv_hex(fields, "u_prime", state_path)
+    u_prime, _ = storage.decode_named(state_path, decode_point, u_prime_bytes, system.curve)
     x, y, h = (storage.kv_int(fields, key, state_path) for key in ("x", "y", "h"))
     blind_state = scheme.BlindState(x=x, y=y, u_prime=u_prime, h=h, message=b"")
     response = _read_message(response_path, scheme.Response, "response", system.curve)
@@ -473,7 +474,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
     import json
 
     from .algebra import sample_unit
-    from .curve import scalar_mul, tate_pairing
+    from .curve import G1Point, in_subgroup, scalar_mul, tate_pairing
     from .scheme import MasterSecret
 
     if ws.system_file.exists():
@@ -538,6 +539,9 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
         ),
         range(n),
     )
+    # a new point object per iteration, so no order verdict kept on one is reused
+    checked = [G1Point(curve.p, a.x, a.y) for a in fresh[:n]]
+    timed("subgroup_check", lambda a: in_subgroup(a, curve.q), checked)
     return 0
 
 

@@ -251,22 +251,35 @@ def _mul_comb(p, k, x, y):
     return rx, ry
 
 
-def _mul_raw(p, k, x, y):
-    """k*(x, y) by left-to-right double-and-add in Jacobian coordinates.
+def _signed_digits(k):
+    """The non-adjacent form of k > 0 as two equal-length bit strings, top
+    digit first: k = plus - minus, with no two adjacent nonzero digits."""
+    k3 = 3 * k
+    plus, minus = (k3 & ~k) >> 1, (k & ~k3) >> 1
+    width = plus.bit_length()
+    return format(plus, f"0{width}b"), format(minus, f"0{width}b")
 
-    Additions are mixed (Jacobian plus the affine base).  The single
-    inversion happens at the affine boundary and is skipped when the result
-    is the identity, which is what every subgroup check expects.
+
+def _mul_raw(p, k, x, y):
+    """k*(x, y) by left-to-right double-and-add over the NAF digits of k.
+
+    Additions are mixed (Jacobian plus the affine base, negated for a -1
+    digit).  The single inversion happens at the affine boundary and is
+    skipped when the result is the identity, which is what every subgroup
+    check expects.
     """
     if x is None or k == 0:
         return None, None
     if k < 0:
         k, y = -k, (-y) % p
+    plus, minus = _signed_digits(k)
     tx, ty, tz = x, y, 1
-    for bit in bin(k)[3:]:
+    for up, down in zip(plus[1:], minus[1:]):
         tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
-        if bit == "1":
+        if up == "1":
             tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, x, y)
+        elif down == "1":
+            tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, x, -y % p)
     return _to_affine(p, tx, ty, tz)
 
 

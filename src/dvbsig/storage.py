@@ -53,6 +53,14 @@ def read_kv(path: Path) -> dict[str, str]:
     return parse_kv(_utf8(path.read_bytes(), path), str(path))
 
 
+def decode_named(path: Path | str, decode, data: bytes, *args):
+    """decode(data, *args), where a DecodeError also names `path`."""
+    try:
+        return decode(data, *args)
+    except DecodeError as exc:
+        raise DecodeError(f"{path}: {exc.reason}", exc.position) from None
+
+
 def _kv(fields: dict[str, str], key: str, path: Path | str, parse, kind: str):
     try:
         return parse(fields[key])
@@ -211,7 +219,7 @@ def signature_to_text(signature: Signature) -> str:
 def signature_from_text(text: str, params: CurveParams, path: str = "<text>") -> Signature:
     fields = parse_kv(text, path)
     raw = kv_hex(fields, "u_prime", path) + kv_hex(fields, "sigma", path)
-    return decode_signature(raw, params)
+    return decode_named(path, decode_signature, raw, params)
 
 
 def save_signature(signature: Signature, path: Path, text: bool = False) -> None:
@@ -226,7 +234,7 @@ def load_signature(path: Path, system: SystemParams) -> Signature:
     the UTF-8 text envelope."""
     data = path.read_bytes()
     if data[:1] in (b"\x00", b"\x04"):
-        return decode_signature(data, system.curve)
+        return decode_named(path, decode_signature, data, system.curve)
     return signature_from_text(_utf8(data, path), system.curve, str(path))
 
 

@@ -489,7 +489,7 @@ class TestBlindnessDemo:
 
 BENCH_LABELS = (
     "params_validate", "g1_scalar_mul", "g1_scalar_mul_first_use", "pairing", "pairing_first_use",
-    "map_to_point", "sign_session", "verify",
+    "map_to_point", "sign_session", "verify", "subgroup_check",
 )
 
 
@@ -640,6 +640,57 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         size = log.stat().st_size
         assert f"{log}: truncated frame header (at byte {size})" in err
+
+    def responded_session(self, run, workspace, message_file):
+        """Session s1 after commit, blind and respond; its directory."""
+        assert run(
+            "-w", workspace, "sign", "commit", "--signer", "alice", "--session", "s1",
+            "--seed", "c",
+        )[0] == 0
+        assert run(
+            "-w", workspace, "sign", "blind", "--session", "s1", "--signer", "alice",
+            "--message-file", message_file, "--seed", "b",
+        )[0] == 0
+        assert run("-w", workspace, "sign", "respond", "--session", "s1")[0] == 0
+        return workspace / "sessions" / "s1"
+
+    def test_bad_u_prime_names_user_state(self, run, workspace, message_file):
+        state = self.responded_session(run, workspace, message_file) / "user.state"
+        fields = storage.read_kv(state)
+        u_prime = bytes.fromhex(fields["u_prime"])
+        width = (len(u_prime) - 1) // 2
+        p = storage.load_system_params(workspace / "system.txt").curve.p
+        fields["u_prime"] = (u_prime[:1] + p.to_bytes(width, "big") + u_prime[1 + width :]).hex()
+        state.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
+        code, out, err = run(
+            "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
+        )
+        assert code == 3 and out == ""
+        assert f"{state}: point has coordinates out of range (at byte 1)" in err
+
+    def test_short_response_frame_named(self, run, workspace, message_file):
+        frame = self.responded_session(run, workspace, message_file) / "response.frame"
+        frame.write_bytes(frame.read_bytes()[:1])
+        code, out, err = run(
+            "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
+        )
+        assert code == 3 and out == ""
+        assert f"{frame}: truncated frame header (at byte 1)" in err
+
+    def test_short_signature_file_named(self, run, workspace, message_file, tmp_path):
+        # at toy scale the first 3 bytes hold all of U' and none of sigma
+        sig = tmp_path / "short.bin"
+        assert run(
+            "-w", workspace, "sign", "run", "--signer", "alice", "--verifier", "bob",
+            "--message-file", message_file, "--seed", "s1", "--out", sig,
+        )[0] == 0
+        sig.write_bytes(sig.read_bytes()[:3])
+        code, out, err = run(
+            "-w", workspace, "verify", "--verifier", "bob", "--signer", "alice",
+            "--message-file", message_file, "--sig", sig,
+        )
+        assert code == 3 and out == ""
+        assert f"{sig}: truncated pairing-value encoding (at byte 3)" in err
 
     def test_message_file_is_a_directory(self, run, workspace, tmp_path):
         code, out, err = run(

@@ -4,9 +4,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dvbsig import curve
-from dvbsig.algebra import Fp2Element
+from dvbsig.algebra import Fp2Element, sqrt_mod
 from dvbsig.curve import (
     G1Point,
     _mul_raw,
@@ -56,6 +57,17 @@ def mul_oracle(p, k, a):
     for _ in range(k):
         acc = add_oracle(p, acc, a)
     return acc
+
+
+def assert_naf(k):
+    """`_signed_digits(k)` is the non-adjacent form of k."""
+    plus, minus = curve._signed_digits(k)
+    assert len(plus) == len(minus) and plus[0] == "1"
+    up, down = int(plus, 2), int(minus, 2)
+    assert up - down == k
+    assert up & down == 0
+    nonzero = up | down
+    assert nonzero & (nonzero >> 1) == 0
 
 
 def as_pair(point):
@@ -243,6 +255,14 @@ class TestGroupLaw:
             for k in range(2 * Q + 2):
                 assert _mul_raw(P, k, x, y) == (mul_oracle(P, k, pt) or (None, None))
                 assert _mul_raw(P, -k, x, y) == (mul_oracle(P, k, neg) or (None, None))
+
+    def test_signed_digits_small_scalars(self):
+        for k in range(1, 10**4 + 1):
+            assert_naf(k)
+
+    @given(st.integers(min_value=2**399, max_value=2**400 - 1))
+    def test_signed_digits_wide_scalars(self, k):
+        assert_naf(k)
 
     def test_point_add_matches_oracle_on_every_pair(self, toy_params):
         # every ordered pair of the 312 points: P + P, P + (-P), the 2-torsion
@@ -490,6 +510,24 @@ class TestHashToPoint:
             pt = hash_to_point(f"id-{i}".encode(), toy_params)
             seen.add((pt.x, pt.y))
         assert len(seen) == Q - 1
+
+    def test_cofactor_clearing_adds_once_per_naf_digit(self, monkeypatch):
+        # the production cofactor has 167 one-bits but 11 nonzero NAF digits;
+        # the top digit starts the ladder and each other one is a mixed addition
+        params = params_for_subgroup_order(
+            2**159 + 2**17 + 1, b"acceptance-production-scale", p_bits=512
+        )
+        h, p = params.cofactor, params.p
+        assert (h.bit_length(), bin(h).count("1")) == (352, 167)
+        x = next(x for x in range(1, p) if sqrt_mod((x * x * x + x) % p, p) is not None)
+        y = sqrt_mod((x * x * x + x) % p, p)
+        calls = []
+        add_mixed = curve._add_mixed
+        monkeypatch.setattr(curve, "_add_mixed", lambda *a: calls.append(a) or add_mixed(*a))
+        point = curve._clear_cofactor(params, x, y)
+        assert len(calls) == 10
+        monkeypatch.undo()
+        assert not point.is_identity and scalar_mul(params.q, point).is_identity
 
 
 class TestEncodings:
