@@ -9,7 +9,6 @@ Values are plain Python integers wrapped in small immutable dataclasses, so a
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 from .errors import DomainError, InversionOfZero, ParamMismatch
@@ -36,6 +35,15 @@ def mod_inv(a: int, m: int) -> int:
     if a == 0:
         raise InversionOfZero(f"0 has no inverse mod {m}")
     return pow(a, -1, m)
+
+
+def _signed_digits(k: int) -> tuple[str, str]:
+    """The non-adjacent form (NAF) of k >= 0 as two equal-length bit strings,
+    top digit first: k = plus - minus, no two adjacent digits nonzero."""
+    k3 = 3 * k
+    plus, minus = (k3 & ~k) >> 1, (k & ~k3) >> 1
+    width = plus.bit_length()
+    return format(plus, f"0{width}b"), format(minus, f"0{width}b")
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
@@ -153,9 +161,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # field elements
 
-# a zero bit, or a window of at most 4 bits that starts and ends with a 1
-_WINDOWS = re.compile("0|1(?:[01]{0,2}1)?")
-
 
 @dataclass(frozen=True)
 class Fp2Element:
@@ -212,30 +217,22 @@ class Fp2Element:
         return Fp2Element(self.a * inv % self.p, -self.b * inv % self.p, self.p)
 
     def __pow__(self, exponent: int) -> Fp2Element:
-        """Left-to-right sliding-window powering on plain ints: windows of up
-        to 4 bits that end in a 1 multiply by one of the odd powers x, x^3,
-        ..., x^15, built only as far as the largest window needs.  Squaring
-        is (a + b)(a - b) + 2ab*i."""
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
+        """self^exponent for exponent >= 0 and a self of norm a^2 + b^2 = 1, as
+        every pairing value has, so that its inverse is its conjugate: square
+        and multiply over exponent's NAF digits, a -1 digit multiplying by
+        the conjugate.  Squaring is (a + b)(a - b) + 2ab*i."""
         a, b, p = self.a, self.b, self.p
-        windows = _WINDOWS.findall(bin(exponent)[2:])
-        sa, sb = (a + b) * (a - b) % p, 2 * a * b % p
-        odd = [(a, b)]
-        for _ in range(max(int(w, 2) for w in windows) >> 1):
-            ua, ub = odd[-1]
-            odd.append(((ua * sa - ub * sb) % p, (ua * sb + ub * sa) % p))
+        if (a * a + b * b) % p != 1 or exponent < 0:
+            raise DomainError(f"F_p2 power {exponent} needs exponent >= 0 and a base of norm 1")
+        plus, minus = _signed_digits(exponent)
         ra, rb = 1, 0
-        for window in windows:
-            for _ in window:
-                ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
-            if window != "0":
-                ua, ub = odd[int(window, 2) >> 1]
-                ra, rb = (ra * ua - rb * ub) % p, (ra * ub + rb * ua) % p
+        for up, down in zip(plus, minus):
+            ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
+            if up == "1":
+                ra, rb = (ra * a - rb * b) % p, (ra * b + rb * a) % p
+            elif down == "1":
+                ra, rb = (ra * a + rb * b) % p, (rb * a - ra * b) % p
         return Fp2Element(ra, rb, p)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0

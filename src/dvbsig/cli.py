@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import scheme, session, storage
 from .curve import (
-    decode_point,
+    Reader,
     generate_params,
     hash_to_point,
     params_for_subgroup_order,
@@ -264,7 +264,7 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     _fresh(response_path, "response artifact")
     fields = storage.read_kv(state_path)
     signer_name = _identity(storage.kv_text(fields, "signer", state_path))
-    r = storage.kv_int(fields, "r", state_path)
+    r = storage.kv_unit(fields, "r", state_path, system.curve.q)
     session_id = storage.kv_hex(fields, "session_id", state_path)
     if len(session_id) != (size := session.SESSION_ID_BYTES):
         raise DecodeError(f"{state_path}: field 'session_id' is not {size} bytes")
@@ -305,9 +305,11 @@ def cmd_sign_unblind(ws: storage.Workspace, args) -> int:
     _require(response_path, "response artifact (run sign respond first)")
     state_path = _require(sdir / "user.state", "user state (run sign blind first)")
     fields = storage.read_kv(state_path)
-    u_prime_bytes = storage.kv_hex(fields, "u_prime", state_path)
-    u_prime, _ = storage.decode_named(state_path, decode_point, u_prime_bytes, system.curve)
-    x, y, h = (storage.kv_int(fields, key, state_path) for key in ("x", "y", "h"))
+    reader = Reader(storage.kv_hex(fields, "u_prime", state_path))
+    u_prime = storage.decode_named(state_path, reader.point, system.curve)
+    storage.decode_named(state_path, reader.done, "after the point in field 'u_prime'")
+    x = storage.kv_unit(fields, "x", state_path, system.curve.q)
+    y, h = (storage.kv_int(fields, key, state_path) for key in ("y", "h"))
     blind_state = scheme.BlindState(x=x, y=y, u_prime=u_prime, h=h, message=b"")
     response = _read_message(response_path, scheme.Response, "response", system.curve)
     if response.degenerate:
@@ -475,6 +477,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
 
     from .algebra import sample_unit
     from .curve import G1Point, in_subgroup, scalar_mul, tate_pairing
+    from .curve import _final_exponentiation, _miller_loop
     from .scheme import MasterSecret
 
     if ws.system_file.exists():
@@ -542,6 +545,8 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
     # a new point object per iteration, so no order verdict kept on one is reused
     checked = [G1Point(curve.p, a.x, a.y) for a in fresh[:n]]
     timed("subgroup_check", lambda a: in_subgroup(a, curve.q), checked)
+    loops = [_miller_loop(curve.q, curve.p, base.x, base.y, b.x, b.y) for b in fresh[n:]]
+    timed("final_exponentiation", lambda f: _final_exponentiation(f, curve), loops)
     return 0
 
 

@@ -31,7 +31,7 @@ import hashlib
 from dataclasses import dataclass
 
 from . import meter
-from .algebra import Fp2Element, byte_width, encode_int, is_prime, sqrt_mod
+from .algebra import Fp2Element, _signed_digits, byte_width, encode_int, is_prime, sqrt_mod
 from .errors import (
     DecodeError,
     HashToPointFailed,
@@ -251,15 +251,6 @@ def _mul_comb(p, k, x, y):
     return rx, ry
 
 
-def _signed_digits(k):
-    """The non-adjacent form of k > 0 as two equal-length bit strings, top
-    digit first: k = plus - minus, with no two adjacent nonzero digits."""
-    k3 = 3 * k
-    plus, minus = (k3 & ~k) >> 1, (k & ~k3) >> 1
-    width = plus.bit_length()
-    return format(plus, f"0{width}b"), format(minus, f"0{width}b")
-
-
 def _mul_raw(p, k, x, y):
     """k*(x, y) by left-to-right double-and-add over the NAF digits of k.
 
@@ -423,7 +414,7 @@ def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Eleme
 
 
 def _final_exponentiation(f: Fp2Element, params: CurveParams) -> Fp2Element:
-    # (p^2 - 1)/q = (p - 1) * cofactor; x^(p-1) = conj(x)/x via Frobenius.
+    # (p^2 - 1)/q = (p - 1) * cofactor; x^(p-1) = conj(x)/x has norm 1
     g = f.conjugate() * f.inverse()
     return g**params.cofactor
 
@@ -583,8 +574,9 @@ def decode_gt(data: bytes, params: CurveParams, offset: int = 0) -> tuple[GTElem
         raise DecodeError("real component out of range", offset)
     if b >= params.p:
         raise DecodeError("imaginary component out of range", offset + w)
+    # q does not divide p - 1, so an element of order q has norm a^2 + b^2 = 1
     value = Fp2Element(a, b, params.p)
-    if value.is_zero() or not (value**params.q).is_one():
+    if (a * a + b * b) % params.p != 1 or not (value**params.q).is_one():
         raise DecodeError("value outside the order-q subgroup of F_p2^*", offset)
     return GTElement(value), 2 * w
 

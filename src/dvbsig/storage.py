@@ -53,10 +53,10 @@ def read_kv(path: Path) -> dict[str, str]:
     return parse_kv(_utf8(path.read_bytes(), path), str(path))
 
 
-def decode_named(path: Path | str, decode, data: bytes, *args):
-    """decode(data, *args), where a DecodeError also names `path`."""
+def decode_named(path: Path | str, decode, *args):
+    """decode(*args), where a DecodeError also names `path`."""
     try:
-        return decode(data, *args)
+        return decode(*args)
     except DecodeError as exc:
         raise DecodeError(f"{path}: {exc.reason}", exc.position) from None
 
@@ -77,6 +77,14 @@ def kv_int(fields: dict[str, str], key: str, path: Path | str, default: int | No
     if default is not None and key not in fields:
         return default
     return _kv(fields, key, path, int, "a decimal integer")
+
+
+def kv_unit(fields: dict[str, str], key: str, path: Path | str, q: int) -> int:
+    """Field `key` as a decimal integer in [1, q - 1], checked like `kv_int`."""
+    value = kv_int(fields, key, path)
+    if not 0 < value < q:
+        raise DecodeError(f"{path}: field {key!r} is not in [1, q - 1]")
+    return value
 
 
 def kv_hex(fields: dict[str, str], key: str, path: Path | str) -> bytes:
@@ -179,12 +187,8 @@ def save_master_secret(msk: MasterSecret, path: Path) -> None:
 
 
 def load_master_secret(path: Path, q: int) -> MasterSecret:
-    """The master secret s of a curve with subgroup order q; s outside
-    [1, q - 1] is a DecodeError naming the file and the field."""
-    s = kv_int(read_kv(path), "s", path)
-    if not 0 < s < q:
-        raise DecodeError(f"{path}: field 's' is not in [1, q - 1]")
-    return MasterSecret(s=s)
+    """The master secret s in [1, q - 1] of a curve with subgroup order q."""
+    return MasterSecret(s=kv_unit(read_kv(path), "s", path, q))
 
 
 def save_identity_key(key: KeyPair, path: Path) -> None:

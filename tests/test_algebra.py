@@ -17,7 +17,7 @@ from dvbsig.algebra import (
 )
 from dvbsig.errors import DomainError, InversionOfZero, ParamMismatch
 from dvbsig.rng import SeededRng
-from tests.test_curve import legendre
+from tests.test_curve import legendre, pow_oracle
 
 SIEVE_LIMIT = 10**5
 
@@ -43,6 +43,11 @@ P = 311  # toy curve modulus, 3 mod 4
 Q = 13  # toy subgroup order
 
 fp_values = st.integers(min_value=0, max_value=P - 1)
+
+
+def unit_norm(x):
+    """conj(x)/x, an element of norm 1."""
+    return x.conjugate() * x.inverse()
 
 
 class TestModInv:
@@ -127,24 +132,24 @@ class TestFp2:
     @given(fp_values, fp_values)
     def test_lagrange_order(self, a, b):
         x = Fp2Element(a, b, P)
-        if not x.is_zero():
-            assert (x ** (P * P - 1)).is_one()
+        if x != Fp2Element.zero(P):
+            assert pow_oracle(x, P * P - 1).is_one()
 
     @given(fp_values, fp_values)
     def test_inverse_roundtrip(self, a, b):
         x = Fp2Element(a, b, P)
-        if not x.is_zero():
+        if x != Fp2Element.zero(P):
             assert (x * x.inverse()).is_one()
-            assert x ** (-2) == (x.inverse()) ** 2
+            assert (pow_oracle(x, 2) * pow_oracle(x.inverse(), 2)).is_one()
 
     def test_conjugate_is_frobenius(self):
         x = Fp2Element(123, 45, P)
-        assert x.conjugate() == x**P
+        assert x.conjugate() == pow_oracle(x, P)
 
     def test_pow_matches_repeated_multiplication(self):
-        # exponents 0..300 meet every window (1, 11, 101, 111, ..., 1111) and
-        # zero runs between windows
-        x = Fp2Element(123, 45, P)
+        # exponents 0..300 take in every one below 2^8, so every NAF digit
+        # string of up to 9 digits that such an exponent has, -1 digits too
+        x = unit_norm(Fp2Element(123, 45, P))
         acc = Fp2Element.one(P)
         for e in range(301):
             assert x**e == acc
@@ -153,11 +158,31 @@ class TestFp2:
     def test_pow_exponent_laws_at_wide_moduli(self):
         p = 2**521 - 1  # prime, 3 mod 4
         rnd = random.Random(11)
-        x = Fp2Element(rnd.getrandbits(520), rnd.getrandbits(520), p)
+        x = unit_norm(Fp2Element(rnd.getrandbits(520), rnd.getrandbits(520), p))
         for _ in range(4):
             e1, e2 = rnd.getrandbits(352), rnd.getrandbits(352)
             assert x ** (e1 + e2) == x**e1 * x**e2
             assert x ** (e1 * e2) == (x**e1) ** e2
+
+    def test_pow_by_production_cofactor_and_order(self):
+        # the final exponentiation's cofactor (167 one-bits, 11 NAF digits)
+        # and decode_gt's q, against square-and-multiply
+        q = 2**159 + 2**17 + 1
+        p = 12 * q * PRODUCTION_R - 1
+        rnd = random.Random(13)
+        for _ in range(5):
+            x = unit_norm(Fp2Element(rnd.randrange(1, p), rnd.randrange(p), p))
+            for e in (12 * PRODUCTION_R, q):
+                assert x**e == pow_oracle(x, e)
+
+    def test_pow_refuses_other_norms_and_negative_exponents(self):
+        for x in (Fp2Element.zero(P), Fp2Element(2, 0, P), Fp2Element(123, 45, P)):
+            with pytest.raises(DomainError):
+                x**3
+            with pytest.raises(DomainError):
+                x**0
+        with pytest.raises(DomainError):
+            unit_norm(Fp2Element(123, 45, P)) ** -1
 
 
 class TestEncoding:

@@ -489,7 +489,7 @@ class TestBlindnessDemo:
 
 BENCH_LABELS = (
     "params_validate", "g1_scalar_mul", "g1_scalar_mul_first_use", "pairing", "pairing_first_use",
-    "map_to_point", "sign_session", "verify", "subgroup_check",
+    "map_to_point", "sign_session", "verify", "subgroup_check", "final_exponentiation",
 )
 
 
@@ -641,8 +641,8 @@ class TestErrorPaths:
         size = log.stat().st_size
         assert f"{log}: truncated frame header (at byte {size})" in err
 
-    def responded_session(self, run, workspace, message_file):
-        """Session s1 after commit, blind and respond; its directory."""
+    def blinded_session(self, run, workspace, message_file):
+        """Session s1 after commit and blind; its directory."""
         assert run(
             "-w", workspace, "sign", "commit", "--signer", "alice", "--session", "s1",
             "--seed", "c",
@@ -651,8 +651,55 @@ class TestErrorPaths:
             "-w", workspace, "sign", "blind", "--session", "s1", "--signer", "alice",
             "--message-file", message_file, "--seed", "b",
         )[0] == 0
-        assert run("-w", workspace, "sign", "respond", "--session", "s1")[0] == 0
         return workspace / "sessions" / "s1"
+
+    def responded_session(self, run, workspace, message_file):
+        """Session s1 after commit, blind and respond; its directory."""
+        sdir = self.blinded_session(run, workspace, message_file)
+        assert run("-w", workspace, "sign", "respond", "--session", "s1")[0] == 0
+        return sdir
+
+    @staticmethod
+    def rewrite_field(path, key, value):
+        fields = storage.read_kv(path)
+        fields[key] = value
+        path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+
+    def test_u_prime_trailing_bytes_refused(self, run, workspace, message_file):
+        sdir = self.responded_session(run, workspace, message_file)
+        state = sdir / "user.state"
+        self.rewrite_field(state, "u_prime", storage.read_kv(state)["u_prime"] + "deadbeef")
+        code, out, err = run(
+            "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
+        )
+        assert code == 3 and out == ""
+        assert f"{state}: trailing bytes after the point in field 'u_prime'" in err
+        assert not (sdir / "sig.bin").exists()
+
+    @pytest.mark.parametrize("times_q, plus", [(0, 0), (0, -7), (1, 7)], ids=["0", "-7", "q+7"])
+    def test_commitment_exponent_out_of_range(self, run, workspace, message_file, times_q, plus):
+        # r = q + 7 would log the commitment of r = 7 under a second challenge
+        q = storage.load_system_params(workspace / "system.txt").curve.q
+        state = self.blinded_session(run, workspace, message_file) / "signer.state"
+        self.rewrite_field(state, "r", times_q * q + plus)
+        code, out, err = run("-w", workspace, "sign", "respond", "--session", "s1")
+        assert code == 3 and out == ""
+        assert f"{state}: field 'r' is not in [1, q - 1]" in err
+        assert not (workspace / "transcripts.log").exists()
+        assert not (state.parent / "response.frame").exists()
+
+    @pytest.mark.parametrize("times_q", [0, 1], ids=["0", "q"])
+    def test_blinding_factor_out_of_range(self, run, workspace, message_file, times_q):
+        # x = 0 unblinds to a signature that verifies INVALID
+        q = storage.load_system_params(workspace / "system.txt").curve.q
+        sdir = self.responded_session(run, workspace, message_file)
+        self.rewrite_field(sdir / "user.state", "x", times_q * q)
+        code, out, err = run(
+            "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
+        )
+        assert code == 3 and out == ""
+        assert f"{sdir / 'user.state'}: field 'x' is not in [1, q - 1]" in err
+        assert not (sdir / "sig.bin").exists()
 
     def test_bad_u_prime_names_user_state(self, run, workspace, message_file):
         state = self.responded_session(run, workspace, message_file) / "user.state"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dvbsig import curve
-from dvbsig.algebra import Fp2Element, sqrt_mod
+from dvbsig.algebra import Fp2Element, _signed_digits, sqrt_mod
 from dvbsig.curve import (
     G1Point,
     _mul_raw,
@@ -61,7 +61,7 @@ def mul_oracle(p, k, a):
 
 def assert_naf(k):
     """`_signed_digits(k)` is the non-adjacent form of k."""
-    plus, minus = curve._signed_digits(k)
+    plus, minus = _signed_digits(k)
     assert len(plus) == len(minus) and plus[0] == "1"
     up, down = int(plus, 2), int(minus, 2)
     assert up - down == k
@@ -93,6 +93,17 @@ def off_subgroup_point(p, q):
     return next(
         G1Point(p, *pt) for pt in all_points(p)[1:] if pt[1] and mul_oracle(p, q, pt) is not None
     )
+
+
+def pow_oracle(x, e):
+    """x^e in F_p2 by right-to-left square-and-multiply, for any x and e >= 0;
+    `Fp2Element.__pow__` takes only elements of norm 1."""
+    acc = Fp2Element.one(x.p)
+    while e:
+        if e & 1:
+            acc = acc * x
+        x, e = x * x, e >> 1
+    return acc
 
 
 def miller_oracle(params, a, b):
@@ -127,7 +138,7 @@ def miller_oracle(params, a, b):
         if bit == "1":
             f = f * line(t, (a.x, a.y))
             t = add_oracle(p, t, (a.x, a.y))
-    return f ** ((p * p - 1) // q)
+    return pow_oracle(f, (p * p - 1) // q)
 
 
 class TestParameterSearch:
@@ -345,7 +356,7 @@ class TestTatePairing:
             a = scalar_mul(rnd.randrange(1, Q), g)
             b = scalar_mul(rnd.randrange(1, Q), g)
             e = tate_pairing(a, b, toy_params)
-            assert (e**Q).is_one and not e.value.is_zero()
+            assert (e**Q).is_one and e.value != Fp2Element.zero(P)
 
     def test_mid_size_bilinearity(self, mid_params):
         g = mid_params.generator
@@ -579,9 +590,25 @@ class TestEncodings:
             decode_gt(b"\x00\x00\x00\x00", toy_params)  # zero: not in the group
         # nonzero but wrong multiplicative order
         bad = Fp2Element(2, 0, P)
-        assert not (bad**Q).is_one()
+        assert not pow_oracle(bad, Q).is_one()
         with pytest.raises(DecodeError):
             decode_gt(bad.encode(), toy_params)
+
+    def test_gt_decode_checks_norm_before_powering(self, toy_params, monkeypatch):
+        # 2 has norm 4, so it is refused without a power by q
+        calls = []
+        power = Fp2Element.__pow__
+        monkeypatch.setattr(Fp2Element, "__pow__", lambda x, e: calls.append(e) or power(x, e))
+        with pytest.raises(DecodeError, match="outside the order-q subgroup"):
+            decode_gt(Fp2Element(2, 0, P).encode(), toy_params)
+        assert calls == []
+
+    def test_gt_decode_refuses_norm_one_of_other_order(self, toy_params):
+        # i has norm 1 and order 4, which does not divide q
+        i = Fp2Element(0, 1, P)
+        assert pow_oracle(i, 4).is_one() and not pow_oracle(i, Q).is_one()
+        with pytest.raises(DecodeError, match="outside the order-q subgroup"):
+            decode_gt(i.encode(), toy_params)
 
 
 class TestPinnedOutputs:
