@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import scheme
-from .curve import G1Point, _add_mixed, _to_affine, point_add, scalar_mul, tate_pairing
+from .curve import G1Point, _add_jacobian, _to_affine, point_add, scalar_mul, tate_pairing
 from .errors import Degenerate, DomainError, RefusedTooLarge
 from .algebra import mod_inv
 from .scheme import Signature, SystemParams
@@ -225,7 +225,7 @@ def dlog_bruteforce(base: G1Point, target: G1Point, order: int) -> int | None:
     for k in range(order):
         if _to_affine(p, tx, ty, tz) == (target.x, target.y):
             return k
-        tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, base.x, base.y)
+        tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, base.x, base.y)
     return None
 
 

@@ -268,13 +268,15 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     session_id = storage.kv_hex(fields, "session_id", state_path)
     if len(session_id) != (size := session.SESSION_ID_BYTES):
         raise DecodeError(f"{state_path}: field 'session_id' is not {size} bytes")
+    started = storage.kv_int(fields, "started_ms", state_path, default=0)
+    if not 0 <= started <= 2**64 - 2:  # the log's 8 bytes hold it and finished = started + 1
+        raise DecodeError(f"{state_path}: field 'started_ms' is not in [0, 2^64 - 2]")
     signer = _load_key(ws, system, signer_name)
     challenge = _read_message(challenge_path, scheme.BlindedChallenge, "challenge", system.curve)
     # U is the commitment to this state's r, r*Q_s, whatever commit.frame
     # (which the user side can rewrite) holds now
     commitment = scalar_mul(r, signer.public)
     response = scheme.sign_respond(system, scheme.SignerState(r=r, key=signer), challenge)
-    started = storage.kv_int(fields, "started_ms", state_path, default=0)
     finished = started + 1 if args.seed else session.wall_clock_ms()
     store = FileTranscriptStore(ws.transcript_log, system.curve)
     # the transcript is recorded before the response leaves: a session id
@@ -476,7 +478,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
     import json
 
     from .algebra import sample_unit
-    from .curve import G1Point, in_subgroup, scalar_mul, tate_pairing
+    from .curve import G1Point, decode_point, in_subgroup, scalar_mul, tate_pairing
     from .curve import _final_exponentiation, _miller_loop
     from .scheme import MasterSecret
 
@@ -545,6 +547,9 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
     # a new point object per iteration, so no order verdict kept on one is reused
     checked = [G1Point(curve.p, a.x, a.y) for a in fresh[:n]]
     timed("subgroup_check", lambda a: in_subgroup(a, curve.q), checked)
+    # decode_point of an encoding seen once (an order-q check), then a first product
+    encoded = [(k, a.encode()) for k, a in zip(scalars, fresh[n:])]
+    timed("checked_product", lambda e: scalar_mul(e[0], decode_point(e[1], curve)[0]), encoded)
     loops = [_miller_loop(curve.q, curve.p, base.x, base.y, b.x, b.y) for b in fresh[n:]]
     timed("final_exponentiation", lambda f: _final_exponentiation(f, curve), loops)
     return 0

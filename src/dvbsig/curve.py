@@ -15,8 +15,10 @@ coordinates (x, y) = (X/Z^2, Y/Z^3), so each inverts at most once.
 Long-lived points are precomputed once, on first use, into bounded
 `functools.lru_cache`s keyed by their exact affine coordinates: a fixed-base
 comb table per `scalar_mul` base and scalar width, and the Miller line
-coefficients per first pairing argument.  Every cached value is a pure
-function of its key, so results are the same cold or warm.
+coefficients per first pairing argument.  An order-q check sums over the
+point's cached doubling chain 2^i*P, which that point object's first product
+reuses.  Every cached value is a pure function of its key, so results are
+the same cold or warm.
 
 A point from outside the program is accepted by one rule, `point_fault`;
 a point object keeps its own order-q verdict.  Binary artifacts are read
@@ -150,18 +152,24 @@ def _double_jacobian(p, x, y, z):
     return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p, m, zz, yy
 
 
-def _add_mixed(p, tx, ty, tz, x, y):
-    """(X, Y, Z) + (x, y) for an affine, non-identity (x, y), plus R.
+def _add_jacobian(p, tx, ty, tz, x, y, z=1):
+    """(X, Y, Z) + (x, y, z), plus R; Z = 0 on either side is the identity.
 
-    H = x*Z^2 - X, R = y*Z^3 - Y and Z' = Z*H, so the chord through both
-    points has slope R/Z'.  T = O gives (x, y, 1); T = -(x, y) gives Z' = 0;
-    T = (x, y) doubles and returns the tangent's M as R, with Z' = 2YZ.
+    U = X*z^2, S = Y*z^3, H = x*Z^2 - U, R = y*Z^3 - S and Z' = Z*z*H, so
+    for an affine (x, y, 1) the chord through both points has slope R/Z'.
+    T = -(x, y, z) gives Z' = 0; T = (x, y, z) doubles and returns the
+    tangent's M as R, with Z' = 2YZ.
     """
+    if not z:
+        return tx, ty, tz, 0
     if not tz:
-        return x, y, 1, 0
+        return x, y, z, 0
     zz = tz * tz % p
-    h = (x * zz - tx) % p
-    r = (y * zz * tz - ty) % p
+    h, r = x * zz, y * zz * tz
+    if z != 1:
+        zz = z * z % p
+        tx, ty, tz = tx * zz % p, ty * zz * z % p, tz * z % p
+    h, r = (h - tx) % p, (r - ty) % p
     if h == 0:
         if r:
             return 1, 1, 0, r
@@ -225,7 +233,7 @@ def _comb_table(p, x, y, d):
         top = i.bit_length() - 1
         bx, by = bases[top]
         tx, ty, tz = sums[i - (1 << top)]
-        sums.append((tx, ty, tz) if bx is None else _add_mixed(p, tx, ty, tz, bx, by)[:3])
+        sums.append((tx, ty, tz) if bx is None else _add_jacobian(p, tx, ty, tz, bx, by)[:3])
     return tuple(_batch_to_affine(p, sums))
 
 
@@ -244,33 +252,46 @@ def _mul_comb(p, k, x, y):
             tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
         ax, ay = table[int(b3 + b2 + b1 + b0, 2)]
         if ax is not None:
-            tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, ax, ay)
+            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, ax, ay)
     rx, ry = _to_affine(p, tx, ty, tz)
     if k < 0 and rx is not None:
         ry = -ry % p
     return rx, ry
 
 
-def _mul_raw(p, k, x, y):
-    """k*(x, y) by left-to-right double-and-add over the NAF digits of k.
+@functools.lru_cache(maxsize=2)
+def _doubling_chain(p, x, y, n):
+    """2^i*(x, y) for i < n, in Jacobian coordinates; a checked point's chain
+    waits here for that point's first product."""
+    tx, ty, tz = x, y, 1
+    chain = [(tx, ty, tz)]
+    for _ in range(n - 1):
+        tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
+        chain.append((tx, ty, tz))
+    return tuple(chain)
 
-    Additions are mixed (Jacobian plus the affine base, negated for a -1
-    digit).  The single inversion happens at the affine boundary and is
-    skipped when the result is the identity, which is what every subgroup
-    check expects.
+
+def _mul_raw(p, k, x, y, q=0):
+    """k*(x, y) right to left: the signed sum of the entries 2^i*(x, y) of
+    the base's cached doubling chain at the NAF digits of k.
+
+    The chain runs to the NAF length of the larger of |k| and q; NAF length
+    is monotone, so an order-q check and the checked point's first product
+    by any |k| <= q share one chain.  The single inversion is skipped when
+    the result is the identity, which is what every subgroup check expects.
     """
     if x is None or k == 0:
         return None, None
+    plus, minus = _signed_digits(abs(k))
     if k < 0:
-        k, y = -k, (-y) % p
-    plus, minus = _signed_digits(k)
-    tx, ty, tz = x, y, 1
-    for up, down in zip(plus[1:], minus[1:]):
-        tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
+        plus, minus = minus, plus
+    n = max(len(plus), len(_signed_digits(q)[0]))
+    tx, ty, tz = 1, 1, 0
+    for up, down, (cx, cy, cz) in zip(plus[::-1], minus[::-1], _doubling_chain(p, x, y, n)):
         if up == "1":
-            tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, x, y)
+            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, cx, cy, cz)
         elif down == "1":
-            tx, ty, tz, _ = _add_mixed(p, tx, ty, tz, x, -y % p)
+            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, cx, -cy % p, cz)
     return _to_affine(p, tx, ty, tz)
 
 
@@ -278,9 +299,9 @@ def in_subgroup(point: G1Point, q: int) -> bool:
     """True when q*point is the identity (the identity itself included).
 
     One ladder through `_mul_raw` per point object: the (frozen) point keeps
-    its verdict for q, so a point that `decode_point` checked is not checked
-    again by `scheme.blind` / `unblind`.  Range and curve membership are
-    `point_fault`'s checks.
+    its verdict for q, so `scheme.blind` / `unblind` reuse `decode_point`'s,
+    and its first `scalar_mul` reuses the ladder's doubling chain.  Range and
+    curve membership are `point_fault`'s checks.
     """
     if point.is_identity:
         return True
@@ -288,7 +309,7 @@ def in_subgroup(point: G1Point, q: int) -> bool:
     if known is not None and known[0] == q:
         return known[1]
     verdict = _mul_raw(point.p, q, point.x, point.y)[0] is None
-    object.__setattr__(point, "_order_q", (q, verdict))
+    vars(point).update(_order_q=(q, verdict), _chain_q=q)
     return verdict
 
 
@@ -329,17 +350,21 @@ def point_add(a: G1Point, b: G1Point) -> G1Point:
     meter.tally(meter.G1_GROUP_OP)
     if b.is_identity:
         return a
-    x, y, z, _ = _add_mixed(a.p, a.x, a.y, 0 if a.is_identity else 1, b.x, b.y)
+    x, y, z, _ = _add_jacobian(a.p, a.x, a.y, 0 if a.is_identity else 1, b.x, b.y)
     return G1Point(a.p, *_to_affine(a.p, x, y, z))
 
 
 def scalar_mul(k: int, a: G1Point) -> G1Point:
-    """k*A by a fixed-base comb over A's cached table; counts as one G1
-    scalar multiplication."""
+    """k*A by a fixed-base comb over A's cached table, or, for the first
+    product of an order-checked A with |k| <= q, over the check's doubling
+    chain; counts as one G1 scalar multiplication."""
     _require_on_curve(a)
     meter.tally(meter.G1_SCALAR_MUL)
+    chain_q = vars(a).pop("_chain_q", 0)
     if a.is_identity or k == 0:
         return G1Point.identity(a.p)
+    if abs(k) <= chain_q:
+        return G1Point(a.p, *_mul_raw(a.p, k, a.x, a.y, chain_q))
     return G1Point(a.p, *_mul_comb(a.p, k, a.x, a.y))
 
 
@@ -386,7 +411,7 @@ def _miller_lines(q: int, p: int, ax: int, ay: int) -> tuple:
             # T = O has no chord and T = -A a vertical one (in F_p): both
             # are skipped
             chord = tz
-            tx, ty, tz, r = _add_mixed(p, tx, ty, tz, ax, ay)
+            tx, ty, tz, r = _add_jacobian(p, tx, ty, tz, ax, ay)
             if chord and tz:
                 lines.append((r, r * ax - ay * tz, tz))
         steps.append(tuple(lines))
@@ -424,8 +449,18 @@ def _final_exponentiation(f: Fp2Element, params: CurveParams) -> Fp2Element:
 
 
 def _clear_cofactor(params: CurveParams, x: int, y: int) -> G1Point:
-    px, py = _mul_raw(params.p, params.cofactor, x, y)
-    return G1Point(params.p, px, py)
+    """cofactor*(x, y) left to right over the cofactor's NAF digits: mixed
+    additions of (x, +-y) make it cheaper than summing a doubling chain."""
+    p = params.p
+    plus, minus = _signed_digits(params.cofactor)
+    tx, ty, tz = x, y, 1
+    for up, down in zip(plus[1:], minus[1:]):
+        tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
+        if up == "1":
+            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, x, y)
+        elif down == "1":
+            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, x, -y % p)
+    return G1Point(p, *_to_affine(p, tx, ty, tz))
 
 
 def _try_and_increment(data: bytes, params: CurveParams) -> G1Point:

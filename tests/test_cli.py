@@ -489,7 +489,8 @@ class TestBlindnessDemo:
 
 BENCH_LABELS = (
     "params_validate", "g1_scalar_mul", "g1_scalar_mul_first_use", "pairing", "pairing_first_use",
-    "map_to_point", "sign_session", "verify", "subgroup_check", "final_exponentiation",
+    "map_to_point", "sign_session", "verify", "subgroup_check", "checked_product",
+    "final_exponentiation",
 )
 
 
@@ -510,7 +511,8 @@ class TestBench:
             assert row["iterations"] == 2 and row["params"] == label and row["ms"] >= 0
 
     def test_bench_scalars_and_bases(self, run, tmp_path, monkeypatch):
-        # full-width scalars; the first-use row takes a new base each time
+        # full-width scalars; the first-use and checked-product rows take a
+        # new base each time
         ws = tmp_path / "ws"
         assert run("-w", ws, "params", "gen", "--q-bits", 32, "--seed", "bench")[0] == 0
         assert run("-w", ws, "setup", "--seed", "pkg")[0] == 0
@@ -525,7 +527,8 @@ class TestBench:
         fixed = [k for k, a in calls if a == signer]
         first_use = [a for _, a in calls if a not in (signer, curve.generator)]
         assert len(fixed) == 5 and max(k.bit_length() for k in fixed) > 24
-        assert len(first_use) == len(set(first_use)) == 4
+        assert len(first_use) == len(set(first_use)) == 8
+        assert sum(hasattr(a, "_order_q") for a in first_use) == 4  # decoded: checked
 
 
 class TestImports:
@@ -687,6 +690,25 @@ class TestErrorPaths:
         assert f"{state}: field 'r' is not in [1, q - 1]" in err
         assert not (workspace / "transcripts.log").exists()
         assert not (state.parent / "response.frame").exists()
+
+    @pytest.mark.parametrize("started", [-5, 2**64 - 1, 2**64])
+    def test_start_time_out_of_range(self, run, workspace, message_file, started):
+        # the log keeps started_ms and finished_ms = started_ms + 1 in 8 bytes
+        state = self.blinded_session(run, workspace, message_file) / "signer.state"
+        self.rewrite_field(state, "started_ms", started)
+        code, out, err = run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")
+        assert code == 3 and out == ""
+        assert f"{state}: field 'started_ms' is not in [0, 2^64 - 2]" in err
+        assert not (workspace / "transcripts.log").exists()
+        assert not (state.parent / "response.frame").exists()
+
+    def test_latest_start_time_is_logged(self, run, workspace, message_file):
+        state = self.blinded_session(run, workspace, message_file) / "signer.state"
+        self.rewrite_field(state, "started_ms", 2**64 - 2)
+        assert run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")[0] == 0
+        curve = storage.load_system_params(workspace / "system.txt").curve
+        (record,) = FileTranscriptStore(workspace / "transcripts.log", curve)
+        assert (record.started_ms, record.finished_ms) == (2**64 - 2, 2**64 - 1)
 
     @pytest.mark.parametrize("times_q", [0, 1], ids=["0", "q"])
     def test_blinding_factor_out_of_range(self, run, workspace, message_file, times_q):

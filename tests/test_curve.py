@@ -27,6 +27,11 @@ from dvbsig.meter import G1_GROUP_OP, G1_SCALAR_MUL, measure
 P, Q = 311, 13
 
 
+@pytest.fixture(scope="module")
+def production_params():
+    return params_for_subgroup_order(2**159 + 2**17 + 1, b"acceptance-production-scale", p_bits=512)
+
+
 def legendre(a, p):
     """Euler criterion: 1 for nonzero residues, -1 for non-residues, 0 for 0."""
     a %= p
@@ -370,7 +375,7 @@ class TestTatePairing:
             )
 
 
-CACHES = (curve._comb_table, curve._miller_lines)
+CACHES = (curve._comb_table, curve._miller_lines, curve._doubling_chain)
 
 
 @pytest.fixture()
@@ -406,6 +411,54 @@ class TestPrecompute:
             # identity 2^(8t)*A meet the other terms
             for k in (2**32 - 1, 0x89ABCDEF, -0x80000001):
                 assert as_pair(scalar_mul(k, a)) == mul_oracle(P, k % (P + 1), pt)
+
+    def test_checked_first_product_matches_oracle_cold_and_warm(
+        self, toy_params, cold_caches, monkeypatch
+    ):
+        # all 312 points, (0, 0) and the identity included, k in [-2q-1, 2q+1]:
+        # a checked object's first product with |k| <= q sums the doubling
+        # chain its check built (kept or evicted); its second product, a
+        # product with |k| > q and an unchecked object's product take the comb
+        ladders = []
+        ladder = curve._mul_raw
+        monkeypatch.setattr(curve, "_mul_raw", lambda *a: ladders.append(a[1]) or ladder(*a))
+        for pt in all_points(P):
+            coords = pt or (None, None)
+            multiples = [None]
+            for _ in range(2 * Q + 1):
+                multiples.append(add_oracle(P, multiples[-1], pt))
+            for k in range(-2 * Q - 1, 2 * Q + 2):
+                want = multiples[k] if k >= 0 else negated(multiples[-k])
+                for cold in (False, True):
+                    a = G1Point(P, *coords)
+                    in_subgroup(a, Q)
+                    if cold:
+                        curve._doubling_chain.cache_clear()
+                    ladders.clear()
+                    assert as_pair(scalar_mul(k, a)) == want
+                    assert as_pair(scalar_mul(k, a)) == want
+                    assert ladders == ([k] if pt and k and abs(k) <= Q else [])
+                ladders.clear()
+                assert as_pair(scalar_mul(k, G1Point(P, *coords))) == want
+                assert ladders == []
+        # 2*(0, 0) is the identity, and so is every later chain entry
+        assert [z for _, _, z in curve._doubling_chain(P, 0, 0, 5)] == [1, 0, 0, 0, 0]
+
+    def test_decoded_point_and_its_product_share_one_doubling_chain(
+        self, production_params, cold_caches, monkeypatch
+    ):
+        params = production_params
+        q, p = params.q, params.p
+        point = scalar_mul(987654321, params.generator)
+        k = q - 12345
+        doublings = []
+        double = curve._double_jacobian
+        monkeypatch.setattr(curve, "_double_jacobian", lambda *a: doublings.append(a) or double(*a))
+        decoded, _ = decode_point(point.encode(), params)
+        got = scalar_mul(k, decoded)
+        assert len(doublings) == len(_signed_digits(q)[0]) - 1 == 159
+        monkeypatch.undo()
+        assert got == scalar_mul(k, G1Point(p, point.x, point.y))
 
     def test_scalar_longer_than_table_gets_its_own_table(
         self, mid_params, cold_caches, monkeypatch
@@ -488,12 +541,14 @@ class TestPrecompute:
         g = toy_params.generator
         for pt in all_points(P)[1:101]:
             a = G1Point(P, *pt)
+            in_subgroup(a, Q)
+            scalar_mul(5, a)
             scalar_mul(5, a)
             tate_pairing(a, g, toy_params)
         infos = [cache.cache_info() for cache in CACHES]
         for info in infos:
             assert 0 < info.currsize <= info.maxsize
-        assert [info.maxsize for info in infos] == [16, 8]
+        assert [info.maxsize for info in infos] == [16, 8, 2]
 
 
 class TestHashToPoint:
@@ -522,21 +577,25 @@ class TestHashToPoint:
             seen.add((pt.x, pt.y))
         assert len(seen) == Q - 1
 
-    def test_cofactor_clearing_adds_once_per_naf_digit(self, monkeypatch):
+    def test_cofactor_clearing_adds_once_per_naf_digit(
+        self, production_params, monkeypatch, cold_caches
+    ):
         # the production cofactor has 167 one-bits but 11 nonzero NAF digits;
-        # the top digit starts the ladder and each other one is a mixed addition
-        params = params_for_subgroup_order(
-            2**159 + 2**17 + 1, b"acceptance-production-scale", p_bits=512
-        )
+        # the top digit starts the ladder and each other one is a mixed
+        # addition, after one doubling per further digit, none of them kept
+        params = production_params
         h, p = params.cofactor, params.p
         assert (h.bit_length(), bin(h).count("1")) == (352, 167)
         x = next(x for x in range(1, p) if sqrt_mod((x * x * x + x) % p, p) is not None)
         y = sqrt_mod((x * x * x + x) % p, p)
-        calls = []
-        add_mixed = curve._add_mixed
-        monkeypatch.setattr(curve, "_add_mixed", lambda *a: calls.append(a) or add_mixed(*a))
+        adds, doublings = [], []
+        add, double = curve._add_jacobian, curve._double_jacobian
+        monkeypatch.setattr(curve, "_add_jacobian", lambda *a: adds.append(a) or add(*a))
+        monkeypatch.setattr(curve, "_double_jacobian", lambda *a: doublings.append(a) or double(*a))
         point = curve._clear_cofactor(params, x, y)
-        assert len(calls) == 10
+        assert (len(adds), len(doublings)) == (10, 352)
+        assert all(len(a) == 6 for a in adds)  # affine (x, +-y): mixed
+        assert curve._doubling_chain.cache_info().currsize == 0
         monkeypatch.undo()
         assert not point.is_identity and scalar_mul(params.q, point).is_identity
 
@@ -620,10 +679,8 @@ class TestPinnedOutputs:
         assert tate_pairing(g, g, mid_params).encode().hex() == "0f8097eb020118ebde5a"
         assert hash_to_point(b"pin", mid_params).encode().hex() == "0417eedf051a1b48e62899"
 
-    def test_production_scale(self):
-        params = params_for_subgroup_order(
-            2**159 + 2**17 + 1, b"acceptance-production-scale", p_bits=512
-        )
+    def test_production_scale(self, production_params):
+        params = production_params
         g = params.generator
 
         def digest(data):

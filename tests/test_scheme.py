@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dvbsig import curve, scheme
-from dvbsig.curve import G1Point, decode_point, in_subgroup, scalar_mul, tate_pairing
+from dvbsig.curve import (
+    G1Point,
+    decode_point,
+    in_subgroup,
+    point_add,
+    scalar_mul,
+    tate_pairing,
+)
 from dvbsig.errors import DecodeError, InvalidPoint
 from dvbsig.rng import SeededRng
 from dvbsig.scheme import (
@@ -281,7 +288,8 @@ class TestUnblind:
 
 
     def test_decoded_point_is_checked_once(self, toy_system, toy_keys, monkeypatch):
-        # decode_point's order-q check stands for blind's check of that point
+        # decode_point's order-q check stands for blind's check of that point,
+        # and its doubling chain serves blind's x*U
         system, _ = toy_system
         signer = toy_keys[TOY_SIGNER]
         rng = SeededRng("checked-once")
@@ -289,9 +297,17 @@ class TestUnblind:
         ladders = []
         ladder = curve._mul_raw
         monkeypatch.setattr(curve, "_mul_raw", lambda *args: ladders.append(args) or ladder(*args))
+        curve._doubling_chain.cache_clear()
         decoded, _ = decode_point(commitment.point.encode(), system.curve)
-        scheme.blind(system, MESSAGE, Commitment(decoded), signer.public, rng)
-        assert ladders == [(P, Q, decoded.x, decoded.y)]
+        public = G1Point(P, signer.public.x, signer.public.y)  # carries no verdict
+        state, _ = scheme.blind(system, MESSAGE, Commitment(decoded), public, rng)
+        x, y = decoded.x, decoded.y
+        assert ladders == [(P, Q, x, y), (P, state.x, x, y, Q)]
+        assert curve._doubling_chain.cache_info()[:2] == (1, 1)  # hits, misses
+        assert state.u_prime == point_add(
+            scalar_mul(state.x, commitment.point), scalar_mul(state.x * state.y, signer.public)
+        )
+        curve._doubling_chain.cache_clear()
 
 
 class TestVerify:
