@@ -2,14 +2,13 @@
 extension F_p2 (i^2 = -1, valid because every curve modulus here satisfies
 p = 3 mod 4), and the scalar ring Z_q.
 
-Values are plain Python integers wrapped in small immutable dataclasses, so a
+Values are plain Python integers wrapped in small immutable classes, so a
 9-bit toy modulus and a 512-bit production modulus run through the same code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, InversionOfZero, ParamMismatch
 
@@ -162,17 +161,30 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 # field elements
 
 
-@dataclass(frozen=True)
 class Fp2Element:
-    """Element a + b*i of F_p2 with i^2 = -1 (requires p = 3 mod 4)."""
+    """Immutable element a + b*i of F_p2 with i^2 = -1 (requires p = 3 mod 4)."""
 
-    a: int
-    b: int
-    p: int
+    __slots__ = ("a", "b", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % self.p)
-        object.__setattr__(self, "b", self.b % self.p)
+    def __init__(self, a: int, b: int, p: int):
+        for name, value in (("a", a % p), ("b", b % p), ("p", p)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r} of an Fp2Element")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not Fp2Element:
+            return NotImplemented
+        return (self.a, self.b, self.p) == (other.a, other.b, other.p)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.p))
+
+    def __repr__(self):
+        return f"Fp2Element(a={self.a}, b={self.b}, p={self.p})"
 
     @classmethod
     def one(cls, p: int) -> Fp2Element:

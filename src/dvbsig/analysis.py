@@ -16,8 +16,8 @@ Three independent things live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import scheme
 from .curve import G1Point, _add_jacobian, _to_affine, point_add, scalar_mul, tate_pairing
@@ -31,8 +31,7 @@ DLOG_ORDER_LIMIT = 1 << 20
 Rational = Fraction | int
 
 
-@dataclass(frozen=True)
-class QueryBudget:
+class QueryBudget(NamedTuple):
     """Adversary resources in the random-oracle security games."""
 
     h1_queries: int = 0
@@ -44,8 +43,7 @@ class QueryBudget:
     runtime: Rational = 0
 
 
-@dataclass(frozen=True)
-class OpCosts:
+class OpCosts(NamedTuple):
     """Unit operation costs in milliseconds (exact rationals)."""
 
     g1_scalar_mul: Rational = 0
@@ -69,8 +67,7 @@ class OpCosts:
         )
 
 
-@dataclass(frozen=True)
-class ReductionBound:
+class ReductionBound(NamedTuple):
     """Solver advantage (lower bound) and running time (upper bound)."""
 
     advantage: Fraction
@@ -146,9 +143,8 @@ def unverifiability_bound(budget: QueryBudget, costs: OpCosts, group_order: int)
 # performance model
 
 
-@dataclass(frozen=True)
-class OperationCounts:
-    """Per-phase operation counts (same axes as OpCosts)."""
+class OperationCounts(NamedTuple):
+    """Per-phase operation counts (OpCosts's axes, in the same order)."""
 
     g1_scalar_mul: int = 0
     g2_scalar_mul: int = 0
@@ -160,10 +156,7 @@ class OperationCounts:
 
 def perf_model(counts: OperationCounts, costs: OpCosts) -> Fraction:
     """Exact-rational dot product of operation counts and unit costs (ms)."""
-    return sum(
-        (getattr(counts, f.name) * Fraction(getattr(costs, f.name)) for f in fields(OpCosts)),
-        Fraction(0),
-    )
+    return sum((n * Fraction(cost) for n, cost in zip(counts, costs, strict=True)), Fraction(0))
 
 
 # Declared per-phase counts.  Signing totals five G1 scalar multiplications
@@ -179,8 +172,7 @@ VERIFY_COUNTS = OperationCounts(g1_scalar_mul=1, map_to_point=1, pairing=1)
 ZHANG_WEN_VERIFY_COUNTS = OperationCounts(g1_scalar_mul=1, map_to_point=1, pairing=4)
 
 
-@dataclass(frozen=True)
-class PerfEntry:
+class PerfEntry(NamedTuple):
     scheme_name: str
     phase: str
     counts: OperationCounts

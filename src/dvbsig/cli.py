@@ -12,7 +12,6 @@ so reruns in a fresh workspace are bit-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys
 import time
@@ -186,12 +185,13 @@ def cmd_keygen(ws: storage.Workspace, args) -> int:
 
 def cmd_sign_run(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
-    signer = _load_key(ws, system, _identity(args.signer))
-    verifier = _identity(args.verifier)
-    verifier_public = hash_to_point(verifier.encode("utf-8"), system.curve)
+    signer_name, verifier = _identity(args.signer), _identity(args.verifier)
     message = _message_bytes(args)
-    rng, clock = _rng_and_clock(args.seed)
+    # open the log first: its order-q checks would evict the key's doubling chain
     store = FileTranscriptStore(ws.transcript_log, system.curve)
+    signer = _load_key(ws, system, signer_name)
+    verifier_public = hash_to_point(verifier.encode("utf-8"), system.curve)
+    rng, clock = _rng_and_clock(args.seed)
     outcome = session.run_local_session(
         system,
         signer,
@@ -406,7 +406,7 @@ def _load_costs(args) -> analysis.OpCosts:
         return analysis.OpCosts.reference()
     fields = storage.read_kv(_require(Path(args.costs), "costs file"))
     known = {f: _fraction(v) for f, v in fields.items()}
-    bad = set(known) - {f.name for f in dataclasses.fields(analysis.OpCosts)}
+    bad = set(known) - set(analysis.OpCosts._fields)
     if bad:
         raise CommandLineError(f"unknown cost fields: {sorted(bad)}")
     return analysis.OpCosts(**known)

@@ -27,10 +27,9 @@ through one cursor, `Reader`, on top of `decode_point` and `decode_gt`.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import meter
 from .algebra import Fp2Element, _signed_digits, byte_width, encode_int, is_prime, sqrt_mod
@@ -46,13 +45,28 @@ HASH_TO_POINT_MAX_COUNTER = 1 << 16
 R_SEARCH_LIMIT = 1 << 22  # cofactor candidates r tried by params_for_subgroup_order
 
 
-@dataclass(frozen=True)
 class G1Point:
-    """Affine point on y^2 = x^3 + x over F_p; x = y = None is the identity."""
+    """Immutable affine point on y^2 = x^3 + x over F_p; x = y = None is the
+    identity.  Its `__dict__` also keeps `in_subgroup`'s verdict and chain mark."""
 
-    p: int
-    x: int | None
-    y: int | None
+    def __init__(self, p: int, x: int | None, y: int | None):
+        vars(self).update(p=p, x=x, y=y)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r} of a G1Point")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not G1Point:
+            return NotImplemented
+        return (self.p, self.x, self.y) == (other.p, other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.p, self.x, self.y))
+
+    def __repr__(self):
+        return f"G1Point(p={self.p}, x={self.x}, y={self.y})"
 
     @classmethod
     def identity(cls, p: int) -> G1Point:
@@ -80,8 +94,7 @@ class G1Point:
         return b"\x04" + encode_int(self.x, self.p) + encode_int(self.y, self.p)
 
 
-@dataclass(frozen=True)
-class GTElement:
+class GTElement(NamedTuple):
     """Element of the order-q subgroup of F_p2^* (pairing values)."""
 
     value: Fp2Element
@@ -100,8 +113,7 @@ class GTElement:
         return self.value.encode()
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(NamedTuple):
     """Public pairing context: modulus, subgroup order, cofactor, generator."""
 
     p: int
@@ -548,7 +560,7 @@ def params_for_subgroup_order(
                 security_label=security_label or f"q={q.bit_length()}b,p={p.bit_length()}b",
             )
             generator = _try_and_increment(b"generator|" + seed, params)
-            return dataclasses.replace(params, gx=generator.x, gy=generator.y)
+            return params._replace(gx=generator.x, gy=generator.y)
     raise ParamSearchFailed(f"no prime p = 12*q*r - 1 found for q = {q} within the search bound")
 
 

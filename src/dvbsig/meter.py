@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 
 G1_SCALAR_MUL = "g1_scalar_mul"
 G1_GROUP_OP = "g1_group_op"
@@ -26,11 +25,11 @@ KINDS = (
 )
 
 
-@dataclass
 class OpCounter:
     """Monotone per-kind counters for one measured region."""
 
-    counts: dict[str, int] = field(default_factory=lambda: {k: 0 for k in KINDS})
+    def __init__(self):
+        self.counts = {k: 0 for k in KINDS}
 
     def bump(self, kind: str) -> None:
         self.counts[kind] += 1

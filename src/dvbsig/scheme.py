@@ -11,7 +11,7 @@ a measured region sees exactly the protocol-level operation counts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import mod_inv, sample_unit
 from .curve import (
@@ -31,8 +31,7 @@ H1_NAME = "sha256-try-increment"
 H2_NAME = "sha256-mod-q-star"
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(NamedTuple):
     """Public output of setup: pairing context plus the PKG public key.  The
     hash functions are fixed: H1 is `H1_NAME` and H2 is `H2_NAME`."""
 
@@ -40,15 +39,13 @@ class SystemParams:
     p_pub: G1Point
 
 
-@dataclass(frozen=True)
-class MasterSecret:
+class MasterSecret(NamedTuple):
     """PKG master key s; p_pub = s * generator."""
 
     s: int
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(NamedTuple):
     """Identity key material: public = H1(identity), secret = s * public."""
 
     identity: bytes
@@ -56,30 +53,26 @@ class KeyPair:
     secret: G1Point
 
 
-@dataclass(frozen=True)
-class Commitment:
+class Commitment(NamedTuple):
     """Signer's first move U = r * Q_signer."""
 
     point: G1Point
 
 
-@dataclass(frozen=True)
-class SignerState:
+class SignerState(NamedTuple):
     """Signer's per-session secret: the commitment exponent r."""
 
     r: int
     key: KeyPair
 
 
-@dataclass(frozen=True)
-class BlindedChallenge:
+class BlindedChallenge(NamedTuple):
     """User's second move h1 = x^-1 * h + y (mod q)."""
 
     value: int
 
 
-@dataclass(frozen=True)
-class BlindState:
+class BlindState(NamedTuple):
     """User-side session secrets: blinding pair (x, y), the blinded
     commitment, and the challenge hash they produced."""
 
@@ -90,8 +83,7 @@ class BlindState:
     message: bytes
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """Signer's third move V = (r + h1) * S_signer."""
 
     point: G1Point
@@ -102,8 +94,7 @@ class Response:
         return self.point.is_identity
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Final signature (U', sigma) with sigma = e(x*V, Q_verifier)."""
 
     u_prime: G1Point

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from . import scheme
 from .algebra import encode_int
@@ -35,8 +34,7 @@ MAX_RETRIES = 4  # degenerate attempts rerun before a session raises Degenerate
 ProtocolMessage = Union[Commitment, BlindedChallenge, Response]
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """Signer-side view of one session plus bookkeeping metadata."""
 
     session_id: bytes
@@ -48,8 +46,7 @@ class Transcript:
     finished_ms: int
 
 
-@dataclass(frozen=True)
-class SessionOutcome:
+class SessionOutcome(NamedTuple):
     """A completed local session.  `blinding` is the user side's state of the
     decisive attempt: its blinding factors x and y and the message."""
 
@@ -148,8 +145,7 @@ def decode_transcript(data: bytes, params: CurveParams) -> tuple[Transcript, int
 # state machines: each side only ever exposes its legal next step
 
 
-@dataclass(frozen=True)
-class SignerAwaitingChallenge:
+class SignerAwaitingChallenge(NamedTuple):
     """Signer after sending the commitment; can only respond."""
 
     system: SystemParams
@@ -166,8 +162,7 @@ def begin_sign(
     return SignerAwaitingChallenge(system, state), commitment
 
 
-@dataclass(frozen=True)
-class UserAwaitingResponse:
+class UserAwaitingResponse(NamedTuple):
     """User after sending the blinded challenge; can only unblind."""
 
     system: SystemParams
@@ -257,7 +252,6 @@ def run_local_session(
 # transcript stores
 
 
-@dataclass
 class TranscriptStore:
     """Append-only in-memory store keyed by session id, insertion-ordered.
 
@@ -265,8 +259,9 @@ class TranscriptStore:
     may share one store.
     """
 
-    _by_id: dict[bytes, Transcript] = field(default_factory=dict)
-    _lock: threading.RLock = field(default_factory=threading.RLock)
+    def __init__(self):
+        self._by_id: dict[bytes, Transcript] = {}
+        self._lock = threading.RLock()
 
     def record(self, transcript: Transcript) -> None:
         with self._lock:

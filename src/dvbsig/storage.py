@@ -10,8 +10,8 @@ artifact).  Fields are read through the checked `kv_*` readers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .curve import CurveParams, G1Point, hash_to_point, point_fault
 from .errors import DecodeError, InvalidPoint
@@ -246,8 +246,7 @@ def load_signature(path: Path, system: SystemParams) -> Signature:
 # workspace layout
 
 
-@dataclass(frozen=True)
-class Workspace:
+class Workspace(NamedTuple):
     """Directory layout for the CLI: public parameters, the master secret,
     per-identity keys, step-wise session directories and the transcript log."""
 

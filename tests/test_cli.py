@@ -533,7 +533,9 @@ class TestBench:
 
 class TestImports:
     def test_cli_import_leaves_command_modules_out(self):
-        # analysis, fractions and json are imported by the commands that use them
+        # analysis, fractions and json are imported by the commands that use
+        # them; dataclasses (and the inspect it imports) by none, since every
+        # process would pay for it and for each decorated class's exec
         src = Path(cli.__file__).resolve().parents[1]
         loaded = subprocess.run(
             [sys.executable, "-c", "import sys, dvbsig.cli; print(*sorted(sys.modules))"],
@@ -543,7 +545,7 @@ class TestImports:
             check=True,
         ).stdout.split()
         assert "dvbsig.cli" in loaded
-        assert {"dvbsig.analysis", "fractions", "json"}.isdisjoint(loaded)
+        assert {"dvbsig.analysis", "fractions", "json", "dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 class TestErrorPaths:
@@ -629,6 +631,26 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert "degenerate" in err
         assert not (workspace / "transcripts.log").exists()
+
+    def test_sign_run_reuses_the_signer_keys_doubling_chain(self, run, tmp_path, message_file):
+        # the reopen's order-q checks of the logged U and V run before the
+        # signer key's check, so the 2-entry chain cache still holds S_s's
+        # chain when the response first multiplies by it: x*U, (r + h1)*S_s
+        # and x*V all reuse their check's chain
+        ws = tmp_path / "mid"
+        assert run("-w", ws, "params", "gen", "--q-bits", 32, "--seed", "mid")[0] == 0
+        assert run("-w", ws, "setup", "--seed", "pkg")[0] == 0
+        for identity in ("alice", "bob"):
+            assert run("-w", ws, "keygen", "--id", identity)[0] == 0
+        sign = (
+            "-w", ws, "sign", "run", "--signer", "alice", "--verifier", "bob",
+            "--message-file", message_file,
+        )
+        assert run(*sign, "--seed", "s1")[0] == 0
+        dvbsig_curve._doubling_chain.cache_clear()
+        assert run(*sign, "--seed", "s2")[0] == 0
+        assert dvbsig_curve._doubling_chain.cache_info().hits == 3
+        dvbsig_curve._doubling_chain.cache_clear()
 
     def test_damaged_transcript_log_named(self, run, workspace, message_file):
         sign = (

@@ -297,7 +297,7 @@ class TestLocalRunner:
             SeededRng("view"),
             clock=LogicalClock(),
         )
-        fields = set(Transcript.__dataclass_fields__)
+        fields = set(Transcript._fields)
         assert fields == {
             "session_id",
             "signer_identity",

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from dvbsig import storage
@@ -55,7 +53,7 @@ class TestParamsFiles:
     def test_structural_checks_name_file(self, toy_params, tmp_path, fields, reason):
         # toy p = 311 = 13 * 24 - 1; 7 + 1 = 2 * 4 with 2 | 4
         path = tmp_path / "params.txt"
-        storage.save_curve_params(dataclasses.replace(toy_params, **fields), path)
+        storage.save_curve_params(toy_params._replace(**fields), path)
         with pytest.raises(DecodeError) as info:
             storage.load_curve_params(path)
         assert str(info.value).startswith(f"{path}: {reason}")
