@@ -167,13 +167,15 @@ class Fp2Element:
     __slots__ = ("a", "b", "p")
 
     def __init__(self, a: int, b: int, p: int):
-        for name, value in (("a", a % p), ("b", b % p), ("p", p)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "a", a % p)
+        object.__setattr__(self, "b", b % p)
+        object.__setattr__(self, "p", p)
 
-    def __setattr__(self, name, *_):
+    def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an Fp2Element")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an Fp2Element")
 
     def __eq__(self, other):
         if other.__class__ is not Fp2Element:

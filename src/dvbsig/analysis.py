@@ -144,7 +144,7 @@ def unverifiability_bound(budget: QueryBudget, costs: OpCosts, group_order: int)
 
 
 class OperationCounts(NamedTuple):
-    """Per-phase operation counts (OpCosts's axes, in the same order)."""
+    """Per-phase operation counts (same axes as OpCosts)."""
 
     g1_scalar_mul: int = 0
     g2_scalar_mul: int = 0
@@ -156,7 +156,8 @@ class OperationCounts(NamedTuple):
 
 def perf_model(counts: OperationCounts, costs: OpCosts) -> Fraction:
     """Exact-rational dot product of operation counts and unit costs (ms)."""
-    return sum((n * Fraction(cost) for n, cost in zip(counts, costs, strict=True)), Fraction(0))
+    pairs = zip(counts._fields, counts)
+    return sum((n * Fraction(getattr(costs, axis)) for axis, n in pairs), Fraction(0))
 
 
 # Declared per-phase counts.  Signing totals five G1 scalar multiplications

@@ -185,7 +185,8 @@ def cmd_keygen(ws: storage.Workspace, args) -> int:
 
 def cmd_sign_run(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
-    signer_name, verifier = _identity(args.signer), _identity(args.verifier)
+    signer_name = _identity(args.signer)
+    verifier = _identity(args.verifier)
     message = _message_bytes(args)
     # open the log first: its order-q checks would evict the key's doubling chain
     store = FileTranscriptStore(ws.transcript_log, system.curve)

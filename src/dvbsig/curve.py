@@ -50,12 +50,15 @@ class G1Point:
     identity.  Its `__dict__` also keeps `in_subgroup`'s verdict and chain mark."""
 
     def __init__(self, p: int, x: int | None, y: int | None):
-        vars(self).update(p=p, x=x, y=y)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
-    def __setattr__(self, name, *_):
+    def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a G1Point")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a G1Point")
 
     def __eq__(self, other):
         if other.__class__ is not G1Point:
@@ -98,6 +101,9 @@ class GTElement(NamedTuple):
     """Element of the order-q subgroup of F_p2^* (pairing values)."""
 
     value: Fp2Element
+
+    # tuple's concatenation and repetition are not group operations
+    __add__ = __rmul__ = None
 
     def __mul__(self, other: GTElement) -> GTElement:
         return GTElement(self.value * other.value)

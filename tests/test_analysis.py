@@ -155,6 +155,11 @@ class TestPerfModel:
         counts = OperationCounts(g1_scalar_mul=2, pairing=1, map_to_point=3)
         assert perf_model(counts, COSTS) == 2 * F(638, 100) + F(2004, 100) + 3 * F(304, 100)
 
+    def test_each_count_meets_the_cost_of_its_own_axis(self):
+        costs = OpCosts(*(F(2**i) for i in range(len(OpCosts._fields))))
+        for axis in OperationCounts._fields:
+            assert perf_model(OperationCounts(**{axis: 1}), costs) == getattr(costs, axis)
+
     def test_report_rows(self):
         rows = {(r.scheme_name, r.phase): r for r in perf_report()}
         ours_sign = rows[("ours", "sign")]

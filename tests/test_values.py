@@ -70,6 +70,14 @@ def test_point_is_a_value(toy_params):
     assert in_subgroup(g, Q) and g == same and hash(g) == hash(same)
 
 
+def test_gt_element_has_no_tuple_arithmetic():
+    one = curve.GTElement(Fp2Element.one(P))
+    assert one * one == one and one**5 == one
+    for misuse in (lambda: 2 * one, lambda: one + one, lambda: one + (1,)):
+        with pytest.raises(TypeError):
+            misuse()
+
+
 @pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
 def test_record_is_a_value(record):
     values = range(len(record._fields))
