@@ -36,13 +36,22 @@ def mod_inv(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
-def _signed_digits(k: int) -> tuple[str, str]:
-    """The non-adjacent form (NAF) of k >= 0 as two equal-length bit strings,
-    top digit first: k = plus - minus, no two adjacent digits nonzero."""
-    k3 = 3 * k
-    plus, minus = (k3 & ~k) >> 1, (k & ~k3) >> 1
-    width = plus.bit_length()
-    return format(plus, f"0{width}b"), format(minus, f"0{width}b")
+def _signed_digits(k: int, w: int = 2) -> list[int]:
+    """The width-w non-adjacent form of k >= 0, least significant digit
+    first: k = sum(d_i * 2^i), every nonzero d_i odd with |d_i| < 2^(w-1),
+    at most one nonzero digit in any w consecutive ones, and the top digit
+    positive.  Width 2 is the NAF, with digits 0 and +-1."""
+    digits, half = [], 1 << (w - 1)
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        digits += [0] * zeros
+        k >>= zeros
+        d = k & (2 * half - 1)
+        if d >= half:
+            d -= 2 * half
+        digits.append(d)
+        k = (k - d) >> 1
+    return digits
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
@@ -238,13 +247,12 @@ class Fp2Element:
         a, b, p = self.a, self.b, self.p
         if (a * a + b * b) % p != 1 or exponent < 0:
             raise DomainError(f"F_p2 power {exponent} needs exponent >= 0 and a base of norm 1")
-        plus, minus = _signed_digits(exponent)
         ra, rb = 1, 0
-        for up, down in zip(plus, minus):
+        for d in reversed(_signed_digits(exponent)):
             ra, rb = (ra + rb) * (ra - rb) % p, 2 * ra * rb % p
-            if up == "1":
+            if d == 1:
                 ra, rb = (ra * a - rb * b) % p, (ra * b + rb * a) % p
-            elif down == "1":
+            elif d == -1:
                 ra, rb = (ra * a + rb * b) % p, (rb * a - ra * b) % p
         return Fp2Element(ra, rb, p)
 

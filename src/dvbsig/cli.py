@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 # `analysis`, `fractions` and `json` are imported by the commands that use
 # them: every process pays for what it imports, and most commands need none.
 
-IDENTITY_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+IDENTITY_RE = re.compile(r"[A-Za-z0-9_.-]+")
 # identities and session names become file names; this stays below the
 # usual 255-byte name limit once a suffix such as ".key" is added
 IDENTITY_MAX_CHARS = 128
@@ -57,12 +57,14 @@ def _rng_and_clock(seed: str | None):
     return SeededRng(seed), LogicalClock()
 
 
-def _identity(name: str) -> str:
-    if not IDENTITY_RE.match(name):
-        raise CommandLineError(f"identity {name!r} may only contain [A-Za-z0-9_.-]")
+def _identity(name: str, flag: str) -> str:
+    """`name`, given by `flag`, as an identity or session name: a file name
+    in the workspace, so not "." or ".." either."""
+    if not IDENTITY_RE.fullmatch(name) or not name.strip("."):
+        raise CommandLineError(f"{flag} {name!r} must be [A-Za-z0-9_.-], not only dots")
     if len(name) > IDENTITY_MAX_CHARS:
         raise CommandLineError(
-            f"identity of {len(name)} characters is longer than {IDENTITY_MAX_CHARS}"
+            f"{flag} of {len(name)} characters is longer than {IDENTITY_MAX_CHARS}"
         )
     return name
 
@@ -175,7 +177,7 @@ def cmd_keygen(ws: storage.Workspace, args) -> int:
     msk = storage.load_master_secret(
         _require(ws.master_file, "master secret (run setup)"), system.curve.q
     )
-    identity = _identity(args.id)
+    identity = _identity(args.id, "--id")
     key = scheme.keygen(system, msk, identity.encode("utf-8"))
     ws.ensure()
     storage.save_identity_key(key, ws.key_file(identity))
@@ -185,8 +187,8 @@ def cmd_keygen(ws: storage.Workspace, args) -> int:
 
 def cmd_sign_run(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
-    signer_name = _identity(args.signer)
-    verifier = _identity(args.verifier)
+    signer_name = _identity(args.signer, "--signer")
+    verifier = _identity(args.verifier, "--verifier")
     message = _message_bytes(args)
     # open the log first: its order-q checks would evict the key's doubling chain
     store = FileTranscriptStore(ws.transcript_log, system.curve)
@@ -209,13 +211,13 @@ def cmd_sign_run(ws: storage.Workspace, args) -> int:
 
 
 def _session_paths(ws: storage.Workspace, name: str):
-    sdir = ws.session_dir(_identity(name))
+    sdir = ws.session_dir(_identity(name, "--session"))
     return sdir, sdir / "commit.frame", sdir / "challenge.frame", sdir / "response.frame"
 
 
 def cmd_sign_commit(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
-    signer = _load_key(ws, system, _identity(args.signer))
+    signer = _load_key(ws, system, _identity(args.signer, "--signer"))
     sdir, commit_path, _, _ = _session_paths(ws, args.session)
     sdir.mkdir(parents=True, exist_ok=True)
     _fresh(commit_path, "commit artifact")
@@ -242,7 +244,8 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
     _fresh(challenge_path, "challenge artifact")
     message = _message_bytes(args)
     commitment = _read_message(commit_path, scheme.Commitment, "commitment", system.curve)
-    signer_public = hash_to_point(_identity(args.signer).encode("utf-8"), system.curve)
+    signer = _identity(args.signer, "--signer")
+    signer_public = hash_to_point(signer.encode("utf-8"), system.curve)
     rng, _ = _rng_and_clock(args.seed)
     state, challenge = scheme.blind(system, message, commitment, signer_public, rng)
     challenge_path.write_bytes(session.encode_message(challenge, system.curve))
@@ -264,7 +267,9 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     _require(challenge_path, "challenge artifact (run sign blind first)")
     _fresh(response_path, "response artifact")
     fields = storage.read_kv(state_path)
-    signer_name = _identity(storage.kv_text(fields, "signer", state_path))
+    signer_name = _identity(
+        storage.kv_text(fields, "signer", state_path), f"{state_path}: field 'signer'"
+    )
     r = storage.kv_unit(fields, "r", state_path, system.curve.q)
     session_id = storage.kv_hex(fields, "session_id", state_path)
     if len(session_id) != (size := session.SESSION_ID_BYTES):
@@ -317,7 +322,8 @@ def cmd_sign_unblind(ws: storage.Workspace, args) -> int:
     response = _read_message(response_path, scheme.Response, "response", system.curve)
     if response.degenerate:
         raise Degenerate("degenerate response (V is the identity); rerun the session")
-    verifier_public = hash_to_point(_identity(args.verifier).encode("utf-8"), system.curve)
+    verifier = _identity(args.verifier, "--verifier")
+    verifier_public = hash_to_point(verifier.encode("utf-8"), system.curve)
     signature = scheme.unblind(system, blind_state, response, verifier_public)
     out = Path(args.out) if args.out else sdir / "sig.bin"
     storage.save_signature(signature, out, text=args.format == "text")
@@ -327,12 +333,11 @@ def cmd_sign_unblind(ws: storage.Workspace, args) -> int:
 
 def cmd_verify(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
-    verifier = _load_key(ws, system, _identity(args.verifier))
+    verifier = _load_key(ws, system, _identity(args.verifier, "--verifier"))
     message = _message_bytes(args)
     signature = storage.load_signature(_require(Path(args.sig), "signature file"), system)
-    ok = scheme.verify_with_identity(
-        system, verifier.secret, _identity(args.signer).encode("utf-8"), message, signature
-    )
+    signer = _identity(args.signer, "--signer").encode("utf-8")
+    ok = scheme.verify_with_identity(system, verifier.secret, signer, message, signature)
     if ok:
         print("VALID")
         return 0
@@ -342,8 +347,9 @@ def cmd_verify(ws: storage.Workspace, args) -> int:
 
 def cmd_simulate(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
-    verifier = _load_key(ws, system, _identity(args.verifier))
-    signer_public = hash_to_point(_identity(args.signer).encode("utf-8"), system.curve)
+    verifier = _load_key(ws, system, _identity(args.verifier, "--verifier"))
+    signer = _identity(args.signer, "--signer")
+    signer_public = hash_to_point(signer.encode("utf-8"), system.curve)
     message = _message_bytes(args)
     rng, _ = _rng_and_clock(args.seed)
     signature = scheme.simulate(system, signer_public, verifier.secret, message, rng)
@@ -365,8 +371,8 @@ def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
     msk = storage.load_master_secret(
         _require(ws.master_file, "master secret (run setup)"), system.curve.q
     )
-    signer = scheme.keygen(system, msk, _identity(args.signer).encode("utf-8"))
-    verifier = scheme.keygen(system, msk, _identity(args.verifier).encode("utf-8"))
+    signer = scheme.keygen(system, msk, _identity(args.signer, "--signer").encode("utf-8"))
+    verifier = scheme.keygen(system, msk, _identity(args.verifier, "--verifier").encode("utf-8"))
     rng, _ = _rng_and_clock(args.seed)
     messages = [f"demo message {i}".encode("utf-8") for i in range(args.sessions)]
     outcomes = analysis.run_blind_sessions(system, signer, verifier.public, messages, rng)

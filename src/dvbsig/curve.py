@@ -13,11 +13,12 @@ Ladders and the Miller loop keep their running point in Jacobian
 coordinates (x, y) = (X/Z^2, Y/Z^3), so each inverts at most once.
 
 Long-lived points are precomputed once, on first use, into bounded
-`functools.lru_cache`s keyed by their exact affine coordinates: a fixed-base
-comb table per `scalar_mul` base and scalar width, and the Miller line
-coefficients per first pairing argument.  An order-q check sums over the
-point's cached doubling chain 2^i*P, which that point object's first product
-reuses.  Every cached value is a pure function of its key, so results are
+`functools.lru_cache`s keyed by their exact affine coordinates: a
+_COMB_TEETH-row fixed-base comb table per `scalar_mul` base and scalar
+width, and the Miller line coefficients per first pairing argument.  An
+order-q check sums the point's cached doubling chain 2^i*P into buckets by
+the scalar's width-4 digits, and that point object's first product reuses
+the chain.  Every cached value is a pure function of its key, so results are
 the same cold or warm.
 
 A point from outside the program is accepted by one rule, `point_fault`;
@@ -227,27 +228,34 @@ def _to_affine(p, x, y, z):
     return _batch_to_affine(p, [(x, y, z)])[0]
 
 
+# rows of the fixed-base comb, picked by a benchmark A/B of 4, 5 and 6
+# (BENCH_14.json): more rows make a product cheaper and a table dearer
+_COMB_TEETH = 5
+
+
 def _comb_columns(k_bits: int) -> int:
-    """Columns d of a 4-tooth comb covering k_bits rounded up to a multiple
-    of 32, so scalars reduced mod one q share a table size: for a 160-bit q,
-    all but a 2^-31 share of them."""
-    return -(-max(k_bits, 1) // 32) * 8
+    """Columns d of the comb, whose _COMB_TEETH rows of d bits cover k_bits
+    rounded up to a multiple of 32, so scalars reduced mod one q share a
+    table size: for a 160-bit q, all but a 2^-31 share of them."""
+    width = -(-max(k_bits, 1) // 32) * 32
+    return -(-width // _COMB_TEETH)
 
 
 # a session's long-lived keys fit, with room for the fresh points that pass
 # through between their uses
 @functools.lru_cache(maxsize=16)
 def _comb_table(p, x, y, d):
-    """Lim-Lee comb table: entry i (0 < i < 16) is the sum of 2^(t*d)*(x, y)
-    over the set bits t of i, affine; (None, None) is the identity."""
+    """Lim-Lee comb table: entry i (0 < i < 2^_COMB_TEETH) is the sum of
+    2^(t*d)*(x, y) over the set bits t of i, affine; (None, None) is the
+    identity."""
     spaced, (tx, ty, tz) = [(x, y, 1)], (x, y, 1)
-    for _ in range(3):
+    for _ in range(_COMB_TEETH - 1):
         for _ in range(d):
             tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
         spaced.append((tx, ty, tz))
     bases = _batch_to_affine(p, spaced)
     sums = [(1, 1, 0)]
-    for i in range(1, 16):
+    for i in range(1, 1 << _COMB_TEETH):
         top = i.bit_length() - 1
         bx, by = bases[top]
         tx, ty, tz = sums[i - (1 << top)]
@@ -263,12 +271,12 @@ def _mul_comb(p, k, x, y):
     d = _comb_columns(n.bit_length())
     table = _comb_table(p, x, y, d)
     mask = (1 << d) - 1
-    rows = [format(n >> (t * d) & mask, f"0{d}b") for t in range(4)]
+    rows = [format(n >> (t * d) & mask, f"0{d}b") for t in reversed(range(_COMB_TEETH))]
     tx, ty, tz = 1, 1, 0
-    for b0, b1, b2, b3 in zip(*rows):
+    for column in zip(*rows):
         if tz:
             tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
-        ax, ay = table[int(b3 + b2 + b1 + b0, 2)]
+        ax, ay = table[int("".join(column), 2)]
         if ax is not None:
             tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, ax, ay)
     rx, ry = _to_affine(p, tx, ty, tz)
@@ -290,26 +298,31 @@ def _doubling_chain(p, x, y, n):
 
 
 def _mul_raw(p, k, x, y, q=0):
-    """k*(x, y) right to left: the signed sum of the entries 2^i*(x, y) of
-    the base's cached doubling chain at the NAF digits of k.
+    """k*(x, y) right to left by Yao's bucket method: the entry 2^i*(x, y) of
+    the base's cached doubling chain joins bucket B_|d|, negated when d < 0,
+    for each width-4 digit d of k at i (k's sign flips every digit's); then
+    k*(x, y) = 2*(3*B7 + 2*B5 + B3) + (B7 + B5 + B3 + B1).
 
-    The chain runs to the NAF length of the larger of |k| and q; NAF length
-    is monotone, so an order-q check and the checked point's first product
-    by any |k| <= q share one chain.  The single inversion is skipped when
-    the result is the identity, which is what every subgroup check expects.
+    The chain runs to one past the bit length of the larger of |k| and q,
+    which bounds the width-4 form of either, so an order-q check and the
+    checked point's first product by any |k| <= q share one chain.  The
+    single inversion is skipped when the result is the identity, which is
+    what every subgroup check expects.
     """
     if x is None or k == 0:
         return None, None
-    plus, minus = _signed_digits(abs(k))
-    if k < 0:
-        plus, minus = minus, plus
-    n = max(len(plus), len(_signed_digits(q)[0]))
-    tx, ty, tz = 1, 1, 0
-    for up, down, (cx, cy, cz) in zip(plus[::-1], minus[::-1], _doubling_chain(p, x, y, n)):
-        if up == "1":
-            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, cx, cy, cz)
-        elif down == "1":
-            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, cx, -cy % p, cz)
+    chain = _doubling_chain(p, x, y, max(abs(k), q).bit_length() + 1)
+    buckets = [(1, 1, 0)] * 8
+    for d, (cx, cy, cz) in zip(_signed_digits(abs(k), 4), chain):
+        if d:
+            cy = cy if (d > 0) == (k > 0) else -cy % p
+            buckets[abs(d)] = _add_jacobian(p, *buckets[abs(d)], cx, cy, cz)[:3]
+    s = t = (1, 1, 0)
+    for j in (7, 5, 3):
+        s = _add_jacobian(p, *s, *buckets[j])[:3]
+        t = _add_jacobian(p, *t, *s)[:3]
+    s = _add_jacobian(p, *s, *buckets[1])[:3]
+    tx, ty, tz, _ = _add_jacobian(p, *_double_jacobian(p, *t)[:3], *s)
     return _to_affine(p, tx, ty, tz)
 
 
@@ -470,13 +483,12 @@ def _clear_cofactor(params: CurveParams, x: int, y: int) -> G1Point:
     """cofactor*(x, y) left to right over the cofactor's NAF digits: mixed
     additions of (x, +-y) make it cheaper than summing a doubling chain."""
     p = params.p
-    plus, minus = _signed_digits(params.cofactor)
     tx, ty, tz = x, y, 1
-    for up, down in zip(plus[1:], minus[1:]):
+    for d in reversed(_signed_digits(params.cofactor)[:-1]):
         tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
-        if up == "1":
+        if d == 1:
             tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, x, y)
-        elif down == "1":
+        elif d == -1:
             tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, x, -y % p)
     return G1Point(p, *_to_affine(p, tx, ty, tz))
 

@@ -121,16 +121,16 @@ def encode_transcript(t: Transcript, params: CurveParams) -> bytes:
     return _frame(TAG_TRANSCRIPT, payload)
 
 
-def decode_transcript(data: bytes, params: CurveParams) -> tuple[Transcript, int]:
-    """Parse one transcript frame from the head of `data`; returns it and
-    the frame's length."""
+def decode_transcript(data: bytes | memoryview, params: CurveParams) -> tuple[Transcript, int]:
+    """Parse one transcript frame from the head of `data`, which may be a
+    view into a whole log; returns it and the frame's length."""
     r = Reader(data)
     tag, body = _open_frame(r)
     if tag != TAG_TRANSCRIPT:
         raise DecodeError(f"not a transcript record (tag {tag})", 0)
     t = Transcript(
-        session_id=body.take_lv("session id"),
-        signer_identity=body.take_lv("signer identity"),
+        session_id=bytes(body.take_lv("session id")),
+        signer_identity=bytes(body.take_lv("signer identity")),
         commitment=body.point(params),
         challenge=body.scalar(params.q, "challenge"),
         response=body.point(params),
@@ -290,7 +290,8 @@ class FileTranscriptStore(TranscriptStore):
         self.path = Path(path)
         self.params = params
         if self.path.exists():
-            data = self.path.read_bytes()
+            # one view of the file: each record's slice of it copies nothing
+            data = memoryview(self.path.read_bytes())
             pos = 0
             while pos < len(data):
                 try:

@@ -588,6 +588,34 @@ class TestErrorPaths:
         assert code == 2 and "longer than 128" in err
         assert run("-w", workspace, "keygen", "--id", "a" * 128)[0] == 0
 
+    @pytest.mark.parametrize("name", ["alice\n", ".", "..", "...", ""])
+    def test_identity_is_the_whole_name_and_not_only_dots(self, run, workspace, name):
+        keys = sorted((workspace / "keys").iterdir())
+        code, out, err = run("-w", workspace, "keygen", "--id", name)
+        assert code == 2 and out == "" and f"--id {name!r}" in err
+        assert sorted((workspace / "keys").iterdir()) == keys
+        assert run("-w", workspace, "keygen", "--id", "a.b-c_1")[0] == 0
+
+    def test_signer_with_trailing_newline_refused(self, run, workspace, message_file, tmp_path):
+        # "alice\n" once signed as the key file keys/alice\n.key, under a
+        # name that verifies INVALID as either "alice" or "alice\n"
+        sig = tmp_path / "sig.bin"
+        code, out, err = run(
+            "-w", workspace, "sign", "run", "--signer", "alice\n", "--verifier", "bob",
+            "--message-file", message_file, "--out", sig,
+        )
+        assert code == 2 and out == "" and "--signer 'alice\\n'" in err
+        assert not sig.exists()
+
+    @pytest.mark.parametrize("session_name", [".", ".."])
+    def test_session_name_of_dots_refused(self, run, workspace, session_name):
+        before = sorted(workspace.rglob("*"))
+        code, out, err = run(
+            "-w", workspace, "sign", "commit", "--signer", "alice", "--session", session_name,
+        )
+        assert code == 2 and out == "" and f"--session {session_name!r}" in err
+        assert sorted(workspace.rglob("*")) == before
+
     @pytest.mark.parametrize(
         "command",
         [("keygen", "--id", "dave"), ("blindness-demo",), ("bench", "--iterations", 1)],

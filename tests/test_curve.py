@@ -64,15 +64,17 @@ def mul_oracle(p, k, a):
     return acc
 
 
-def assert_naf(k):
-    """`_signed_digits(k)` is the non-adjacent form of k."""
-    plus, minus = _signed_digits(k)
-    assert len(plus) == len(minus) and plus[0] == "1"
-    up, down = int(plus, 2), int(minus, 2)
-    assert up - down == k
-    assert up & down == 0
-    nonzero = up | down
-    assert nonzero & (nonzero >> 1) == 0
+def assert_naf(k, w=2):
+    """`_signed_digits(k, w)` is the width-w non-adjacent form of k: its
+    digits sum to k, each nonzero one is odd and below 2^(w-1) in size, any
+    w consecutive digits hold at most one nonzero, and the top digit is
+    positive and at most one place above k's top bit."""
+    digits = _signed_digits(k, w)
+    assert sum(d << i for i, d in enumerate(digits)) == k
+    assert digits[-1] > 0 and len(digits) <= k.bit_length() + 1
+    assert all(d % 2 and abs(d) < 1 << (w - 1) for d in digits if d)
+    places = [i for i, d in enumerate(digits) if d]
+    assert all(b - a >= w for a, b in zip(places, places[1:]))
 
 
 def as_pair(point):
@@ -280,6 +282,16 @@ class TestGroupLaw:
     def test_signed_digits_wide_scalars(self, k):
         assert_naf(k)
 
+    def test_width4_digits_small_scalars(self):
+        for k in range(1, 10**4 + 1):
+            assert_naf(k, 4)
+        # 9 = 16 - 7: one digit longer than 9's bit length and its NAF
+        assert _signed_digits(9, 4) == [-7, 0, 0, 0, 1] and len(_signed_digits(9)) == 4
+
+    @given(st.integers(min_value=2**159, max_value=2**160 - 1))
+    def test_width4_digits_wide_scalars(self, k):
+        assert_naf(k, 4)
+
     def test_point_add_matches_oracle_on_every_pair(self, toy_params):
         # every ordered pair of the 312 points: P + P, P + (-P), the 2-torsion
         # point (0, 0) and the identity on either side; one group op each
@@ -376,6 +388,12 @@ class TestTatePairing:
 
 
 CACHES = (curve._comb_table, curve._miller_lines, curve._doubling_chain)
+COMB_SCALARS = [
+    sign * k
+    for bits in (1, 31, 32, 33, 63, 64, 65)
+    for k in {2**bits - 1, 2 ** (bits - 1) + 0x89ABCDEF % 2 ** (bits - 1)}
+    for sign in (1, -1)
+]
 
 
 @pytest.fixture()
@@ -407,10 +425,19 @@ class TestPrecompute:
             for k in range(-27, 28):
                 curve._comb_table.cache_clear()
                 assert as_pair(scalar_mul(k, a)) == want[k]
-            # 32-bit scalars read all four rows, where entries built from an
-            # identity 2^(8t)*A meet the other terms
-            for k in (2**32 - 1, 0x89ABCDEF, -0x80000001):
+            # 1-bit scalars, and scalars on either side of the 32- and 64-bit
+            # roundings of the comb's width, which read every row, where
+            # entries built from an identity 2^(t*d)*A meet the other terms
+            for k in COMB_SCALARS:
                 assert as_pair(scalar_mul(k, a)) == mul_oracle(P, k % (P + 1), pt)
+
+    def test_comb_scalars_read_every_row(self):
+        # the widest scalar of each rounding sets a bit in the comb's top row
+        teeth = curve._COMB_TEETH
+        for bits in (32, 64):
+            d = curve._comb_columns(bits)
+            assert d == curve._comb_columns(bits - 1) and teeth * d >= bits
+            assert any(k.bit_length() == bits and k >> (teeth - 1) * d for k in COMB_SCALARS)
 
     def test_checked_first_product_matches_oracle_cold_and_warm(
         self, toy_params, cold_caches, monkeypatch
@@ -450,15 +477,41 @@ class TestPrecompute:
         params = production_params
         q, p = params.q, params.p
         point = scalar_mul(987654321, params.generator)
-        k = q - 12345
+        k = 3**100  # below q, with every bucket filled
         doublings = []
         double = curve._double_jacobian
         monkeypatch.setattr(curve, "_double_jacobian", lambda *a: doublings.append(a) or double(*a))
         decoded, _ = decode_point(point.encode(), params)
+        # the chain's 2^i*P for i <= q.bit_length(), then the bucket sum's one
+        assert len(doublings) == q.bit_length() + 1 == 161
+        doublings.clear()
         got = scalar_mul(k, decoded)
-        assert len(doublings) == len(_signed_digits(q)[0]) - 1 == 159
+        assert len(doublings) == 1  # the bucket sum's; no chain doublings
         monkeypatch.undo()
         assert got == scalar_mul(k, G1Point(p, point.x, point.y))
+
+    def test_width4_form_longer_than_qs_naf_shares_the_checks_chain(
+        self, cold_caches, monkeypatch
+    ):
+        # q = 2^31 + 2^28 + 5 has a 32-digit NAF, and this k < q a 33-digit
+        # width-4 form (its top digits 9 = 16 - 7), with every bucket used
+        q = 2**31 + 2**28 + 5
+        params = params_for_subgroup_order(q, b"width-4 chain")
+        k = q - 3534754
+        digits = _signed_digits(k, 4)
+        assert len(digits) == len(_signed_digits(q)) + 1 == 33
+        assert {abs(d) for d in digits} == {0, 1, 3, 5, 7}
+        point = scalar_mul(123456789, params.generator)
+        decoded, _ = decode_point(point.encode(), params)
+        doublings = []
+        double = curve._double_jacobian
+        monkeypatch.setattr(curve, "_double_jacobian", lambda *a: doublings.append(a) or double(*a))
+        got = scalar_mul(k, decoded)
+        assert len(doublings) == 1  # the bucket sum's; no chain doublings
+        assert curve._doubling_chain.cache_info()[:2] == (1, 1)  # hits, misses
+        monkeypatch.undo()
+        assert got == -scalar_mul(q - k, point)
+        assert got == scalar_mul(k, G1Point(params.p, point.x, point.y))
 
     def test_scalar_longer_than_table_gets_its_own_table(
         self, mid_params, cold_caches, monkeypatch

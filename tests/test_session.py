@@ -466,23 +466,46 @@ class TestTranscriptStore:
         with pytest.raises(DuplicateSession):
             reopened.record(transcripts[2])
 
-    @pytest.mark.parametrize("damage", ["stray tail", "second record's commitment tag"])
+    @pytest.mark.parametrize(
+        "damage", ["stray tail", "second record's commitment tag", "last record's response tag"]
+    )
     def test_file_store_error_names_file_and_offset(self, toy_params, tmp_path, damage):
         path = tmp_path / "transcripts.log"
         store = FileTranscriptStore(path, toy_params)
-        first, second = self._transcripts(toy_params, 2)
-        store.record(first)
-        store.record(second)
+        transcripts = self._transcripts(toy_params, 9 if damage.startswith("last") else 2)
+        for t in transcripts:
+            store.record(t)
         data = bytearray(path.read_bytes())
         if damage == "stray tail":
             data += b"\x10\x00\x00"
             offset = len(data)  # the header runs out at the end of the file
         else:
-            # frame header 5, session id 2 + 16 and identity 2 + 5 bytes
-            offset = len(encode_transcript(first, toy_params)) + 30
+            # frame header 5, session id 2 + 16 and identity 2 + 5 bytes, then
+            # a 5-byte commitment and a 1-byte challenge before the response
+            head = sum(len(encode_transcript(t, toy_params)) for t in transcripts[:-1])
+            offset = head + (30 if damage.startswith("second") else 36)
             data[offset] = 0x07
         path.write_bytes(bytes(data))
         with pytest.raises(DecodeError) as info:
             FileTranscriptStore(path, toy_params)
         assert str(info.value).startswith(f"{path}: ")
         assert info.value.position == offset
+
+    def test_file_store_reopen_copies_no_tail(self, toy_params, tmp_path, monkeypatch):
+        # each record is read from one view of the file, not from a copy of
+        # the rest of it, which made reopening quadratic in the log's length
+        path = tmp_path / "transcripts.log"
+        store = FileTranscriptStore(path, toy_params)
+        transcripts = self._transcripts(toy_params, 6)
+        for t in transcripts:
+            store.record(t)
+        seen = []
+        decode = session.decode_transcript
+        monkeypatch.setattr(
+            session, "decode_transcript", lambda data, p: seen.append(data) or decode(data, p)
+        )
+        reopened = FileTranscriptStore(path, toy_params)
+        assert [reopened.get(t.session_id) for t in transcripts] == transcripts
+        assert all(type(t.session_id) is bytes for t in reopened)
+        assert len(seen) == 6
+        assert all(isinstance(d, memoryview) and d.obj is seen[0].obj for d in seen)
