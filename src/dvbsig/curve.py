@@ -18,8 +18,12 @@ _COMB_TEETH-row fixed-base comb table per `scalar_mul` base and scalar
 width, and the Miller line coefficients per first pairing argument.  An
 order-q check sums the point's cached doubling chain 2^i*P into buckets by
 the scalar's width-4 digits, and that point object's first product reuses
-the chain.  Every cached value is a pure function of its key, so results are
-the same cold or warm.
+the chain.  `hash_to_point` hashes and takes a square root on every call,
+but its cofactor ladder is cached (16 entries) by (p, cofactor, x, y).  The
+cache holds coordinates, not points, so each call gets a new point object
+and no order-q verdict or chain mark passes from one caller to another.
+Every cached value is a pure function of its key, so results are the same
+cold or warm.
 
 A point from outside the program is accepted by one rule, `point_fault`;
 a point object keeps its own order-q verdict.  Binary artifacts are read
@@ -479,18 +483,26 @@ def _final_exponentiation(f: Fp2Element, params: CurveParams) -> Fp2Element:
 # hashing to the subgroup
 
 
-def _clear_cofactor(params: CurveParams, x: int, y: int) -> G1Point:
-    """cofactor*(x, y) left to right over the cofactor's NAF digits: mixed
-    additions of (x, +-y) make it cheaper than summing a doubling chain."""
-    p = params.p
+# a recurring signer's Q_s, whose comb table (in a cache of the same size)
+# its h*Q_s needs anyway, and the fresh identities that pass between its uses
+@functools.lru_cache(maxsize=16)
+def _cofactor_ladder(p, cofactor, x, y):
+    """cofactor*(x, y), affine, left to right over the cofactor's NAF digits:
+    mixed additions of (x, +-y) make it cheaper than summing a doubling chain."""
     tx, ty, tz = x, y, 1
-    for d in reversed(_signed_digits(params.cofactor)[:-1]):
+    for d in reversed(_signed_digits(cofactor)[:-1]):
         tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
         if d == 1:
             tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, x, y)
         elif d == -1:
             tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, x, -y % p)
-    return G1Point(p, *_to_affine(p, tx, ty, tz))
+    return _to_affine(p, tx, ty, tz)
+
+
+def _clear_cofactor(params: CurveParams, x: int, y: int) -> G1Point:
+    """cofactor*(x, y) as a new point object, so no order-q verdict or chain
+    mark kept on one caller's point reaches another's."""
+    return G1Point(params.p, *_cofactor_ladder(params.p, params.cofactor, x, y))
 
 
 def _try_and_increment(data: bytes, params: CurveParams) -> G1Point:

@@ -489,8 +489,8 @@ class TestBlindnessDemo:
 
 BENCH_LABELS = (
     "params_validate", "g1_scalar_mul", "g1_scalar_mul_first_use", "pairing", "pairing_first_use",
-    "map_to_point", "sign_session", "verify", "subgroup_check", "checked_product",
-    "final_exponentiation",
+    "map_to_point", "map_to_point_repeat", "sign_session", "verify", "subgroup_check",
+    "checked_product", "final_exponentiation",
 )
 
 
@@ -749,6 +749,17 @@ class TestErrorPaths:
         code, out, err = run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")
         assert code == 3 and out == ""
         assert f"{state}: field 'started_ms' is not in [0, 2^64 - 2]" in err
+        assert not (workspace / "transcripts.log").exists()
+        assert not (state.parent / "response.frame").exists()
+
+    @pytest.mark.parametrize("signer", ["..", "a/b", "a" * 129], ids=["dots", "slash", "long"])
+    def test_signer_field_invalid(self, run, workspace, message_file, signer):
+        # a damaged state file exits 3 whichever of its fields is at fault
+        state = self.blinded_session(run, workspace, message_file) / "signer.state"
+        self.rewrite_field(state, "signer", signer)
+        code, out, err = run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")
+        assert code == 3 and out == ""
+        assert f"{state}: field 'signer'" in err
         assert not (workspace / "transcripts.log").exists()
         assert not (state.parent / "response.frame").exists()
 

@@ -387,7 +387,7 @@ class TestTatePairing:
             )
 
 
-CACHES = (curve._comb_table, curve._miller_lines, curve._doubling_chain)
+CACHES = (curve._comb_table, curve._miller_lines, curve._doubling_chain, curve._cofactor_ladder)
 COMB_SCALARS = [
     sign * k
     for bits in (1, 31, 32, 33, 63, 64, 65)
@@ -559,9 +559,15 @@ class TestPrecompute:
 
     def test_caches_are_shared_safely_between_threads(self, toy_params, cold_caches):
         # more threads than cores, switching often, over more bases than the
-        # comb cache holds: every result must still match the ladder
+        # comb cache holds and more identities than the clearing cache holds:
+        # every result must still match the ladder and the cold hash
         points = [G1Point(P, *pt) for pt in all_points(P)[1:41]]
         want = {(k, a): G1Point(P, *_mul_raw(P, k, a.x, a.y)) for a in points for k in (5, 11)}
+        ids = [f"id-{i}".encode() for i in range(40)]
+        hashed = {}
+        for ident in ids:
+            hashed[ident] = hash_to_point(ident, toy_params)
+            curve._cofactor_ladder.cache_clear()
         errors = []
 
         def work(seed):
@@ -572,6 +578,9 @@ class TestPrecompute:
                     if scalar_mul(k, a) != want[(k, a)]:
                         errors.append((k, a))
                     tate_pairing(a, toy_params.generator, toy_params)
+                    ident = rnd.choice(ids)
+                    if hash_to_point(ident, toy_params) != hashed[ident]:
+                        errors.append(ident)
             except Exception as exc:  # reported below; a thread cannot raise into the test
                 errors.append(exc)
 
@@ -598,10 +607,13 @@ class TestPrecompute:
             scalar_mul(5, a)
             scalar_mul(5, a)
             tate_pairing(a, g, toy_params)
+        for i in range(100):
+            hash_to_point(f"id-{i}".encode(), toy_params)
         infos = [cache.cache_info() for cache in CACHES]
         for info in infos:
             assert 0 < info.currsize <= info.maxsize
-        assert [info.maxsize for info in infos] == [16, 8, 2]
+        assert infos[-1].misses > infos[-1].maxsize
+        assert [info.maxsize for info in infos] == [16, 8, 2, 16]
 
 
 class TestHashToPoint:
@@ -651,6 +663,37 @@ class TestHashToPoint:
         assert curve._doubling_chain.cache_info().currsize == 0
         monkeypatch.undo()
         assert not point.is_identity and scalar_mul(params.q, point).is_identity
+
+    def test_recurring_identity_skips_the_cofactor_ladder(
+        self, production_params, monkeypatch, cold_caches
+    ):
+        # the clearing is cached by its inputs; SHA-256 and the square root of
+        # every try still run, so a repeat costs one of each per try
+        roots, adds, doublings = [], [], []
+        root, add, double = curve.sqrt_mod, curve._add_jacobian, curve._double_jacobian
+        monkeypatch.setattr(curve, "sqrt_mod", lambda *a: roots.append(a) or root(*a))
+        monkeypatch.setattr(curve, "_add_jacobian", lambda *a: adds.append(a) or add(*a))
+        monkeypatch.setattr(curve, "_double_jacobian", lambda *a: doublings.append(a) or double(*a))
+        first = hash_to_point(b"alice", production_params)
+        cold = (len(roots), len(adds), len(doublings))
+        del roots[:], adds[:], doublings[:]
+        again = hash_to_point(b"alice", production_params)
+        monkeypatch.undo()
+        assert cold[1:] == (10, 352)
+        assert (len(roots), len(adds), len(doublings)) == (cold[0], 0, 0)
+        assert again == first
+
+    def test_cached_clearing_returns_a_new_point_object(self, production_params, cold_caches):
+        params = production_params
+        first = hash_to_point(b"alice", params)
+        assert in_subgroup(first, params.q)
+        again = hash_to_point(b"alice", params)
+        assert again == first and again is not first
+        assert "_order_q" not in vars(again) and "_chain_q" not in vars(again)
+        scalar_mul(12345, first)
+        third = hash_to_point(b"alice", params)
+        assert third == first and third is not first and third is not again
+        assert "_order_q" not in vars(third) and "_chain_q" not in vars(third)
 
 
 class TestEncodings:
