@@ -121,13 +121,28 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _fraction(text: str) -> Fraction:
-    from fractions import Fraction
+def _count(text: str) -> int:
+    """A query count: a decimal integer, 0 or more."""
+    if not text.isdecimal():
+        raise ValueError(text)
+    return int(text)
 
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CommandLineError(f"not a rational number: {text!r} ({exc})") from exc
+
+def _rational(low: int, high: int | None = None):
+    """A parser of rational numbers in [low, high], or from low up."""
+
+    def parse(text: str) -> Fraction:
+        from fractions import Fraction
+
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(text) from None
+        if value < low or high is not None and value > high:
+            raise ValueError(text)
+        return value
+
+    return parse
 
 
 def _fmt(value: Fraction) -> str:
@@ -190,7 +205,8 @@ def cmd_sign_run(ws: storage.Workspace, args) -> int:
     signer_name = _identity(args.signer, "--signer")
     verifier = _identity(args.verifier, "--verifier")
     message = _message_bytes(args)
-    # open the log first: its order-q checks would evict the key's doubling chain
+    # open the log first: its order-q checks (two per record) would evict the
+    # key's doubling chain from the 4-entry check cache before its first product
     store = FileTranscriptStore(ws.transcript_log, system.curve)
     signer = _load_key(ws, system, signer_name)
     verifier_public = hash_to_point(verifier.encode("utf-8"), system.curve)
@@ -411,36 +427,46 @@ def _load_costs(args) -> analysis.OpCosts:
 
     if getattr(args, "costs", None) is None:
         return analysis.OpCosts.reference()
-    fields = storage.read_kv(_require(Path(args.costs), "costs file"))
-    known = {f: _fraction(v) for f, v in fields.items()}
-    bad = set(known) - set(analysis.OpCosts._fields)
+    path = _require(Path(args.costs), "costs file")
+    fields = storage.read_kv(path)
+    bad = set(fields) - set(analysis.OpCosts._fields)
     if bad:
         raise CommandLineError(f"unknown cost fields: {sorted(bad)}")
-    return analysis.OpCosts(**known)
+    cost = _rational(0)
+    return analysis.OpCosts(
+        **{f: storage.kv_field(fields, f, path, cost, "a rational number >= 0") for f in fields}
+    )
 
 
 def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
     from . import analysis
 
-    # the flags give the defaults; a budget file's fields override them
+    # the flags give the defaults; a budget file's fields override them.  A
+    # bad flag is a usage error, a bad field a DecodeError naming the file
     fields, path = {}, None
     if args.budget_file is not None:
         path = _require(Path(args.budget_file), "budget file")
         fields = storage.read_kv(path)
 
-    def count(key: str) -> int:
-        return storage.kv_int(fields, key, path, default=getattr(args, key))
+    def value(key: str, parse, kind: str):
+        if key in fields:
+            return storage.kv_field(fields, key, path, parse, kind)
+        try:
+            return parse(getattr(args, key))
+        except ValueError:
+            raise CommandLineError(f"--{key} is not {kind}: {getattr(args, key)!r}") from None
 
+    integer = "a decimal integer >= 0"
     budget = analysis.QueryBudget(
-        h1_queries=count("qh1"),
-        h2_queries=count("qh2"),
-        extract_queries=count("qe"),
-        sign_queries=count("qs"),
-        verify_queries=count("qv"),
-        advantage=_fraction(fields.get("eps", args.eps)),
-        runtime=_fraction(fields.get("t", args.t)),
+        h1_queries=value("qh1", _count, integer),
+        h2_queries=value("qh2", _count, integer),
+        extract_queries=value("qe", _count, integer),
+        sign_queries=value("qs", _count, integer),
+        verify_queries=value("qv", _count, integer),
+        advantage=value("eps", _rational(0, 1), "a rational number in [0, 1]"),
+        runtime=value("t", _rational(0), "a rational number >= 0"),
     )
-    group_order = count("q")
+    group_order = storage.kv_int(fields, "q", path, default=args.q)
     costs = _load_costs(args)
     forge = analysis.unforgeability_bound(budget, costs, group_order)
     dver = analysis.unverifiability_bound(budget, costs, group_order)
@@ -485,7 +511,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
     import json
 
     from .algebra import sample_unit
-    from .curve import G1Point, decode_point, in_subgroup, scalar_mul, tate_pairing
+    from .curve import decode_point, in_subgroup, scalar_mul, tate_pairing
     from .curve import _final_exponentiation, _miller_loop
     from .scheme import MasterSecret
 
@@ -518,9 +544,9 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
 
     timed("params_validate", lambda _: curve.validate(), range(n))
     # Full-width scalars.  `g1_scalar_mul` and `pairing` reuse one base and
-    # one Miller argument, whose comb table and lines an untimed first call
-    # builds; the `_first_use` rows take a fresh point per iteration and so
-    # pay for building them.
+    # one Miller argument, whose doubling chain and lines an untimed first
+    # call builds; the `_first_use` rows take a fresh point per iteration and
+    # so pay for building them.
     scalars = [sample_unit(rng, curve.q) for _ in range(n)]
     fresh = [scalar_mul(sample_unit(rng, curve.q), curve.generator) for _ in range(2 * n)]
     base, other = signer.public, verifier.public
@@ -556,8 +582,8 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
         ),
         range(n),
     )
-    # a new point object per iteration, so no order verdict kept on one is reused
-    checked = [G1Point(curve.p, a.x, a.y) for a in fresh[:n]]
+    # points that no row has multiplied or checked, so no cache holds their chain
+    checked = [scalar_mul(sample_unit(rng, curve.q), curve.generator) for _ in range(n)]
     timed("subgroup_check", lambda a: in_subgroup(a, curve.q), checked)
     # decode_point of an encoding seen once (an order-q check), then a first product
     encoded = [(k, a.encode()) for k, a in zip(scalars, fresh[n:])]
@@ -671,11 +697,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_sub = p_analyze.add_subparsers(dest="subcommand", required=True)
 
     p_bounds = analyze_sub.add_parser("bounds", help="evaluate the reduction bounds")
-    p_bounds.add_argument("--qh1", type=int, default=2)
-    p_bounds.add_argument("--qh2", type=int, default=0)
-    p_bounds.add_argument("--qe", type=int, default=0)
-    p_bounds.add_argument("--qs", type=int, default=0)
-    p_bounds.add_argument("--qv", type=int, default=0)
+    p_bounds.add_argument("--qh1", default="2")
+    p_bounds.add_argument("--qh2", default="0")
+    p_bounds.add_argument("--qe", default="0")
+    p_bounds.add_argument("--qs", default="0")
+    p_bounds.add_argument("--qv", default="0")
     p_bounds.add_argument("--eps", default="1")
     p_bounds.add_argument("--t", default="0")
     p_bounds.add_argument("--q", type=int, default=2**159 + 2**17 + 1, help="group order")

@@ -12,22 +12,18 @@ erased by the final exponentiation, so such factors are skipped.
 Ladders and the Miller loop keep their running point in Jacobian
 coordinates (x, y) = (X/Z^2, Y/Z^3), so each inverts at most once.
 
-Long-lived points are precomputed once, on first use, into bounded
-`functools.lru_cache`s keyed by their exact affine coordinates: a
-_COMB_TEETH-row fixed-base comb table per `scalar_mul` base and scalar
-width, and the Miller line coefficients per first pairing argument.  An
-order-q check sums the point's cached doubling chain 2^i*P into buckets by
-the scalar's width-4 digits, and that point object's first product reuses
-the chain.  `hash_to_point` hashes and takes a square root on every call,
-but its cofactor ladder is cached (16 entries) by (p, cofactor, x, y).  The
-cache holds coordinates, not points, so each call gets a new point object
-and no order-q verdict or chain mark passes from one caller to another.
-Every cached value is a pure function of its key, so results are the same
-cold or warm.
+Every G1 product and order-q check is one `_mul_raw`: it sums the point's
+doubling chain 2^i*P into buckets by the scalar's width-4 digits.  Chains,
+the Miller line coefficients per first pairing argument and the cofactor
+clearing of `hash_to_point` are kept in bounded `functools.lru_cache`s
+keyed by exact affine coordinates; checks and products keep their chains
+in two caches, so points that are only checked never evict a long-lived
+key's chain.  Every cached value is a pure function of its key, so results
+are the same cold or warm, and a point object carries nothing but p, x, y.
 
-A point from outside the program is accepted by one rule, `point_fault`;
-a point object keeps its own order-q verdict.  Binary artifacts are read
-through one cursor, `Reader`, on top of `decode_point` and `decode_gt`.
+A point from outside the program is accepted by one rule, `point_fault`.
+Binary artifacts are read through one cursor, `Reader`, on top of
+`decode_point` and `decode_gt`.
 """
 
 from __future__ import annotations
@@ -52,7 +48,9 @@ R_SEARCH_LIMIT = 1 << 22  # cofactor candidates r tried by params_for_subgroup_o
 
 class G1Point:
     """Immutable affine point on y^2 = x^3 + x over F_p; x = y = None is the
-    identity.  Its `__dict__` also keeps `in_subgroup`'s verdict and chain mark."""
+    identity."""
+
+    __slots__ = ("p", "x", "y")
 
     def __init__(self, p: int, x: int | None, y: int | None):
         object.__setattr__(self, "p", p)
@@ -205,94 +203,21 @@ def _add_jacobian(p, tx, ty, tz, x, y, z=1):
     return x3, (r * (v - x3) - ty * hhh) % p, tz * h % p, r
 
 
-def _batch_to_affine(p, points):
-    """(X/Z^2, Y/Z^3) for each Jacobian point, sharing one inversion among
-    them (Montgomery's trick); (None, None) where Z = 0."""
-    prefix, acc = [], 1
-    for _, _, z in points:
-        prefix.append(acc)
-        if z:
-            acc = acc * z % p
-    inv = pow(acc, -1, p)
-    out = []
-    for (x, y, z), before in zip(reversed(points), reversed(prefix)):
-        if not z:
-            out.append((None, None))
-            continue
-        zinv = inv * before % p
-        inv = inv * z % p
-        zinv2 = zinv * zinv % p
-        out.append((x * zinv2 % p, y * zinv2 * zinv % p))
-    out.reverse()
-    return out
-
-
 def _to_affine(p, x, y, z):
     """(X/Z^2, Y/Z^3) with one inversion; (None, None) when Z = 0."""
-    return _batch_to_affine(p, [(x, y, z)])[0]
+    if not z:
+        return None, None
+    zinv = pow(z, -1, p)
+    zinv2 = zinv * zinv % p
+    return x * zinv2 % p, y * zinv2 * zinv % p
 
 
-# rows of the fixed-base comb, picked by a benchmark A/B of 4, 5 and 6
-# (BENCH_14.json): more rows make a product cheaper and a table dearer
-_COMB_TEETH = 5
-
-
-def _comb_columns(k_bits: int) -> int:
-    """Columns d of the comb, whose _COMB_TEETH rows of d bits cover k_bits
-    rounded up to a multiple of 32, so scalars reduced mod one q share a
-    table size: for a 160-bit q, all but a 2^-31 share of them."""
-    width = -(-max(k_bits, 1) // 32) * 32
-    return -(-width // _COMB_TEETH)
-
-
-# a session's long-lived keys fit, with room for the fresh points that pass
-# through between their uses
-@functools.lru_cache(maxsize=16)
-def _comb_table(p, x, y, d):
-    """Lim-Lee comb table: entry i (0 < i < 2^_COMB_TEETH) is the sum of
-    2^(t*d)*(x, y) over the set bits t of i, affine; (None, None) is the
-    identity."""
-    spaced, (tx, ty, tz) = [(x, y, 1)], (x, y, 1)
-    for _ in range(_COMB_TEETH - 1):
-        for _ in range(d):
-            tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
-        spaced.append((tx, ty, tz))
-    bases = _batch_to_affine(p, spaced)
-    sums = [(1, 1, 0)]
-    for i in range(1, 1 << _COMB_TEETH):
-        top = i.bit_length() - 1
-        bx, by = bases[top]
-        tx, ty, tz = sums[i - (1 << top)]
-        sums.append((tx, ty, tz) if bx is None else _add_jacobian(p, tx, ty, tz, bx, by)[:3])
-    return tuple(_batch_to_affine(p, sums))
-
-
-def _mul_comb(p, k, x, y):
-    """k*(x, y) for k != 0 and a non-identity base, from the base's comb
-    table for k's width: d doublings and at most d mixed additions, one
-    inversion."""
-    n = abs(k)
-    d = _comb_columns(n.bit_length())
-    table = _comb_table(p, x, y, d)
-    mask = (1 << d) - 1
-    rows = [format(n >> (t * d) & mask, f"0{d}b") for t in reversed(range(_COMB_TEETH))]
-    tx, ty, tz = 1, 1, 0
-    for column in zip(*rows):
-        if tz:
-            tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
-        ax, ay = table[int("".join(column), 2)]
-        if ax is not None:
-            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, ax, ay)
-    rx, ry = _to_affine(p, tx, ty, tz)
-    if k < 0 and rx is not None:
-        ry = -ry % p
-    return rx, ry
-
-
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=4)
 def _doubling_chain(p, x, y, n):
-    """2^i*(x, y) for i < n, in Jacobian coordinates; a checked point's chain
-    waits here for that point's first product."""
+    """2^i*(x, y) for i < n, in Jacobian coordinates.  Order-q checks read
+    this cache directly, and a checked point's chain waits here for its
+    first product: 4 entries, so in `dvbsig sign run` the key S_s's chain
+    outlasts Q_s's first product and U's check, which come in between."""
     tx, ty, tz = x, y, 1
     chain = [(tx, ty, tz)]
     for _ in range(n - 1):
@@ -301,21 +226,30 @@ def _doubling_chain(p, x, y, n):
     return tuple(chain)
 
 
-def _mul_raw(p, k, x, y, q=0):
-    """k*(x, y) right to left by Yao's bucket method: the entry 2^i*(x, y) of
-    the base's cached doubling chain joins bucket B_|d|, negated when d < 0,
-    for each width-4 digit d of k at i (k's sign flips every digit's); then
-    k*(x, y) = 2*(3*B7 + 2*B5 + B3) + (B7 + B5 + B3 + B1).
+# a session's long-lived keys fit, with room for the fresh points that pass
+# through between their uses
+@functools.lru_cache(maxsize=16)
+def _product_chain(p, x, y, n):
+    """The chain of a `scalar_mul` base, read through `_doubling_chain` on a
+    miss, so points that are only checked never evict it."""
+    return _doubling_chain(p, x, y, n)
 
-    The chain runs to one past the bit length of the larger of |k| and q,
-    which bounds the width-4 form of either, so an order-q check and the
-    checked point's first product by any |k| <= q share one chain.  The
-    single inversion is skipped when the result is the identity, which is
-    what every subgroup check expects.
+
+def _mul_raw(p, k, x, y, chains=_product_chain):
+    """k*(x, y) right to left by Yao's bucket method: the entry 2^i*(x, y) of
+    the base's doubling chain, from the cache `chains`, joins bucket B_|d|,
+    negated when d < 0, for each width-4 digit d of k at i (k's sign flips
+    every digit's); then k*(x, y) = 2*(3*B7 + 2*B5 + B3) + (B7 + B5 + B3 + B1).
+
+    The chain runs to one past k's bit length rounded up to a multiple of
+    32, which bounds k's width-4 form, so the check by a 160-bit q and a
+    product by any k < q (all but a 2^-31 share of them) share one chain.
+    The single inversion is skipped when the result is the identity, which
+    is what every subgroup check expects.
     """
     if x is None or k == 0:
         return None, None
-    chain = _doubling_chain(p, x, y, max(abs(k), q).bit_length() + 1)
+    chain = chains(p, x, y, -(-abs(k).bit_length() // 32) * 32 + 1)
     buckets = [(1, 1, 0)] * 8
     for d, (cx, cy, cz) in zip(_signed_digits(abs(k), 4), chain):
         if d:
@@ -333,19 +267,12 @@ def _mul_raw(p, k, x, y, q=0):
 def in_subgroup(point: G1Point, q: int) -> bool:
     """True when q*point is the identity (the identity itself included).
 
-    One ladder through `_mul_raw` per point object: the (frozen) point keeps
-    its verdict for q, so `scheme.blind` / `unblind` reuse `decode_point`'s,
-    and its first `scalar_mul` reuses the ladder's doubling chain.  Range and
-    curve membership are `point_fault`'s checks.
+    One `_mul_raw` over the check cache's chain, and no state kept: a
+    repeated check sums the still-cached chain, and the point's first
+    `scalar_mul` reads it through the product cache.  Range and curve
+    membership are `point_fault`'s checks.
     """
-    if point.is_identity:
-        return True
-    known = getattr(point, "_order_q", None)
-    if known is not None and known[0] == q:
-        return known[1]
-    verdict = _mul_raw(point.p, q, point.x, point.y)[0] is None
-    vars(point).update(_order_q=(q, verdict), _chain_q=q)
-    return verdict
+    return point.is_identity or _mul_raw(point.p, q, point.x, point.y, _doubling_chain)[0] is None
 
 
 def point_fault(point: G1Point, q: int) -> str | None:
@@ -390,17 +317,11 @@ def point_add(a: G1Point, b: G1Point) -> G1Point:
 
 
 def scalar_mul(k: int, a: G1Point) -> G1Point:
-    """k*A by a fixed-base comb over A's cached table, or, for the first
-    product of an order-checked A with |k| <= q, over the check's doubling
-    chain; counts as one G1 scalar multiplication."""
+    """k*A by `_mul_raw` over A's cached doubling chain; counts as one G1
+    scalar multiplication."""
     _require_on_curve(a)
     meter.tally(meter.G1_SCALAR_MUL)
-    chain_q = vars(a).pop("_chain_q", 0)
-    if a.is_identity or k == 0:
-        return G1Point.identity(a.p)
-    if abs(k) <= chain_q:
-        return G1Point(a.p, *_mul_raw(a.p, k, a.x, a.y, chain_q))
-    return G1Point(a.p, *_mul_comb(a.p, k, a.x, a.y))
+    return G1Point(a.p, *_mul_raw(a.p, k, a.x, a.y))
 
 
 def tate_pairing(a: G1Point, b: G1Point, params: CurveParams) -> GTElement:
@@ -483,7 +404,7 @@ def _final_exponentiation(f: Fp2Element, params: CurveParams) -> Fp2Element:
 # hashing to the subgroup
 
 
-# a recurring signer's Q_s, whose comb table (in a cache of the same size)
+# a recurring signer's Q_s, whose product chain (in a cache of the same size)
 # its h*Q_s needs anyway, and the fresh identities that pass between its uses
 @functools.lru_cache(maxsize=16)
 def _cofactor_ladder(p, cofactor, x, y):
@@ -500,8 +421,7 @@ def _cofactor_ladder(p, cofactor, x, y):
 
 
 def _clear_cofactor(params: CurveParams, x: int, y: int) -> G1Point:
-    """cofactor*(x, y) as a new point object, so no order-q verdict or chain
-    mark kept on one caller's point reaches another's."""
+    """cofactor*(x, y) as a point."""
     return G1Point(params.p, *_cofactor_ladder(params.p, params.cofactor, x, y))
 
 

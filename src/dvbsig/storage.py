@@ -61,7 +61,9 @@ def decode_named(path: Path | str, decode, *args):
         raise DecodeError(f"{path}: {exc.reason}", exc.position) from None
 
 
-def _kv(fields: dict[str, str], key: str, path: Path | str, parse, kind: str):
+def kv_field(fields: dict[str, str], key: str, path: Path | str, parse, kind: str):
+    """parse(field `key`); a missing field, or one that `parse` refuses with a
+    ValueError, is a DecodeError naming the file, the field and `kind`."""
     try:
         return parse(fields[key])
     except KeyError:
@@ -76,7 +78,7 @@ def kv_int(fields: dict[str, str], key: str, path: Path | str, default: int | No
     the file and the field."""
     if default is not None and key not in fields:
         return default
-    return _kv(fields, key, path, int, "a decimal integer")
+    return kv_field(fields, key, path, int, "a decimal integer")
 
 
 def kv_unit(fields: dict[str, str], key: str, path: Path | str, q: int) -> int:
@@ -89,12 +91,12 @@ def kv_unit(fields: dict[str, str], key: str, path: Path | str, q: int) -> int:
 
 def kv_hex(fields: dict[str, str], key: str, path: Path | str) -> bytes:
     """Field `key` as hex-encoded bytes, checked like `kv_int`."""
-    return _kv(fields, key, path, bytes.fromhex, "hex")
+    return kv_field(fields, key, path, bytes.fromhex, "hex")
 
 
 def kv_text(fields: dict[str, str], key: str, path: Path | str) -> str:
     """Field `key` as text; only its absence is an error."""
-    return _kv(fields, key, path, str, "text")
+    return kv_field(fields, key, path, str, "text")
 
 
 def write_private(path: Path, text: str) -> None:

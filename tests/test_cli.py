@@ -447,6 +447,28 @@ class TestAnalysisCommands:
         assert "advantage = 112/12675" in out
         assert run(*flags, "--qe", 1, "--eps", "1/2", "--q", 13)[1] == out
 
+    @pytest.mark.parametrize(
+        "flag, value, kind",
+        [
+            ("--qe", "-1", "a decimal integer >= 0"),
+            ("--qs", "-3", "a decimal integer >= 0"),
+            ("--eps", "3/2", "a rational number in [0, 1]"),
+            ("--eps", "-0.5", "a rational number in [0, 1]"),
+            ("--t", "-1", "a rational number >= 0"),
+        ],
+    )
+    def test_bounds_refuse_out_of_range_inputs(self, run, tmp_path, flag, value, kind):
+        # a negative count made the advantage exceed 1 or divide by zero
+        flags = ("-w", tmp_path, "analyze", "bounds", "--qh1", 3)
+        code, out, err = run(*flags, flag, value)
+        assert code == 2 and out == ""
+        assert f"{flag} is not {kind}: {value!r}" in err
+        budget = tmp_path / "budget.txt"
+        budget.write_text(f"{flag[2:]} = {value}\n")
+        code, out, err = run(*flags, "--budget-file", budget)
+        assert code == 3 and out == ""
+        assert f"budget.txt: field {flag[2:]!r} is not {kind}" in err
+
     def test_bounds_domain_error(self, run, tmp_path):
         code, _, err = run("-w", tmp_path, "analyze", "bounds", "--qh1", 1, "--eps", "1")
         assert code == 3
@@ -467,6 +489,15 @@ class TestAnalysisCommands:
         code, out, _ = run("-w", tmp_path, "analyze", "perf", "--costs", costs)
         assert code == 0
         assert "modeled_ms = 7 (7.0000)" in out  # ours sign: 5 + 1 + 1
+
+    @pytest.mark.parametrize("value", ["abc", "-20", "1/0"])
+    def test_perf_costs_file_bad_value(self, run, tmp_path, value):
+        # a negative cost printed a negative modeled time
+        costs = tmp_path / "costs.txt"
+        costs.write_text(f"pairing = {value}\n")
+        code, out, err = run("-w", tmp_path, "analyze", "perf", "--costs", costs)
+        assert code == 3 and out == ""
+        assert "costs.txt: field 'pairing' is not a rational number >= 0" in err
 
     def test_perf_costs_file_unknown_field(self, run, tmp_path):
         costs = tmp_path / "costs.txt"
@@ -512,23 +543,35 @@ class TestBench:
 
     def test_bench_scalars_and_bases(self, run, tmp_path, monkeypatch):
         # full-width scalars; the first-use and checked-product rows take a
-        # new base each time
+        # new base each time, and every check the last two rows time is cold
         ws = tmp_path / "ws"
         assert run("-w", ws, "params", "gen", "--q-bits", 32, "--seed", "bench")[0] == 0
         assert run("-w", ws, "setup", "--seed", "pkg")[0] == 0
         curve = storage.load_system_params(ws / "system.txt").curve
-        calls = []
-        scalar_mul = dvbsig_curve.scalar_mul
+        calls, checks = [], []
+        scalar_mul, in_subgroup = dvbsig_curve.scalar_mul, dvbsig_curve.in_subgroup
+        chains = dvbsig_curve._doubling_chain
+
+        def check(a, q):
+            misses = chains.cache_info().misses
+            verdict = in_subgroup(a, q)
+            checks.append((a, chains.cache_info().misses > misses))
+            return verdict
+
         monkeypatch.setattr(
             dvbsig_curve, "scalar_mul", lambda k, a: calls.append((k, a)) or scalar_mul(k, a)
         )
+        monkeypatch.setattr(dvbsig_curve, "in_subgroup", check)
         assert run("-w", ws, "bench", "--iterations", 4, "--seed", "bench")[0] == 0
         signer = hash_to_point(b"bench-signer", curve)
         fixed = [k for k, a in calls if a == signer]
         first_use = [a for _, a in calls if a not in (signer, curve.generator)]
         assert len(fixed) == 5 and max(k.bit_length() for k in fixed) > 24
         assert len(first_use) == len(set(first_use)) == 8
-        assert sum(hasattr(a, "_order_q") for a in first_use) == 4  # decoded: checked
+        # subgroup_check's 4 points, then checked_product's 4 decoded bases
+        assert [a for a, _ in checks[-4:]] == first_use[-4:]
+        assert not any(a == b for a, _ in checks[-8:-4] for _, b in calls)
+        assert all(missed for _, missed in checks[-8:])
 
 
 class TestImports:
@@ -662,7 +705,7 @@ class TestErrorPaths:
 
     def test_sign_run_reuses_the_signer_keys_doubling_chain(self, run, tmp_path, message_file):
         # the reopen's order-q checks of the logged U and V run before the
-        # signer key's check, so the 2-entry chain cache still holds S_s's
+        # signer key's check, so the 4-entry check cache still holds S_s's
         # chain when the response first multiplies by it: x*U, (r + h1)*S_s
         # and x*V all reuse their check's chain
         ws = tmp_path / "mid"
@@ -675,10 +718,13 @@ class TestErrorPaths:
             "--message-file", message_file,
         )
         assert run(*sign, "--seed", "s1")[0] == 0
-        dvbsig_curve._doubling_chain.cache_clear()
+        chains = (dvbsig_curve._doubling_chain, dvbsig_curve._product_chain)
+        for cache in chains:
+            cache.cache_clear()
         assert run(*sign, "--seed", "s2")[0] == 0
         assert dvbsig_curve._doubling_chain.cache_info().hits == 3
-        dvbsig_curve._doubling_chain.cache_clear()
+        for cache in chains:
+            cache.cache_clear()
 
     def test_damaged_transcript_log_named(self, run, workspace, message_file):
         sign = (

@@ -387,8 +387,8 @@ class TestTatePairing:
             )
 
 
-CACHES = (curve._comb_table, curve._miller_lines, curve._doubling_chain, curve._cofactor_ladder)
-COMB_SCALARS = [
+CACHES = (curve._product_chain, curve._miller_lines, curve._doubling_chain, curve._cofactor_ladder)
+CHAIN_SCALARS = [
     sign * k
     for bits in (1, 31, 32, 33, 63, 64, 65)
     for k in {2**bits - 1, 2 ** (bits - 1) + 0x89ABCDEF % 2 ** (bits - 1)}
@@ -412,62 +412,48 @@ def negated(pair):
 
 class TestPrecompute:
     def test_scalar_mul_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
-        # all 312 points: comb entries of small-order bases are the identity,
-        # and the additions meet T = A and T = -A
+        # all 312 points: chain entries of small-order bases are the
+        # identity, and the bucket additions meet T = A and T = -A
         for pt in all_points(P):
             a = G1Point(P, *(pt or (None, None)))
             multiples = [None]
             for _ in range(27):
                 multiples.append(add_oracle(P, multiples[-1], pt))
             want = {k: multiples[k] if k >= 0 else negated(multiples[-k]) for k in range(-27, 28)}
-            for k in range(-27, 28):  # k = -27 builds the table, the rest reuse it
+            for k in range(-27, 28):  # k = -27 builds the chain, the rest reuse it
                 assert as_pair(scalar_mul(k, a)) == want[k]
             for k in range(-27, 28):
-                curve._comb_table.cache_clear()
+                curve._product_chain.cache_clear()
+                curve._doubling_chain.cache_clear()
                 assert as_pair(scalar_mul(k, a)) == want[k]
             # 1-bit scalars, and scalars on either side of the 32- and 64-bit
-            # roundings of the comb's width, which read every row, where
-            # entries built from an identity 2^(t*d)*A meet the other terms
-            for k in COMB_SCALARS:
+            # roundings of the chain's length, where the width-4 form of the
+            # widest one reads the chain's last entry
+            for k in CHAIN_SCALARS:
                 assert as_pair(scalar_mul(k, a)) == mul_oracle(P, k % (P + 1), pt)
 
-    def test_comb_scalars_read_every_row(self):
-        # the widest scalar of each rounding sets a bit in the comb's top row
-        teeth = curve._COMB_TEETH
-        for bits in (32, 64):
-            d = curve._comb_columns(bits)
-            assert d == curve._comb_columns(bits - 1) and teeth * d >= bits
-            assert any(k.bit_length() == bits and k >> (teeth - 1) * d for k in COMB_SCALARS)
-
-    def test_checked_first_product_matches_oracle_cold_and_warm(
-        self, toy_params, cold_caches, monkeypatch
-    ):
+    def test_checked_first_product_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
         # all 312 points, (0, 0) and the identity included, k in [-2q-1, 2q+1]:
-        # a checked object's first product with |k| <= q sums the doubling
-        # chain its check built (kept or evicted); its second product, a
-        # product with |k| > q and an unchecked object's product take the comb
-        ladders = []
-        ladder = curve._mul_raw
-        monkeypatch.setattr(curve, "_mul_raw", lambda *a: ladders.append(a[1]) or ladder(*a))
+        # the first product after an order-q check reads the check's chain
+        # through the product cache, or builds it when the check's is evicted
         for pt in all_points(P):
             coords = pt or (None, None)
             multiples = [None]
             for _ in range(2 * Q + 1):
                 multiples.append(add_oracle(P, multiples[-1], pt))
-            for k in range(-2 * Q - 1, 2 * Q + 2):
-                want = multiples[k] if k >= 0 else negated(multiples[-k])
-                for cold in (False, True):
-                    a = G1Point(P, *coords)
-                    in_subgroup(a, Q)
-                    if cold:
-                        curve._doubling_chain.cache_clear()
-                    ladders.clear()
+            for cold in (False, True):
+                for cache in (curve._product_chain, curve._doubling_chain):
+                    cache.cache_clear()
+                a = G1Point(P, *coords)
+                in_subgroup(a, Q)
+                if cold:
+                    curve._doubling_chain.cache_clear()
+                for k in range(-2 * Q - 1, 2 * Q + 2):
+                    want = multiples[k] if k >= 0 else negated(multiples[-k])
                     assert as_pair(scalar_mul(k, a)) == want
-                    assert as_pair(scalar_mul(k, a)) == want
-                    assert ladders == ([k] if pt and k and abs(k) <= Q else [])
-                ladders.clear()
-                assert as_pair(scalar_mul(k, G1Point(P, *coords))) == want
-                assert ladders == []
+                if pt:
+                    assert curve._product_chain.cache_info().misses == 1
+                    assert curve._doubling_chain.cache_info().hits == (0 if cold else 1)
         # 2*(0, 0) is the identity, and so is every later chain entry
         assert [z for _, _, z in curve._doubling_chain(P, 0, 0, 5)] == [1, 0, 0, 0, 0]
 
@@ -502,6 +488,8 @@ class TestPrecompute:
         assert len(digits) == len(_signed_digits(q)) + 1 == 33
         assert {abs(d) for d in digits} == {0, 1, 3, 5, 7}
         point = scalar_mul(123456789, params.generator)
+        for cache in CACHES:
+            cache.cache_clear()
         decoded, _ = decode_point(point.encode(), params)
         doublings = []
         double = curve._double_jacobian
@@ -513,21 +501,17 @@ class TestPrecompute:
         assert got == -scalar_mul(q - k, point)
         assert got == scalar_mul(k, G1Point(params.p, point.x, point.y))
 
-    def test_scalar_longer_than_table_gets_its_own_table(
-        self, mid_params, cold_caches, monkeypatch
-    ):
-        g, p, q = mid_params.generator, mid_params.p, mid_params.q
-        scalar_mul(q - 2, g)  # a 32-bit table
-        ladders = []
-        ladder = curve._mul_raw
-        monkeypatch.setattr(curve, "_mul_raw", lambda *args: ladders.append(args) or ladder(*args))
+    def test_scalar_longer_than_q_gets_its_own_chain(self, mid_params, cold_caches):
+        # a 41-bit k rounds up to a 65-entry chain; k mod the 32-bit q takes 33
+        g, q = mid_params.generator, mid_params.q
+        assert q.bit_length() == 32
         k = (1 << 40) + 12345
-        got = scalar_mul(k, g)  # a 64-bit table
-        assert curve._comb_table.cache_info().currsize == 2
-        assert got == G1Point(p, *ladder(p, k, g.x, g.y)) == scalar_mul(k % q, g)
+        got = scalar_mul(k, g)
+        assert [len(curve._product_chain(g.p, g.x, g.y, n)) for n in (65, 33)] == [65, 33]
+        assert curve._product_chain.cache_info()[:2] == (1, 2)  # hits, misses
+        assert got == scalar_mul(k % q, g)
         assert scalar_mul(-k, g) == -got
-        assert curve._comb_table.cache_info().currsize == 2
-        assert ladders == []
+        assert curve._product_chain.cache_info()[:4] == (3, 2, 16, 2)
 
     def test_pairing_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
         # every point as the Miller (cached) argument, every subgroup point as
@@ -553,13 +537,26 @@ class TestPrecompute:
             b = scalar_mul(rnd.randrange(mid_params.q), g)
             assert tate_pairing(a, b, mid_params) == tate_pairing(b, a, mid_params)
 
+    def test_points_carry_only_their_coordinates(self, mid_params):
+        # a check or a product leaves nothing on the point object
+        point = scalar_mul(12345, mid_params.generator)
+        decoded, _ = decode_point(point.encode(), mid_params)
+        assert in_subgroup(decoded, mid_params.q)
+        scalar_mul(77, decoded)
+        for a in (point, decoded, G1Point(P, 1, 2), G1Point.identity(P)):
+            assert not hasattr(a, "__dict__")
+            with pytest.raises(AttributeError):
+                object.__setattr__(a, "_order_q", (mid_params.q, True))
+        assert G1Point.__slots__ == ("p", "x", "y")
+        assert (decoded.p, decoded.x, decoded.y) == (point.p, point.x, point.y)
+
     def test_order_verdict_is_kept_per_q(self, toy_params):
         g = G1Point(P, toy_params.gx, toy_params.gy)
         assert in_subgroup(g, Q) and not in_subgroup(g, 2) and in_subgroup(g, Q)
 
     def test_caches_are_shared_safely_between_threads(self, toy_params, cold_caches):
         # more threads than cores, switching often, over more bases than the
-        # comb cache holds and more identities than the clearing cache holds:
+        # chain caches hold and more identities than the clearing cache holds:
         # every result must still match the ladder and the cold hash
         points = [G1Point(P, *pt) for pt in all_points(P)[1:41]]
         want = {(k, a): G1Point(P, *_mul_raw(P, k, a.x, a.y)) for a in points for k in (5, 11)}
@@ -596,7 +593,7 @@ class TestPrecompute:
             sys.setswitchinterval(old)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        info = curve._comb_table.cache_info()
+        info = curve._product_chain.cache_info()
         assert info.currsize <= info.maxsize
 
     def test_caches_stay_bounded(self, toy_params, cold_caches):
@@ -613,7 +610,7 @@ class TestPrecompute:
         for info in infos:
             assert 0 < info.currsize <= info.maxsize
         assert infos[-1].misses > infos[-1].maxsize
-        assert [info.maxsize for info in infos] == [16, 8, 2, 16]
+        assert [info.maxsize for info in infos] == [16, 8, 4, 16]
 
 
 class TestHashToPoint:
@@ -689,11 +686,9 @@ class TestHashToPoint:
         assert in_subgroup(first, params.q)
         again = hash_to_point(b"alice", params)
         assert again == first and again is not first
-        assert "_order_q" not in vars(again) and "_chain_q" not in vars(again)
         scalar_mul(12345, first)
         third = hash_to_point(b"alice", params)
         assert third == first and third is not first and third is not again
-        assert "_order_q" not in vars(third) and "_chain_q" not in vars(third)
 
 
 class TestEncodings:

@@ -287,27 +287,30 @@ class TestUnblind:
             scheme.unblind(system, blind_state, Response(rogue), toy_keys[TOY_VERIFIER].public)
 
 
-    def test_decoded_point_is_checked_once(self, toy_system, toy_keys, monkeypatch):
-        # decode_point's order-q check stands for blind's check of that point,
-        # and its doubling chain serves blind's x*U
+    def test_decoded_point_builds_one_chain(self, toy_system, toy_keys, monkeypatch):
+        # decode_point's order-q check and blind's check of the same point sum
+        # one doubling chain, which then serves blind's x*U
         system, _ = toy_system
         signer = toy_keys[TOY_SIGNER]
         rng = SeededRng("checked-once")
         _, commitment = scheme.sign_commit(system, signer, rng)
+        curve._product_chain.cache_clear()
+        scalar_mul(2, signer.public)  # Q_s's chain, for blind's x*y*Q_s
+        curve._doubling_chain.cache_clear()
         ladders = []
         ladder = curve._mul_raw
         monkeypatch.setattr(curve, "_mul_raw", lambda *args: ladders.append(args) or ladder(*args))
-        curve._doubling_chain.cache_clear()
         decoded, _ = decode_point(commitment.point.encode(), system.curve)
-        public = G1Point(P, signer.public.x, signer.public.y)  # carries no verdict
-        state, _ = scheme.blind(system, MESSAGE, Commitment(decoded), public, rng)
+        state, _ = scheme.blind(system, MESSAGE, Commitment(decoded), signer.public, rng)
         x, y = decoded.x, decoded.y
-        assert ladders == [(P, Q, x, y), (P, state.x, x, y, Q)]
-        assert curve._doubling_chain.cache_info()[:2] == (1, 1)  # hits, misses
+        check = (P, Q, x, y, curve._doubling_chain)
+        assert ladders[:3] == [check, check, (P, state.x, x, y)]
+        assert curve._doubling_chain.cache_info()[:2] == (2, 1)  # hits, misses
         assert state.u_prime == point_add(
             scalar_mul(state.x, commitment.point), scalar_mul(state.x * state.y, signer.public)
         )
         curve._doubling_chain.cache_clear()
+        curve._product_chain.cache_clear()
 
 
 class TestVerify:

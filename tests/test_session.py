@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dvbsig import scheme, session
+from dvbsig import curve, scheme, session
 from dvbsig.algebra import byte_width
 from dvbsig.curve import G1Point, decode_gt, decode_point, point_add, scalar_mul, tate_pairing
 from dvbsig.errors import DecodeError, Degenerate, DuplicateSession
@@ -419,14 +419,14 @@ class TestLocalRunner:
 
 
 class TestTranscriptStore:
-    def _transcripts(self, toy_params, n):
-        g = toy_params.generator
+    def _transcripts(self, params, n):
+        q, g = params.q, params.generator
         return [
             Transcript(
                 session_id=i.to_bytes(16, "big"),
                 signer_identity=b"alice",
                 commitment=scalar_mul(1 + i % 12, g),
-                challenge=i % Q,
+                challenge=i % q,
                 response=scalar_mul(1 + (i + 3) % 12, g),
                 started_ms=i,
                 finished_ms=i + 1,
@@ -509,3 +509,21 @@ class TestTranscriptStore:
         assert all(type(t.session_id) is bytes for t in reopened)
         assert len(seen) == 6
         assert all(isinstance(d, memoryview) and d.obj is seen[0].obj for d in seen)
+
+    def test_file_store_reopen_keeps_the_product_cache(self, mid_params, tmp_path):
+        # the reopen's 32 order-q checks go through the check cache only, so
+        # the chain of a long-lived key multiplied before it is still kept
+        path = tmp_path / "transcripts.log"
+        store = FileTranscriptStore(path, mid_params)
+        for t in self._transcripts(mid_params, 16):
+            store.record(t)
+        key = scalar_mul(424242, mid_params.generator)
+        products = curve._product_chain
+        products.cache_clear()
+        scalar_mul(7, key)
+        assert products.cache_info().currsize == 1
+        assert len(FileTranscriptStore(path, mid_params)) == 16
+        assert products.cache_info().currsize == 1
+        scalar_mul(9, key)
+        assert products.cache_info()[:2] == (1, 1)  # hits, misses
+        products.cache_clear()
