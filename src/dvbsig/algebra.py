@@ -201,43 +201,16 @@ class Fp2Element:
     def one(cls, p: int) -> Fp2Element:
         return cls(1, 0, p)
 
-    @classmethod
-    def zero(cls, p: int) -> Fp2Element:
-        return cls(0, 0, p)
-
-    def _check(self, other: Fp2Element) -> None:
-        if self.p != other.p:
-            raise ParamMismatch(f"moduli differ: {self.p} vs {other.p}")
-
-    def __add__(self, other: Fp2Element) -> Fp2Element:
-        self._check(other)
-        return Fp2Element((self.a + other.a) % self.p, (self.b + other.b) % self.p, self.p)
-
-    def __sub__(self, other: Fp2Element) -> Fp2Element:
-        self._check(other)
-        return Fp2Element((self.a - other.a) % self.p, (self.b - other.b) % self.p, self.p)
-
     def __mul__(self, other: Fp2Element) -> Fp2Element:
-        self._check(other)
         p = self.p
+        if other.p != p:
+            raise ParamMismatch(f"moduli differ: {p} vs {other.p}")
         # (a + bi)(c + di) = (ac - bd) + (ad + bc)i
         return Fp2Element(
             (self.a * other.a - self.b * other.b) % p,
             (self.a * other.b + self.b * other.a) % p,
             p,
         )
-
-    def conjugate(self) -> Fp2Element:
-        """a - b*i; equals the Frobenius map x -> x^p on F_p2."""
-        return Fp2Element(self.a, -self.b % self.p, self.p)
-
-    def inverse(self) -> Fp2Element:
-        # (a + bi)^-1 = (a - bi) / (a^2 + b^2)
-        norm = (self.a * self.a + self.b * self.b) % self.p
-        if norm == 0:
-            raise InversionOfZero("0 in F_p2 has no inverse")
-        inv = pow(norm, -1, self.p)
-        return Fp2Element(self.a * inv % self.p, -self.b * inv % self.p, self.p)
 
     def __pow__(self, exponent: int) -> Fp2Element:
         """self^exponent for exponent >= 0 and a self of norm a^2 + b^2 = 1, as

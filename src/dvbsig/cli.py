@@ -101,9 +101,11 @@ def _load_system(ws: storage.Workspace) -> scheme.SystemParams:
 
 
 def _load_key(ws: storage.Workspace, system, identity: str) -> KeyPair:
-    return storage.load_identity_key(
-        _require(ws.key_file(identity), f"key for {identity!r} (run keygen)"), system
-    )
+    path = _require(ws.key_file(identity), f"key for {identity!r} (run keygen)")
+    key = storage.load_identity_key(path, system)
+    if key.identity != identity.encode("utf-8"):
+        raise DecodeError(f"{path}: field 'identity' is not {identity!r}")
+    return key
 
 
 def _read_message(path: Path, kind: type, what: str, curve) -> session.ProtocolMessage:
@@ -121,9 +123,9 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _count(text: str) -> int:
-    """A query count: a decimal integer, 0 or more."""
-    if not text.isdecimal():
+def _count(text: str, low: int = 0) -> int:
+    """A query count or group order: a decimal integer, `low` or more."""
+    if not text.isdecimal() or int(text) < low:
         raise ValueError(text)
     return int(text)
 
@@ -466,7 +468,7 @@ def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
         advantage=value("eps", _rational(0, 1), "a rational number in [0, 1]"),
         runtime=value("t", _rational(0), "a rational number >= 0"),
     )
-    group_order = storage.kv_int(fields, "q", path, default=args.q)
+    group_order = value("q", lambda text: _count(text, 2), "a decimal integer >= 2")
     costs = _load_costs(args)
     forge = analysis.unforgeability_bound(budget, costs, group_order)
     dver = analysis.unverifiability_bound(budget, costs, group_order)
@@ -704,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--qv", default="0")
     p_bounds.add_argument("--eps", default="1")
     p_bounds.add_argument("--t", default="0")
-    p_bounds.add_argument("--q", type=int, default=2**159 + 2**17 + 1, help="group order")
+    p_bounds.add_argument("--q", default=str(2**159 + 2**17 + 1), help="group order")
     p_bounds.add_argument("--budget-file", help="key-value file overriding the flags")
     p_bounds.add_argument("--costs", help="key-value unit-cost file")
     p_bounds.set_defaults(func=cmd_analyze_bounds)

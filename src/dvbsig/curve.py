@@ -9,17 +9,18 @@ point phi(B) = (-x_B, i*y_B), followed by the final exponentiation to
 vertical lines and the denominators of the projective line values -- is
 erased by the final exponentiation, so such factors are skipped.
 
-Ladders and the Miller loop keep their running point in Jacobian
+G1 arithmetic and the Miller loop keep their running points in Jacobian
 coordinates (x, y) = (X/Z^2, Y/Z^3), so each inverts at most once.
 
-Every G1 product and order-q check is one `_mul_raw`: it sums the point's
-doubling chain 2^i*P into buckets by the scalar's width-4 digits.  Chains,
-the Miller line coefficients per first pairing argument and the cofactor
-clearing of `hash_to_point` are kept in bounded `functools.lru_cache`s
-keyed by exact affine coordinates; checks and products keep their chains
-in two caches, so points that are only checked never evict a long-lived
-key's chain.  Every cached value is a pure function of its key, so results
-are the same cold or warm, and a point object carries nothing but p, x, y.
+Every G1 product, order-q check and cofactor clearing is one `_mul_raw`,
+which sums the point's doubling chain 2^i*P into buckets by the scalar's
+width-4 digits.  Chains, the Miller lines per first pairing argument and
+the cofactor clearing of `hash_to_point` are kept in bounded
+`functools.lru_cache`s keyed by exact affine coordinates: checks and
+products keep their chains in two caches, so points that are only checked
+never evict a long-lived key's chain, and neither keeps a clearing's.
+Every cached value is a pure function of its key, so results are the same
+cold or warm, and a point object carries nothing but p, x, y.
 
 A point from outside the program is accepted by one rule, `point_fault`.
 Binary artifacts are read through one cursor, `Reader`, on top of
@@ -33,7 +34,15 @@ import hashlib
 from typing import NamedTuple
 
 from . import meter
-from .algebra import Fp2Element, _signed_digits, byte_width, encode_int, is_prime, sqrt_mod
+from .algebra import (
+    Fp2Element,
+    _signed_digits,
+    byte_width,
+    encode_int,
+    is_prime,
+    mod_inv,
+    sqrt_mod,
+)
 from .errors import (
     DecodeError,
     HashToPointFailed,
@@ -395,9 +404,11 @@ def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Eleme
 
 
 def _final_exponentiation(f: Fp2Element, params: CurveParams) -> Fp2Element:
-    # (p^2 - 1)/q = (p - 1) * cofactor; x^(p-1) = conj(x)/x has norm 1
-    g = f.conjugate() * f.inverse()
-    return g**params.cofactor
+    # (p^2 - 1)/q = (p - 1) * cofactor, and f^(p-1) = conj(f)/f, which is
+    # conj(f)^2 over the norm a^2 + b^2 in F_p and has norm 1
+    a, b, p = f.a, f.b, f.p
+    n = mod_inv(a * a + b * b, p)
+    return Fp2Element((a * a - b * b) * n, -2 * a * b * n, p) ** params.cofactor
 
 
 # ---------------------------------------------------------------------------
@@ -407,22 +418,11 @@ def _final_exponentiation(f: Fp2Element, params: CurveParams) -> Fp2Element:
 # a recurring signer's Q_s, whose product chain (in a cache of the same size)
 # its h*Q_s needs anyway, and the fresh identities that pass between its uses
 @functools.lru_cache(maxsize=16)
-def _cofactor_ladder(p, cofactor, x, y):
-    """cofactor*(x, y), affine, left to right over the cofactor's NAF digits:
-    mixed additions of (x, +-y) make it cheaper than summing a doubling chain."""
-    tx, ty, tz = x, y, 1
-    for d in reversed(_signed_digits(cofactor)[:-1]):
-        tx, ty, tz, _, _, _ = _double_jacobian(p, tx, ty, tz)
-        if d == 1:
-            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, x, y)
-        elif d == -1:
-            tx, ty, tz, _ = _add_jacobian(p, tx, ty, tz, x, -y % p)
-    return _to_affine(p, tx, ty, tz)
-
-
-def _clear_cofactor(params: CurveParams, x: int, y: int) -> G1Point:
-    """cofactor*(x, y) as a point."""
-    return G1Point(params.p, *_cofactor_ladder(params.p, params.cofactor, x, y))
+def _clear_cofactor(p, cofactor, x, y):
+    """cofactor*(x, y), affine, by `_mul_raw` over a doubling chain that no
+    chain cache keeps: in `dvbsig sign run` a kept clearing chain would evict
+    the chain of the signer's key S_s before its product."""
+    return _mul_raw(p, cofactor, x, y, _doubling_chain.__wrapped__)
 
 
 def _try_and_increment(data: bytes, params: CurveParams) -> G1Point:
@@ -433,7 +433,7 @@ def _try_and_increment(data: bytes, params: CurveParams) -> G1Point:
         y = sqrt_mod((x * x * x + x) % p, p)
         if y is None:
             continue
-        point = _clear_cofactor(params, x, y)
+        point = G1Point(p, *_clear_cofactor(p, params.cofactor, x, y))
         if not point.is_identity:
             return point
     raise HashToPointFailed(f"no curve point found for {data!r}")

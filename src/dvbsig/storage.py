@@ -28,7 +28,8 @@ from .scheme import (
 
 
 def parse_kv(text: str, path: str = "<text>") -> dict[str, str]:
-    """Parse `key = value` lines; blank lines and #-comments are skipped."""
+    """Parse `key = value` lines, each key once; blank lines and #-comments
+    are skipped."""
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -37,7 +38,10 @@ def parse_kv(text: str, path: str = "<text>") -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise DecodeError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise DecodeError(f"{path}:{lineno}: repeated field {key!r}")
+        fields[key] = value.strip()
     return fields
 
 

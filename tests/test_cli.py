@@ -455,6 +455,8 @@ class TestAnalysisCommands:
             ("--eps", "3/2", "a rational number in [0, 1]"),
             ("--eps", "-0.5", "a rational number in [0, 1]"),
             ("--t", "-1", "a rational number >= 0"),
+            ("--q", "1", "a decimal integer >= 2"),
+            ("--q", "-13", "a decimal integer >= 2"),
         ],
     )
     def test_bounds_refuse_out_of_range_inputs(self, run, tmp_path, flag, value, kind):
@@ -498,6 +500,13 @@ class TestAnalysisCommands:
         code, out, err = run("-w", tmp_path, "analyze", "perf", "--costs", costs)
         assert code == 3 and out == ""
         assert "costs.txt: field 'pairing' is not a rational number >= 0" in err
+
+    def test_perf_costs_file_repeated_field(self, run, tmp_path):
+        costs = tmp_path / "costs.txt"
+        costs.write_text("pairing = 1\npairing = 2\n")
+        code, out, err = run("-w", tmp_path, "analyze", "perf", "--costs", costs)
+        assert code == 3 and out == ""
+        assert "costs.txt:2: repeated field 'pairing'" in err
 
     def test_perf_costs_file_unknown_field(self, run, tmp_path):
         costs = tmp_path / "costs.txt"
@@ -669,6 +678,30 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert f"{workspace / 'master.key'}: field 's' is not in [1, q - 1]" in err
         assert not (workspace / "keys" / "dave.key").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("verify", "--verifier", "dave", "--signer", "bob", "--sig", "sig.bin"),
+            ("sign", "run", "--signer", "dave", "--verifier", "bob", "--out", "dave.bin"),
+        ],
+    )
+    def test_key_file_of_another_identity_refused(
+        self, run, workspace, message_file, monkeypatch, command
+    ):
+        # dave.key holding alice's key verified alice's designated signatures
+        # as dave and signed as alice under dave's name
+        monkeypatch.chdir(workspace)
+        assert run(
+            "-w", workspace, "sign", "run", "--signer", "bob", "--verifier", "alice",
+            "--message-file", message_file, "--seed", "s1", "--out", "sig.bin",
+        )[0] == 0
+        dave = workspace / "keys" / "dave.key"
+        dave.write_text((workspace / "keys" / "alice.key").read_text())
+        code, out, err = run("-w", workspace, *command, "--message-file", message_file)
+        assert code == 3 and out == ""
+        assert f"{dave}: field 'identity' is not 'dave'" in err
+        assert not (workspace / "dave.bin").exists()
 
     def test_verify_garbage_signature(self, run, workspace, message_file, tmp_path):
         garbage = tmp_path / "garbage.bin"

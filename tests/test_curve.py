@@ -21,7 +21,13 @@ from dvbsig.curve import (
     scalar_mul,
     tate_pairing,
 )
-from dvbsig.errors import DecodeError, InvalidPoint, ParamMismatch, ParamSearchFailed
+from dvbsig.errors import (
+    DecodeError,
+    InvalidPoint,
+    InversionOfZero,
+    ParamMismatch,
+    ParamSearchFailed,
+)
 from dvbsig.meter import G1_GROUP_OP, G1_SCALAR_MUL, measure
 
 P, Q = 311, 13
@@ -102,6 +108,27 @@ def off_subgroup_point(p, q):
     )
 
 
+def fp2_add(x, y):
+    """x + y in F_p2, for the oracles; `Fp2Element` keeps only G_T's
+    operations."""
+    return Fp2Element(x.a + y.a, x.b + y.b, x.p)
+
+
+def fp2_sub(x, y):
+    return Fp2Element(x.a - y.a, x.b - y.b, x.p)
+
+
+def fp2_conj(x):
+    """a - b*i, the Frobenius map x -> x^p on F_p2."""
+    return Fp2Element(x.a, -x.b, x.p)
+
+
+def fp2_inv(x):
+    """1/x = (a - b*i)/(a^2 + b^2) for x != 0."""
+    n = pow(x.a * x.a + x.b * x.b, -1, x.p)
+    return Fp2Element(x.a * n, -x.b * n, x.p)
+
+
 def pow_oracle(x, e):
     """x^e in F_p2 by right-to-left square-and-multiply, for any x and e >= 0;
     `Fp2Element.__pow__` takes only elements of norm 1."""
@@ -130,13 +157,13 @@ def miller_oracle(params, a, b):
             return fp(1)
         s = add_oracle(p, t, r)
         if s is None:
-            return u - fp(t[0])
+            return fp2_sub(u, fp(t[0]))
         if t == r:
             lam = (3 * t[0] * t[0] + 1) * pow(2 * t[1], -1, p) % p
         else:
             lam = (r[1] - t[1]) * pow(r[0] - t[0], -1, p) % p
-        chord = w - fp(t[1]) - fp(lam) * (u - fp(t[0]))
-        return chord * (u - fp(s[0])).inverse()
+        chord = fp2_sub(fp2_sub(w, fp(t[1])), fp(lam) * fp2_sub(u, fp(t[0])))
+        return chord * fp2_inv(fp2_sub(u, fp(s[0])))
 
     f, t = Fp2Element.one(p), (a.x, a.y)
     for bit in bin(q)[3:]:
@@ -373,7 +400,12 @@ class TestTatePairing:
             a = scalar_mul(rnd.randrange(1, Q), g)
             b = scalar_mul(rnd.randrange(1, Q), g)
             e = tate_pairing(a, b, toy_params)
-            assert (e**Q).is_one and e.value != Fp2Element.zero(P)
+            assert (e**Q).is_one and e.value != Fp2Element(0, 0, P)
+
+    def test_final_exponentiation_refuses_zero(self, toy_params):
+        # 0 has no inverse, so no power (p - 1)*cofactor
+        with pytest.raises(InversionOfZero):
+            curve._final_exponentiation(Fp2Element(0, 0, P), toy_params)
 
     def test_mid_size_bilinearity(self, mid_params):
         g = mid_params.generator
@@ -387,7 +419,7 @@ class TestTatePairing:
             )
 
 
-CACHES = (curve._product_chain, curve._miller_lines, curve._doubling_chain, curve._cofactor_ladder)
+CACHES = (curve._product_chain, curve._miller_lines, curve._doubling_chain, curve._clear_cofactor)
 CHAIN_SCALARS = [
     sign * k
     for bits in (1, 31, 32, 33, 63, 64, 65)
@@ -564,7 +596,7 @@ class TestPrecompute:
         hashed = {}
         for ident in ids:
             hashed[ident] = hash_to_point(ident, toy_params)
-            curve._cofactor_ladder.cache_clear()
+            curve._clear_cofactor.cache_clear()
         errors = []
 
         def work(seed):
@@ -639,29 +671,32 @@ class TestHashToPoint:
             seen.add((pt.x, pt.y))
         assert len(seen) == Q - 1
 
-    def test_cofactor_clearing_adds_once_per_naf_digit(
+    def test_cofactor_clearing_is_one_bucket_sum_over_an_unkept_chain(
         self, production_params, monkeypatch, cold_caches
     ):
-        # the production cofactor has 167 one-bits but 11 nonzero NAF digits;
-        # the top digit starts the ladder and each other one is a mixed
-        # addition, after one doubling per further digit, none of them kept
+        # the production cofactor has 167 one-bits but 9 nonzero width-4
+        # digits: one addition into a bucket per digit and 8 to combine the
+        # buckets, after the 352 doublings of a 353-entry chain and the
+        # bucket sum's one; neither chain cache keeps that chain
         params = production_params
         h, p = params.cofactor, params.p
         assert (h.bit_length(), bin(h).count("1")) == (352, 167)
+        assert sum(1 for d in _signed_digits(h, 4) if d) == 9
         x = next(x for x in range(1, p) if sqrt_mod((x * x * x + x) % p, p) is not None)
         y = sqrt_mod((x * x * x + x) % p, p)
         adds, doublings = [], []
         add, double = curve._add_jacobian, curve._double_jacobian
         monkeypatch.setattr(curve, "_add_jacobian", lambda *a: adds.append(a) or add(*a))
         monkeypatch.setattr(curve, "_double_jacobian", lambda *a: doublings.append(a) or double(*a))
-        point = curve._clear_cofactor(params, x, y)
-        assert (len(adds), len(doublings)) == (10, 352)
-        assert all(len(a) == 6 for a in adds)  # affine (x, +-y): mixed
-        assert curve._doubling_chain.cache_info().currsize == 0
+        point = G1Point(p, *curve._clear_cofactor(p, h, x, y))
+        assert (len(adds), len(doublings)) == (17, 353)
+        for chains in (curve._doubling_chain, curve._product_chain):
+            info = chains.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
         monkeypatch.undo()
         assert not point.is_identity and scalar_mul(params.q, point).is_identity
 
-    def test_recurring_identity_skips_the_cofactor_ladder(
+    def test_recurring_identity_skips_the_cofactor_clearing(
         self, production_params, monkeypatch, cold_caches
     ):
         # the clearing is cached by its inputs; SHA-256 and the square root of
@@ -676,7 +711,7 @@ class TestHashToPoint:
         del roots[:], adds[:], doublings[:]
         again = hash_to_point(b"alice", production_params)
         monkeypatch.undo()
-        assert cold[1:] == (10, 352)
+        assert cold[1:] == (17, 353)
         assert (len(roots), len(adds), len(doublings)) == (cold[0], 0, 0)
         assert again == first
 

@@ -17,6 +17,13 @@ class TestKeyValueParser:
         with pytest.raises(DecodeError, match="key = value"):
             storage.parse_kv("just some text")
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last value used to win: a costs file with `pairing` twice was accepted
+        path = tmp_path / "costs.txt"
+        path.write_text("pairing = 1\n# again\n pairing = 20\n")
+        with pytest.raises(DecodeError, match=r"costs.txt:3: repeated field 'pairing'"):
+            storage.read_kv(path)
+
     def test_read_kv_rejects_non_utf8(self, tmp_path):
         path = tmp_path / "system.txt"
         path.write_bytes(b"p = 311\nq = \xff\n")
