@@ -24,7 +24,7 @@ from .curve import G1Point, _add_jacobian, _to_affine, point_add, scalar_mul, ta
 from .errors import Degenerate, DomainError, RefusedTooLarge
 from .algebra import mod_inv
 from .scheme import Signature, SystemParams
-from .session import LogicalClock, SessionOutcome, Transcript, run_local_session
+from .session import Transcript
 
 DLOG_ORDER_LIMIT = 1 << 20
 
@@ -265,28 +265,3 @@ def extract_blinding_witness(
     if sigma != signature.sigma:
         return None
     return x, y
-
-
-# ---------------------------------------------------------------------------
-# blindness experiment harness
-
-
-def run_blind_sessions(
-    system: SystemParams,
-    signer: scheme.KeyPair,
-    verifier_public: G1Point,
-    messages: list[bytes],
-    rng,
-) -> list[SessionOutcome]:
-    """Run one honest session per message through the session runner, on one
-    logical clock.
-
-    Each outcome keeps the user side's secrets (`outcome.blinding.x`, `.y`
-    and `.message`), so tests and the demo can compare extracted witnesses
-    against the truth.
-    """
-    clock = LogicalClock()
-    return [
-        run_local_session(system, signer, message, verifier_public, rng, clock=clock)
-        for message in messages
-    ]

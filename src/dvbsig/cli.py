@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import scheme, session, storage
+from .algebra import is_prime
 from .curve import (
     Reader,
     generate_params,
@@ -82,7 +83,7 @@ def _fresh(path: Path, what: str) -> Path:
 
 
 def _message_bytes(args) -> bytes:
-    if getattr(args, "asset_statement", None) is not None:
+    if args.asset_statement is not None:
         tag, sep, threshold = args.asset_statement.partition(":")
         if not sep or not tag or not threshold:
             raise CommandLineError("--asset-statement must look like <address-tag>:<threshold>")
@@ -91,9 +92,8 @@ def _message_bytes(args) -> bytes:
         if "|" in args.asset_statement:
             raise CommandLineError("--asset-statement may not contain '|'")
         return f"POA|v1|{tag}|{threshold}".encode("utf-8")
-    if getattr(args, "message_file", None) is not None:
-        return Path(_require(Path(args.message_file), "message file")).read_bytes()
-    raise CommandLineError("one of --message-file / --asset-statement is required")
+    # argparse requires exactly one of the two flags
+    return _require(Path(args.message_file), "message file").read_bytes()
 
 
 def _load_system(ws: storage.Workspace) -> scheme.SystemParams:
@@ -158,12 +158,16 @@ def _fmt(value: Fraction) -> str:
 def cmd_params_gen(ws: storage.Workspace, args) -> int:
     seed = (args.seed or "dvbsig-params").encode("utf-8")
     if args.q_value is not None:
+        if not is_prime(args.q_value):
+            raise CommandLineError(f"--q-value {args.q_value} is not prime")
         params = params_for_subgroup_order(
             args.q_value, seed, p_bits=args.p_bits, security_label=args.label or ""
         )
     else:
         if args.q_bits is None:
             raise CommandLineError("one of --q-bits / --q-value is required")
+        if args.q_bits < 4:
+            raise CommandLineError(f"--q-bits must be at least 4, not {args.q_bits}")
         params = generate_params(
             args.q_bits, seed, p_bits=args.p_bits, security_label=args.label or ""
         )
@@ -178,6 +182,8 @@ def cmd_params_gen(ws: storage.Workspace, args) -> int:
 
 
 def cmd_setup(ws: storage.Workspace, args) -> int:
+    # keys issued under an old master secret would never verify against new ones
+    _fresh(ws.master_file, "master secret")
     params = storage.load_curve_params(_require(ws.params_file, "params file (run params gen)"))
     rng, _ = _rng_and_clock(args.seed)
     system, msk = scheme.setup(params, rng)
@@ -391,9 +397,12 @@ def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
     )
     signer = scheme.keygen(system, msk, _identity(args.signer, "--signer").encode("utf-8"))
     verifier = scheme.keygen(system, msk, _identity(args.verifier, "--verifier").encode("utf-8"))
-    rng, _ = _rng_and_clock(args.seed)
+    rng, clock = _rng_and_clock(args.seed)
     messages = [f"demo message {i}".encode("utf-8") for i in range(args.sessions)]
-    outcomes = analysis.run_blind_sessions(system, signer, verifier.public, messages, rng)
+    outcomes = [
+        session.run_local_session(system, signer, m, verifier.public, rng, clock=clock)
+        for m in messages
+    ]
     failures = 0
     for i, rec_t in enumerate(outcomes):
         for j, rec_s in enumerate(outcomes):
@@ -735,12 +744,9 @@ def main(argv=None) -> int:
     ws = storage.Workspace(Path(args.workspace))
     try:
         return args.func(ws, args)
-    except CommandLineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # a path that is missing, a directory, unreadable or unwritable; the
-        # message names it
+    except (CommandLineError, OSError) as exc:
+        # an OSError is a path that is missing, a directory, unreadable or
+        # unwritable; its message names it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DvbsigError as exc:

@@ -91,11 +91,6 @@ class G1Point:
     def is_identity(self) -> bool:
         return self.x is None
 
-    def __neg__(self) -> G1Point:
-        if self.is_identity:
-            return self
-        return G1Point(self.p, self.x, (-self.y) % self.p)
-
     def on_curve(self) -> bool:
         if self.is_identity:
             return True
@@ -425,20 +420,6 @@ def _clear_cofactor(p, cofactor, x, y):
     return _mul_raw(p, cofactor, x, y, _doubling_chain.__wrapped__)
 
 
-def _try_and_increment(data: bytes, params: CurveParams) -> G1Point:
-    p = params.p
-    for counter in range(HASH_TO_POINT_MAX_COUNTER):
-        digest = hashlib.sha256(data + counter.to_bytes(4, "big")).digest()
-        x = int.from_bytes(digest, "big") % p
-        y = sqrt_mod((x * x * x + x) % p, p)
-        if y is None:
-            continue
-        point = G1Point(p, *_clear_cofactor(p, params.cofactor, x, y))
-        if not point.is_identity:
-            return point
-    raise HashToPointFailed(f"no curve point found for {data!r}")
-
-
 def hash_to_point(id_bytes: bytes, params: CurveParams) -> G1Point:
     """Map-to-point hash: SHA-256 try-and-increment, then cofactor clearing.
 
@@ -446,7 +427,17 @@ def hash_to_point(id_bytes: bytes, params: CurveParams) -> G1Point:
     Counts as one map-to-point execution.
     """
     meter.tally(meter.MAP_TO_POINT)
-    return _try_and_increment(id_bytes, params)
+    p = params.p
+    for counter in range(HASH_TO_POINT_MAX_COUNTER):
+        digest = hashlib.sha256(id_bytes + counter.to_bytes(4, "big")).digest()
+        x = int.from_bytes(digest, "big") % p
+        y = sqrt_mod((x * x * x + x) % p, p)
+        if y is None:
+            continue
+        point = G1Point(p, *_clear_cofactor(p, params.cofactor, x, y))
+        if not point.is_identity:
+            return point
+    raise HashToPointFailed(f"no curve point found for {id_bytes!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +475,7 @@ def params_for_subgroup_order(
     q not dividing 12*r.  When p_bits is given, r starts at the least value
     putting p at exactly p_bits bits and the search stays inside that window;
     R_SEARCH_LIMIT then bounds the number of candidates tried, not r itself.
+    The generator is hash_to_point(b"generator|" + seed).
     """
     if not is_prime(q):
         raise ParamSearchFailed(f"subgroup order {q} is not prime")
@@ -509,7 +501,7 @@ def params_for_subgroup_order(
                 gy=0,
                 security_label=security_label or f"q={q.bit_length()}b,p={p.bit_length()}b",
             )
-            generator = _try_and_increment(b"generator|" + seed, params)
+            generator = hash_to_point(b"generator|" + seed, params)
             return params._replace(gx=generator.x, gy=generator.y)
     raise ParamSearchFailed(f"no prime p = 12*q*r - 1 found for q = {q} within the search bound")
 

@@ -17,7 +17,6 @@ from dvbsig.analysis import (
     QueryBudget,
     extract_blinding_witness,
     perf_report,
-    run_blind_sessions,
     unforgeability_advantage,
     unforgeability_runtime,
     unverifiability_bound,
@@ -28,7 +27,7 @@ from dvbsig.errors import DecodeError
 from dvbsig.meter import measure
 from dvbsig.rng import SeededRng
 from dvbsig.scheme import decode_signature, encode_signature
-from dvbsig.session import decode_message, run_local_session
+from dvbsig.session import LogicalClock, decode_message, run_local_session
 from tests.conftest import TOY_SIGNER, TOY_THIRD_PARTY, TOY_VERIFIER
 
 
@@ -171,13 +170,13 @@ def test_06_blindness_witness_cross_pairs(toy_system, toy_keys):
     with criterion(6, "10 sessions: all 100 cross pairs yield witnesses"):
         system, _ = toy_system
         signer, verifier = toy_keys[TOY_SIGNER], toy_keys[TOY_VERIFIER]
-        records = run_blind_sessions(
-            system,
-            signer,
-            verifier.public,
-            [f"blind statement {i}".encode() for i in range(10)],
-            SeededRng("blindness-acceptance"),
-        )
+        rng, clock = SeededRng("blindness-acceptance"), LogicalClock()
+        records = [
+            run_local_session(
+                system, signer, f"blind statement {i}".encode(), verifier.public, rng, clock=clock
+            )
+            for i in range(10)
+        ]
         assert len(records) == 10
         for i, rec_t in enumerate(records):
             for j, rec_s in enumerate(records):

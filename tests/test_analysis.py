@@ -13,7 +13,6 @@ from dvbsig.analysis import (
     extract_blinding_witness,
     perf_model,
     perf_report,
-    run_blind_sessions,
     unforgeability_advantage,
     unforgeability_bound,
     unforgeability_runtime,
@@ -24,7 +23,13 @@ from dvbsig.curve import G1Point, scalar_mul
 from dvbsig.errors import Degenerate, DomainError, RefusedTooLarge
 from dvbsig.meter import measure
 from dvbsig.rng import SeededRng
-from dvbsig.session import MAX_RETRIES, Transcript, encode_transcript, run_local_session
+from dvbsig.session import (
+    MAX_RETRIES,
+    LogicalClock,
+    Transcript,
+    encode_transcript,
+    run_local_session,
+)
 from tests.conftest import (
     TOY_SIGNER,
     TOY_THIRD_PARTY,
@@ -291,13 +296,14 @@ class TestBlindSessionHarness:
     def test_pinned_records(self, toy_system, toy_keys, seed, digest):
         system, _ = toy_system
         curve = system.curve
-        records = run_blind_sessions(
-            system,
-            toy_keys[TOY_SIGNER],
-            toy_keys[TOY_VERIFIER].public,
-            [f"blind statement {i}".encode() for i in range(3)],
-            SeededRng(seed),
-        )
+        signer, verifier_public = toy_keys[TOY_SIGNER], toy_keys[TOY_VERIFIER].public
+        rng, clock = SeededRng(seed), LogicalClock()
+        records = [
+            run_local_session(
+                system, signer, f"blind statement {i}".encode(), verifier_public, rng, clock=clock
+            )
+            for i in range(3)
+        ]
         h = hashlib.sha256()
         for rec in records:
             h.update(encode_transcript(rec.transcript, curve))
@@ -312,12 +318,13 @@ class TestBlindSessionHarness:
         message = b"blind statement 0"
         degenerate, _ = find_tape_triples(system, signer, message)
         with pytest.raises(Degenerate):
-            run_blind_sessions(
+            run_local_session(
                 system,
                 signer,
+                message,
                 toy_keys[TOY_VERIFIER].public,
-                [message],
                 session_tape(Q, *[degenerate] * (MAX_RETRIES + 1)),
+                clock=LogicalClock(),
             )
 
 
@@ -325,14 +332,14 @@ class TestBlindnessWitness:
     @pytest.fixture()
     def records(self, toy_system, toy_keys):
         system, _ = toy_system
-        messages = [f"asset statement {i}".encode() for i in range(6)]
-        return run_blind_sessions(
-            system,
-            toy_keys[TOY_SIGNER],
-            toy_keys[TOY_VERIFIER].public,
-            messages,
-            SeededRng("blindness"),
-        )
+        signer, verifier_public = toy_keys[TOY_SIGNER], toy_keys[TOY_VERIFIER].public
+        rng, clock = SeededRng("blindness"), LogicalClock()
+        return [
+            run_local_session(
+                system, signer, f"asset statement {i}".encode(), verifier_public, rng, clock=clock
+            )
+            for i in range(6)
+        ]
 
     def test_sessions_all_verify(self, toy_system, toy_keys, records):
         system, _ = toy_system
@@ -387,13 +394,14 @@ class TestBlindnessWitness:
 
     def test_other_signers_signature_inconsistent(self, toy_system, toy_keys, records):
         system, _ = toy_system
-        other = run_blind_sessions(
+        other = run_local_session(
             system,
             toy_keys[TOY_THIRD_PARTY],
+            b"impostor statement",
             toy_keys[TOY_VERIFIER].public,
-            [b"impostor statement"],
             SeededRng("other-signer"),
-        )[0]
+            clock=LogicalClock(),
+        )
         witness = extract_blinding_witness(
             system,
             records[0].transcript,

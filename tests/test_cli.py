@@ -925,12 +925,23 @@ class TestErrorPaths:
             ("params", "gen", "--q-value", "abc"),
             ("params", "gen", "--q-value", "13", "--p-bits", "0"),
             ("blindness-demo", "--sessions", "-2"),
+            ("params", "gen", "--q-bits", "3"),
+            ("params", "gen", "--q-bits", "-2"),
+            ("params", "gen", "--q-value", "15"),
         ],
     )
     def test_numeric_flags_checked(self, run, workspace, command):
         code, out, err = run("-w", workspace, *command)
         assert code == 2 and out == ""
         assert command[-2] in err
+
+    def test_second_setup_refused(self, run, workspace):
+        # keys issued under the first master secret must keep verifying
+        before = {name: (workspace / name).read_bytes() for name in ("master.key", "system.txt")}
+        code, out, err = run("-w", workspace, "setup", "--seed", "another-pkg")
+        assert code == 2 and out == ""
+        assert f"master secret already exists: {workspace / 'master.key'}" in err
+        assert before == {name: (workspace / name).read_bytes() for name in before}
 
     def test_missing_workspace(self, run, tmp_path, message_file):
         code, _, err = run(

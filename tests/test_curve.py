@@ -28,7 +28,7 @@ from dvbsig.errors import (
     ParamMismatch,
     ParamSearchFailed,
 )
-from dvbsig.meter import G1_GROUP_OP, G1_SCALAR_MUL, measure
+from dvbsig.meter import G1_GROUP_OP, G1_SCALAR_MUL, MAP_TO_POINT, measure
 
 P, Q = 311, 13
 
@@ -252,11 +252,7 @@ class TestGroupLaw:
         ident = G1Point.identity(P)
         assert point_add(g, ident) == g
         assert point_add(ident, g) == g
-        assert point_add(g, -g).is_identity
-
-    def test_negation_is_y_flip(self, toy_params):
-        g = toy_params.generator
-        assert -g == G1Point(P, g.x, P - g.y)
+        assert point_add(g, neg(g)).is_identity
 
     def test_off_curve_rejected(self, toy_params):
         bogus = G1Point(P, 1, 1)
@@ -284,7 +280,7 @@ class TestGroupLaw:
         assert scalar_mul(0, g).is_identity
         assert scalar_mul(1, g) == g
         assert scalar_mul(Q, g).is_identity
-        assert scalar_mul(-1, g) == -g
+        assert scalar_mul(-1, g) == neg(g)
 
     def test_scalar_mul_matches_repeated_addition(self, toy_params):
         g = toy_params.generator
@@ -442,6 +438,10 @@ def negated(pair):
     return pair and (pair[0], -pair[1] % P)
 
 
+def neg(point):
+    return point if point.is_identity else G1Point(point.p, point.x, -point.y % point.p)
+
+
 class TestPrecompute:
     def test_scalar_mul_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
         # all 312 points: chain entries of small-order bases are the
@@ -530,7 +530,7 @@ class TestPrecompute:
         assert len(doublings) == 1  # the bucket sum's; no chain doublings
         assert curve._doubling_chain.cache_info()[:2] == (1, 1)  # hits, misses
         monkeypatch.undo()
-        assert got == -scalar_mul(q - k, point)
+        assert got == neg(scalar_mul(q - k, point))
         assert got == scalar_mul(k, G1Point(params.p, point.x, point.y))
 
     def test_scalar_longer_than_q_gets_its_own_chain(self, mid_params, cold_caches):
@@ -542,7 +542,7 @@ class TestPrecompute:
         assert [len(curve._product_chain(g.p, g.x, g.y, n)) for n in (65, 33)] == [65, 33]
         assert curve._product_chain.cache_info()[:2] == (1, 2)  # hits, misses
         assert got == scalar_mul(k % q, g)
-        assert scalar_mul(-k, g) == -got
+        assert scalar_mul(-k, g) == neg(got)
         assert curve._product_chain.cache_info()[:4] == (3, 2, 16, 2)
 
     def test_pairing_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
@@ -582,14 +582,14 @@ class TestPrecompute:
         assert G1Point.__slots__ == ("p", "x", "y")
         assert (decoded.p, decoded.x, decoded.y) == (point.p, point.x, point.y)
 
-    def test_order_verdict_is_kept_per_q(self, toy_params):
+    def test_order_check_answers_per_q(self, toy_params):
         g = G1Point(P, toy_params.gx, toy_params.gy)
         assert in_subgroup(g, Q) and not in_subgroup(g, 2) and in_subgroup(g, Q)
 
     def test_caches_are_shared_safely_between_threads(self, toy_params, cold_caches):
         # more threads than cores, switching often, over more bases than the
         # chain caches hold and more identities than the clearing cache holds:
-        # every result must still match the ladder and the cold hash
+        # every result must match its single-thread product and cold hash
         points = [G1Point(P, *pt) for pt in all_points(P)[1:41]]
         want = {(k, a): G1Point(P, *_mul_raw(P, k, a.x, a.y)) for a in points for k in (5, 11)}
         ids = [f"id-{i}".encode() for i in range(40)]
@@ -662,6 +662,12 @@ class TestHashToPoint:
         assert as_pair(hash_to_point(b"bob", toy_params)) == (274, 25)
         assert as_pair(hash_to_point(b"carol", toy_params)) == (141, 132)
         assert hash_to_point(b"alice", toy_params) != hash_to_point(b"carol", toy_params)
+
+    def test_generator_is_one_map_to_point(self, toy_params):
+        with measure() as counter:
+            params = params_for_subgroup_order(Q, b"toy")
+        assert params.generator == hash_to_point(b"generator|toy", toy_params)
+        assert counter.counts[MAP_TO_POINT] == 1
 
     def test_coupon_collector_coverage(self, toy_params):
         # 1000 distinct ids must hit all 12 non-identity subgroup elements

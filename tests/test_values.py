@@ -1,13 +1,14 @@
 """Value semantics of the immutable types: fields cannot be assigned, and
-equal values compare and hash equal.  That a decoded point keeps its order-q
-verdict and serves its first product from the check's doubling chain is
-tested in test_scheme (TestUnblind) and test_curve (TestPrecompute)."""
+equal values compare and hash equal.  That a decoded point's first product
+reuses the doubling chain of its order-q check is tested in test_scheme
+(TestUnblind) and test_curve (TestPrecompute)."""
 
 import pytest
 
 from dvbsig import analysis, curve, scheme, session, storage
 from dvbsig.algebra import Fp2Element
 from dvbsig.curve import G1Point, in_subgroup
+from tests.test_curve import neg
 
 P, Q = 311, 13
 
@@ -62,11 +63,11 @@ def test_point_is_a_value(toy_params):
     g = toy_params.generator
     same = G1Point(P, toy_params.gx, toy_params.gy)
     assert g == same and hash(g) == hash(same) and g is not same
-    assert g != -g and g != (P, g.x, g.y)
+    assert g != neg(g) and g != (P, g.x, g.y)
     assert len({g, same, G1Point.identity(P), G1Point.identity(P)}) == 2
     assert repr(g) == f"G1Point(p={P}, x={g.x}, y={g.y})"
     assert_fields_refuse_assignment(g, ("p", "x", "y"))
-    # the verdict and chain mark live beside the fields and leave equality alone
+    # an order-q check leaves nothing on the point, so equality and hash hold
     assert in_subgroup(g, Q) and g == same and hash(g) == hash(same)
 
 
