@@ -22,7 +22,7 @@ from . import scheme, session, storage
 from .algebra import is_prime
 from .curve import (
     Reader,
-    generate_params,
+    _find_prime,
     hash_to_point,
     params_for_subgroup_order,
     scalar_mul,
@@ -160,17 +160,23 @@ def cmd_params_gen(ws: storage.Workspace, args) -> int:
     if args.q_value is not None:
         if not is_prime(args.q_value):
             raise CommandLineError(f"--q-value {args.q_value} is not prime")
-        params = params_for_subgroup_order(
-            args.q_value, seed, p_bits=args.p_bits, security_label=args.label or ""
-        )
+        q = args.q_value
     else:
         if args.q_bits is None:
             raise CommandLineError("one of --q-bits / --q-value is required")
         if args.q_bits < 4:
             raise CommandLineError(f"--q-bits must be at least 4, not {args.q_bits}")
-        params = generate_params(
-            args.q_bits, seed, p_bits=args.p_bits, security_label=args.label or ""
+        q = _find_prime(args.q_bits, seed)
+    # p = 12*q*r - 1 is least at r = 1, and once 12*q <= 2^(p_bits - 1) the
+    # 2^(p_bits - 1) candidates of p_bits bits hold a multiple of 12*q, so
+    # this is the whole condition for a p of that length to exist
+    least_p_bits = (12 * q - 1).bit_length()
+    if args.p_bits is not None and args.p_bits < least_p_bits:
+        raise CommandLineError(
+            f"--p-bits {args.p_bits} is too small: p = 12*q*r - 1 has at least "
+            f"{least_p_bits} bits for q = {q}"
         )
+    params = params_for_subgroup_order(q, seed, p_bits=args.p_bits, security_label=args.label or "")
     ws.ensure()
     out = Path(args.out) if args.out else ws.params_file
     storage.save_curve_params(params, out)

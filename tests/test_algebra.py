@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dvbsig import algebra
 from dvbsig.algebra import (
     _SMALL_PRIMES,
     Fp2Element,
+    _jacobi,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     byte_width,
@@ -39,6 +41,7 @@ PRODUCTION_R = int(
     "7644995386633571705369402984340289802655215259296677475227949867542364473"
     "46418243059358251698375624054239"
 )
+PRODUCTION_P = 12 * (2**159 + 2**17 + 1) * PRODUCTION_R - 1
 P = 311  # toy curve modulus, 3 mod 4
 Q = 13  # toy subgroup order
 
@@ -48,6 +51,27 @@ fp_values = st.integers(min_value=0, max_value=P - 1)
 def unit_norm(x):
     """conj(x)/x, an element of norm 1."""
     return fp2_conj(x) * fp2_inv(x)
+
+
+def sqrt_oracle(a, p):
+    """The exponentiation route alone: a^((p+1)/4), kept when it squares
+    back to a."""
+    a %= p
+    if a == 0:
+        return 0
+    root = pow(a, (p + 1) // 4, p)
+    return min(root, p - root) if root * root % p == a else None
+
+
+def jacobi_oracle(a, n):
+    """(a/n) for odd n > 0 as the product of the Legendre symbols (a/d) over
+    n's prime factors d, repeated factors repeated."""
+    result, rest = 1, n
+    for d in range(3, n + 1, 2):
+        while rest % d == 0:
+            result *= legendre(a, d)
+            rest //= d
+    return result
 
 
 class TestModInv:
@@ -95,6 +119,43 @@ class TestSqrt:
         else:
             assert root * root % P == a % P
             assert root <= P - root
+
+    def test_jacobi_matches_the_factorisation(self):
+        # every odd n below 300, squares (9, 25, 225, ...) and other
+        # composites among them, and a on both sides of [0, n)
+        for n in range(1, 300, 2):
+            for a in range(-n, 2 * n):
+                assert _jacobi(a, n) == jacobi_oracle(a, n), (a, n)
+
+    def test_matches_the_exponentiation_route_mod_the_toy_p(self):
+        assert [sqrt_mod(a, P) for a in range(P)] == [sqrt_oracle(a, P) for a in range(P)]
+
+    def test_matches_the_exponentiation_route_at_mid_and_production(self, mid_params):
+        rnd = random.Random(19)
+        for p in (mid_params.p, PRODUCTION_P):
+            values = [rnd.randrange(p) for _ in range(2000)]
+            assert [sqrt_mod(a, p) for a in values] == [sqrt_oracle(a, p) for a in values]
+
+    @pytest.mark.parametrize("n", [15, 27, 35])
+    def test_matches_the_exponentiation_route_mod_composites(self, n):
+        # a symbol of -1 rules out a root mod some prime factor, so the
+        # answer stays None; a symbol of 1 or 0 still has its root checked
+        values = range(-n, 2 * n)
+        assert [sqrt_mod(a, n) for a in values] == [sqrt_oracle(a, n) for a in values]
+
+    def test_nonresidue_skips_the_exponentiation(self, monkeypatch):
+        # a module global named pow shadows the builtin inside algebra
+        calls = []
+        monkeypatch.setattr(
+            algebra, "pow", lambda *a: calls.append(a) or pow(*a), raising=False
+        )
+        a = next(a for a in range(2, 100) if legendre(a, PRODUCTION_P) == -1)
+        assert sqrt_mod(a, PRODUCTION_P) is None
+        assert calls == []
+        b = next(b for b in range(2, 100) if legendre(b, PRODUCTION_P) == 1)
+        root = sqrt_mod(b, PRODUCTION_P)
+        assert root * root % PRODUCTION_P == b
+        assert len(calls) == 1
 
 
 class TestFp2:

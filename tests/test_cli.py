@@ -928,6 +928,9 @@ class TestErrorPaths:
             ("params", "gen", "--q-bits", "3"),
             ("params", "gen", "--q-bits", "-2"),
             ("params", "gen", "--q-value", "15"),
+            # no p = 12*q*r - 1 has that few bits for q
+            ("params", "gen", "--q-value", "13", "--p-bits", "5"),
+            ("params", "gen", "--q-bits", "8", "--p-bits", "6"),
         ],
     )
     def test_numeric_flags_checked(self, run, workspace, command):

@@ -663,6 +663,26 @@ class TestHashToPoint:
         assert as_pair(hash_to_point(b"carol", toy_params)) == (141, 132)
         assert hash_to_point(b"alice", toy_params) != hash_to_point(b"carol", toy_params)
 
+    def test_one_square_root_per_try(self, production_params, monkeypatch):
+        # pinned on the production curve: the tries per identity (a
+        # non-residue x^3 + x costs one) and a digest of the point found
+        pinned = {
+            b"alice": (4, "bf721f40ca8addf12b5375ab4bcb02292395691e5fa66357d4917660d6e3c435"),
+            b"bob": (2, "8a57fddaa643b839138dccf64cf9771c336dfaab2745c7e4d2413e703a93f79e"),
+            b"carol": (3, "c35ce743a7ecdcd2a426c4f8e63eac630a6c2336b203ac906af3cc72763f1abb"),
+            b"dave": (1, "85ad488d99068304fbf6b45abe7ce46cf6cb494efbe86a1b17368ea9fed6a12c"),
+        }
+        p = production_params.p
+        roots = []
+        root = curve.sqrt_mod
+        monkeypatch.setattr(curve, "sqrt_mod", lambda *a: roots.append(a) or root(*a))
+        for identity, (tries, digest) in pinned.items():
+            del roots[:]
+            point = hash_to_point(identity, production_params)
+            assert len(roots) == tries
+            assert [legendre(a, p) for a, _ in roots] == [-1] * (tries - 1) + [1]
+            assert hashlib.sha256(point.encode()).hexdigest() == digest
+
     def test_generator_is_one_map_to_point(self, toy_params):
         with measure() as counter:
             params = params_for_subgroup_order(Q, b"toy")
@@ -705,8 +725,9 @@ class TestHashToPoint:
     def test_recurring_identity_skips_the_cofactor_clearing(
         self, production_params, monkeypatch, cold_caches
     ):
-        # the clearing is cached by its inputs; SHA-256 and the square root of
-        # every try still run, so a repeat costs one of each per try
+        # the clearing is cached by its inputs; SHA-256 and sqrt_mod still run
+        # once per try, so a repeat pays one Jacobi symbol per try and the
+        # one exponentiation of the residue it stops at
         roots, adds, doublings = [], [], []
         root, add, double = curve.sqrt_mod, curve._add_jacobian, curve._double_jacobian
         monkeypatch.setattr(curve, "sqrt_mod", lambda *a: roots.append(a) or root(*a))

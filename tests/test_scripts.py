@@ -1,5 +1,6 @@
 """The example scripts run to completion against the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -20,3 +21,24 @@ def test_script_exits_cleanly(script):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_layer_ab_compares_a_tree_with_itself():
+    # toy scale, both sides the same tree: every row timed, same outputs
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_ab.py"), str(ROOT / "src"),
+         str(ROOT / "src"), "--scale", "toy", "--iterations", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["outputs_identical"] is True
+    assert set(report["rows"]) == {
+        "sqrt_residue", "sqrt_nonresidue", "fp2_pow_cofactor", "doubling_chain_161",
+        "h1_new", "h1_repeat", "pairing_cached", "verify",
+    }
+    for row in report["rows"].values():
+        for side in ("parent", "change"):
+            assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
