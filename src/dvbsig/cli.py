@@ -178,9 +178,8 @@ def cmd_params_gen(ws: storage.Workspace, args) -> int:
         )
     params = params_for_subgroup_order(q, seed, p_bits=args.p_bits, security_label=args.label or "")
     ws.ensure()
-    out = Path(args.out) if args.out else ws.params_file
-    storage.save_curve_params(params, out)
-    print(f"wrote {out}")
+    storage.save_curve_params(params, ws.params_file)
+    print(f"wrote {ws.params_file}")
     print(f"p = {params.p}")
     print(f"q = {params.q}")
     print(f"cofactor = {params.cofactor}")
@@ -304,7 +303,7 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     session_id = storage.kv_hex(fields, "session_id", state_path)
     if len(session_id) != (size := session.SESSION_ID_BYTES):
         raise DecodeError(f"{state_path}: field 'session_id' is not {size} bytes")
-    started = storage.kv_int(fields, "started_ms", state_path, default=0)
+    started = storage.kv_int(fields, "started_ms", state_path)
     if not 0 <= started <= 2**64 - 2:  # the log's 8 bytes hold it and finished = started + 1
         raise DecodeError(f"{state_path}: field 'started_ms' is not in [0, 2^64 - 2]")
     signer = _load_key(ws, system, signer_name)
@@ -439,16 +438,23 @@ def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
     return 0
 
 
+def _read_fields(name: str, what: str, known) -> tuple[dict[str, str], Path]:
+    """The fields of the key-value file `name` and its path; a field not in
+    `known` is a DecodeError naming the file and the field."""
+    path = _require(Path(name), what)
+    fields = storage.read_kv(path)
+    unknown = [key for key in fields if key not in known]
+    if unknown:
+        raise DecodeError(f"{path}: unknown field {unknown[0]!r}")
+    return fields, path
+
+
 def _load_costs(args) -> analysis.OpCosts:
     from . import analysis
 
-    if getattr(args, "costs", None) is None:
+    if args.costs is None:
         return analysis.OpCosts.reference()
-    path = _require(Path(args.costs), "costs file")
-    fields = storage.read_kv(path)
-    bad = set(fields) - set(analysis.OpCosts._fields)
-    if bad:
-        raise CommandLineError(f"unknown cost fields: {sorted(bad)}")
+    fields, path = _read_fields(args.costs, "costs file", analysis.OpCosts._fields)
     cost = _rational(0)
     return analysis.OpCosts(
         **{f: storage.kv_field(fields, f, path, cost, "a rational number >= 0") for f in fields}
@@ -458,12 +464,18 @@ def _load_costs(args) -> analysis.OpCosts:
 def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
     from . import analysis
 
+    integer = "a decimal integer >= 0"
+    # QueryBudget's fields in its order, then the group order
+    rules = [(key, _count, integer) for key in ("qh1", "qh2", "qe", "qs", "qv")] + [
+        ("eps", _rational(0, 1), "a rational number in [0, 1]"),
+        ("t", _rational(0), "a rational number >= 0"),
+        ("q", lambda text: _count(text, 2), "a decimal integer >= 2"),
+    ]
     # the flags give the defaults; a budget file's fields override them.  A
     # bad flag is a usage error, a bad field a DecodeError naming the file
     fields, path = {}, None
     if args.budget_file is not None:
-        path = _require(Path(args.budget_file), "budget file")
-        fields = storage.read_kv(path)
+        fields, path = _read_fields(args.budget_file, "budget file", [key for key, *_ in rules])
 
     def value(key: str, parse, kind: str):
         if key in fields:
@@ -473,17 +485,8 @@ def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
         except ValueError:
             raise CommandLineError(f"--{key} is not {kind}: {getattr(args, key)!r}") from None
 
-    integer = "a decimal integer >= 0"
-    budget = analysis.QueryBudget(
-        h1_queries=value("qh1", _count, integer),
-        h2_queries=value("qh2", _count, integer),
-        extract_queries=value("qe", _count, integer),
-        sign_queries=value("qs", _count, integer),
-        verify_queries=value("qv", _count, integer),
-        advantage=value("eps", _rational(0, 1), "a rational number in [0, 1]"),
-        runtime=value("t", _rational(0), "a rational number >= 0"),
-    )
-    group_order = value("q", lambda text: _count(text, 2), "a decimal integer >= 2")
+    *counts, group_order = [value(*rule) for rule in rules]
+    budget = analysis.QueryBudget(*counts)
     costs = _load_costs(args)
     forge = analysis.unforgeability_bound(budget, costs, group_order)
     dver = analysis.unverifiability_bound(budget, costs, group_order)
@@ -576,12 +579,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
     # `map_to_point` hashes a new identity each iteration (a cold H1);
     # `map_to_point_repeat` one identity, whose cofactor clearing an untimed
     # first call has cached
-    counter = iter(range(10**9))
-    timed(
-        "map_to_point",
-        lambda _: hash_to_point(f"bench{next(counter)}".encode(), curve),
-        range(n),
-    )
+    timed("map_to_point", lambda i: hash_to_point(f"bench{i}".encode(), curve), range(n))
     hash_to_point(b"bench-repeat", curve)
     timed("map_to_point_repeat", lambda _: hash_to_point(b"bench-repeat", curve), range(n))
     timed(
@@ -614,6 +612,74 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
 # argument parsing
 
 
+# flags that several commands take, each declared once: flag -> add_argument keywords
+SHARED_FLAGS = {
+    "--seed": {},
+    "--signer": {"required": True},
+    "--verifier": {"required": True},
+    "--session": {"required": True},
+    "--out": {"help": "signature output (default: workspace sig.bin)"},
+    "--format": {"choices": ["binary", "text"], "default": "binary"},
+}
+MESSAGE = "--message-file | --asset-statement"  # a required pair: exactly one of the two
+
+# Every command in --help order: (words, help, handler, flags).  A flag is a
+# SHARED_FLAGS name, MESSAGE, or a (flag, keywords) pair of its own.  A group
+# ("params", "sign", "analyze") has no handler or flags; its commands follow it.
+COMMANDS = (
+    ("params", "curve parameter management", None, ()),
+    ("params gen", "generate pairing parameters", cmd_params_gen, (
+        ("--q-bits", {"type": int, "help": "bit length of the subgroup order"}),
+        ("--q-value",
+         {"type": int, "help": "explicit decimal subgroup order (overrides --q-bits)"}),
+        ("--p-bits", {"type": _positive_int, "help": "target bit length for the field prime"}),
+        ("--seed", {"help": "derivation seed"}),
+        ("--label", {"help": "security label stored in the params file"}),
+    )),
+    ("setup", "run PKG setup (master key + system params)", cmd_setup, ("--seed",)),
+    ("keygen", "issue an identity key", cmd_keygen, (("--id", {"required": True}),)),
+    ("sign", "interactive signing", None, ()),
+    ("sign run", "run a whole session locally", cmd_sign_run,
+     ("--signer", "--verifier", MESSAGE, "--seed", "--out", "--format")),
+    ("sign commit", "signer step 1: commitment", cmd_sign_commit,
+     ("--signer", "--session", "--seed")),
+    ("sign blind", "user step 2: blinded challenge", cmd_sign_blind,
+     ("--session", "--signer", MESSAGE, "--seed")),
+    ("sign respond", "signer step 3: response", cmd_sign_respond, ("--session", "--seed")),
+    ("sign unblind", "user step 4: final signature", cmd_sign_unblind,
+     ("--session", "--verifier", ("--out", {}), "--format")),
+    ("verify", "designated verification", cmd_verify,
+     ("--signer", "--verifier", MESSAGE, ("--sig", {"required": True}))),
+    ("simulate", "verifier-side transcript simulation", cmd_simulate,
+     ("--signer", "--verifier", MESSAGE, "--seed", "--out", "--format")),
+    ("blindness-demo", "cross-pair witness extraction demo", cmd_blindness_demo, (
+        ("--sessions", {"type": _positive_int, "default": 4}),
+        ("--signer", {"default": "demo-signer"}),
+        ("--verifier", {"default": "demo-verifier"}),
+        "--seed",
+    )),
+    ("analyze", "reduction bounds and performance model", None, ()),
+    ("analyze bounds", "evaluate the reduction bounds", cmd_analyze_bounds, (
+        ("--qh1", {"default": "2"}),
+        ("--qh2", {"default": "0"}),
+        ("--qe", {"default": "0"}),
+        ("--qs", {"default": "0"}),
+        ("--qv", {"default": "0"}),
+        ("--eps", {"default": "1"}),
+        ("--t", {"default": "0"}),
+        ("--q", {"default": str(2**159 + 2**17 + 1), "help": "group order"}),
+        ("--budget-file", {"help": "key-value file overriding the flags"}),
+        ("--costs", {"help": "key-value unit-cost file"}),
+    )),
+    ("analyze perf", "per-phase cost model", cmd_analyze_perf, (("--costs", {}),)),
+    ("bench", "wall-clock micro-benchmarks", cmd_bench, (
+        "--seed",
+        ("--iterations", {"type": _positive_int, "default": 20}),
+        ("--json", {"action": "store_true", "help": "print each row as one JSON object"}),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dvbsig",
@@ -622,122 +688,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-w", "--workspace", default="dvbsig-workspace", help="workspace directory"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_params = sub.add_parser("params", help="curve parameter management")
-    params_sub = p_params.add_subparsers(dest="subcommand", required=True)
-    p_gen = params_sub.add_parser("gen", help="generate pairing parameters")
-    p_gen.add_argument("--q-bits", type=int, help="bit length of the subgroup order")
-    p_gen.add_argument(
-        "--q-value", type=int, help="explicit decimal subgroup order (overrides --q-bits)"
-    )
-    p_gen.add_argument("--p-bits", type=_positive_int, help="target bit length for the field prime")
-    p_gen.add_argument("--seed", help="derivation seed")
-    p_gen.add_argument("--label", help="security label stored in the params file")
-    p_gen.add_argument("--out", help="output file (default: workspace params.txt)")
-    p_gen.set_defaults(func=cmd_params_gen)
-
-    p_setup = sub.add_parser("setup", help="run PKG setup (master key + system params)")
-    p_setup.add_argument("--seed")
-    p_setup.set_defaults(func=cmd_setup)
-
-    p_keygen = sub.add_parser("keygen", help="issue an identity key")
-    p_keygen.add_argument("--id", required=True)
-    p_keygen.set_defaults(func=cmd_keygen)
-
-    p_sign = sub.add_parser("sign", help="interactive signing")
-    sign_sub = p_sign.add_subparsers(dest="subcommand", required=True)
-
-    def add_message_flags(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--message-file")
-        group.add_argument("--asset-statement", help="<address-tag>:<threshold> sugar")
-
-    p_run = sign_sub.add_parser("run", help="run a whole session locally")
-    p_run.add_argument("--signer", required=True)
-    p_run.add_argument("--verifier", required=True)
-    add_message_flags(p_run)
-    p_run.add_argument("--seed")
-    p_run.add_argument("--out", help="signature output (default: workspace sig.bin)")
-    p_run.add_argument("--format", choices=["binary", "text"], default="binary")
-    p_run.set_defaults(func=cmd_sign_run)
-
-    p_commit = sign_sub.add_parser("commit", help="signer step 1: commitment")
-    p_commit.add_argument("--signer", required=True)
-    p_commit.add_argument("--session", required=True)
-    p_commit.add_argument("--seed")
-    p_commit.set_defaults(func=cmd_sign_commit)
-
-    p_blind = sign_sub.add_parser("blind", help="user step 2: blinded challenge")
-    p_blind.add_argument("--session", required=True)
-    p_blind.add_argument("--signer", required=True)
-    add_message_flags(p_blind)
-    p_blind.add_argument("--seed")
-    p_blind.set_defaults(func=cmd_sign_blind)
-
-    p_respond = sign_sub.add_parser("respond", help="signer step 3: response")
-    p_respond.add_argument("--session", required=True)
-    p_respond.add_argument("--seed")
-    p_respond.set_defaults(func=cmd_sign_respond)
-
-    p_unblind = sign_sub.add_parser("unblind", help="user step 4: final signature")
-    p_unblind.add_argument("--session", required=True)
-    p_unblind.add_argument("--verifier", required=True)
-    p_unblind.add_argument("--out")
-    p_unblind.add_argument("--format", choices=["binary", "text"], default="binary")
-    p_unblind.set_defaults(func=cmd_sign_unblind)
-
-    p_verify = sub.add_parser("verify", help="designated verification")
-    p_verify.add_argument("--signer", required=True)
-    p_verify.add_argument("--verifier", required=True)
-    add_message_flags(p_verify)
-    p_verify.add_argument("--sig", required=True)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sim = sub.add_parser("simulate", help="verifier-side transcript simulation")
-    p_sim.add_argument("--signer", required=True)
-    p_sim.add_argument("--verifier", required=True)
-    add_message_flags(p_sim)
-    p_sim.add_argument("--seed")
-    p_sim.add_argument("--out", help="signature output (default: workspace sig.bin)")
-    p_sim.add_argument("--format", choices=["binary", "text"], default="binary")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_demo = sub.add_parser("blindness-demo", help="cross-pair witness extraction demo")
-    p_demo.add_argument("--sessions", type=_positive_int, default=4)
-    p_demo.add_argument("--signer", default="demo-signer")
-    p_demo.add_argument("--verifier", default="demo-verifier")
-    p_demo.add_argument("--seed")
-    p_demo.set_defaults(func=cmd_blindness_demo)
-
-    p_analyze = sub.add_parser("analyze", help="reduction bounds and performance model")
-    analyze_sub = p_analyze.add_subparsers(dest="subcommand", required=True)
-
-    p_bounds = analyze_sub.add_parser("bounds", help="evaluate the reduction bounds")
-    p_bounds.add_argument("--qh1", default="2")
-    p_bounds.add_argument("--qh2", default="0")
-    p_bounds.add_argument("--qe", default="0")
-    p_bounds.add_argument("--qs", default="0")
-    p_bounds.add_argument("--qv", default="0")
-    p_bounds.add_argument("--eps", default="1")
-    p_bounds.add_argument("--t", default="0")
-    p_bounds.add_argument("--q", default=str(2**159 + 2**17 + 1), help="group order")
-    p_bounds.add_argument("--budget-file", help="key-value file overriding the flags")
-    p_bounds.add_argument("--costs", help="key-value unit-cost file")
-    p_bounds.set_defaults(func=cmd_analyze_bounds)
-
-    p_perf = analyze_sub.add_parser("perf", help="per-phase cost model")
-    p_perf.add_argument("--costs")
-    p_perf.set_defaults(func=cmd_analyze_perf)
-
-    p_bench = sub.add_parser("bench", help="wall-clock micro-benchmarks")
-    p_bench.add_argument("--seed")
-    p_bench.add_argument("--iterations", type=_positive_int, default=20)
-    p_bench.add_argument(
-        "--json", action="store_true", help="print each row as one JSON object"
-    )
-    p_bench.set_defaults(func=cmd_bench)
-
+    # the subparsers of the top level ("") and of each group
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, handler, flags in COMMANDS:
+        group, _, name = words.rpartition(" ")
+        command = subparsers[group].add_parser(name, help=help_text)
+        if handler is None:
+            subparsers[words] = command.add_subparsers(dest="subcommand", required=True)
+            continue
+        command.set_defaults(func=handler)
+        for flag in flags:
+            if flag == MESSAGE:
+                pair = command.add_mutually_exclusive_group(required=True)
+                pair.add_argument("--message-file")
+                pair.add_argument("--asset-statement", help="<address-tag>:<threshold> sugar")
+            else:
+                option, keywords = (flag, SHARED_FLAGS[flag]) if isinstance(flag, str) else flag
+                command.add_argument(option, **keywords)
     return parser
 
 

@@ -27,10 +27,11 @@ class HashToPointFailed(DvbsigError):
 
 class DecodeError(DvbsigError):
     """Malformed serialized value.  `position` is the byte offset at fault,
-    and `reason` the message without it."""
+    or None where the decoder knows none (a key-value field, say), and
+    `reason` the message without it."""
 
-    def __init__(self, message: str, position: int = 0):
-        super().__init__(f"{message} (at byte {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at byte {position})")
         self.reason = message
         self.position = position
 

@@ -76,12 +76,9 @@ def kv_field(fields: dict[str, str], key: str, path: Path | str, parse, kind: st
         raise DecodeError(f"{path}: field {key!r} is not {kind}") from None
 
 
-def kv_int(fields: dict[str, str], key: str, path: Path | str, default: int | None = None) -> int:
-    """Field `key` as a decimal integer, or `default` when it is absent and a
-    default is given.  A missing or malformed field is a DecodeError naming
-    the file and the field."""
-    if default is not None and key not in fields:
-        return default
+def kv_int(fields: dict[str, str], key: str, path: Path | str) -> int:
+    """Field `key` as a decimal integer.  A missing or malformed field is a
+    DecodeError naming the file and the field."""
     return kv_field(fields, key, path, int, "a decimal integer")
 
 

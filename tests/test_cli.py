@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -509,11 +511,21 @@ class TestAnalysisCommands:
         assert "costs.txt:2: repeated field 'pairing'" in err
 
     def test_perf_costs_file_unknown_field(self, run, tmp_path):
+        # a bad field of the file, like a malformed value, exits 3 naming the file
         costs = tmp_path / "costs.txt"
         costs.write_text("pairing = 1\ng2_exp = 1\n")
         code, out, err = run("-w", tmp_path, "analyze", "perf", "--costs", costs)
-        assert code == 2 and out == ""
-        assert "unknown cost fields: ['g2_exp']" in err
+        assert code == 3 and out == ""
+        assert err == f"error: {costs}: unknown field 'g2_exp'\n"
+
+    def test_bounds_budget_file_unknown_field(self, run, tmp_path):
+        # the file was read as if the unknown field were not there, with the
+        # flag defaults for the rest
+        budget = tmp_path / "budget.txt"
+        budget.write_text("qh1 = 5\nbogus = x\n")
+        code, out, err = run("-w", tmp_path, "analyze", "bounds", "--budget-file", budget)
+        assert code == 3 and out == ""
+        assert err == f"error: {budget}: unknown field 'bogus'\n"
 
 
 class TestBlindnessDemo:
@@ -842,6 +854,36 @@ class TestErrorPaths:
         assert not (workspace / "transcripts.log").exists()
         assert not (state.parent / "response.frame").exists()
 
+    def test_start_time_required(self, run, workspace, message_file):
+        # a state without started_ms was answered and logged as started at 0
+        state = self.blinded_session(run, workspace, message_file) / "signer.state"
+        lines = state.read_text().splitlines(True)
+        state.write_text("".join(line for line in lines if not line.startswith("started_ms ")))
+        code, out, err = run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")
+        assert code == 3 and out == ""
+        assert err == f"error: {state}: missing field 'started_ms'\n"
+        assert not (workspace / "transcripts.log").exists()
+        assert not (state.parent / "response.frame").exists()
+
+    def test_field_errors_name_no_byte_offset(self, run, workspace, message_file):
+        # a key-value field has no measured offset; "(at byte 0)" was printed
+        dave = workspace / "keys" / "dave.key"
+        dave.write_text((workspace / "keys" / "alice.key").read_text())
+        code, out, err = run(
+            "-w", workspace, "sign", "run", "--signer", "dave", "--verifier", "bob",
+            "--message-file", message_file,
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: {dave}: field 'identity' is not 'dave'\n"
+        state = self.responded_session(run, workspace, message_file) / "user.state"
+        lines = state.read_text().splitlines(True)
+        state.write_text("".join(line for line in lines if not line.startswith("u_prime ")))
+        code, out, err = run(
+            "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: {state}: missing field 'u_prime'\n"
+
     def test_latest_start_time_is_logged(self, run, workspace, message_file):
         state = self.blinded_session(run, workspace, message_file) / "signer.state"
         self.rewrite_field(state, "started_ms", 2**64 - 2)
@@ -938,6 +980,15 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert command[-2] in err
 
+    def test_params_gen_writes_only_the_workspace_params(self, run, tmp_path):
+        # setup reads only <workspace>/params.txt, so -w names the output
+        code, out, err = run(
+            "-w", tmp_path / "ws", "params", "gen", "--q-bits", 4, "--out", tmp_path / "p.txt"
+        )
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --out" in err
+        assert not (tmp_path / "p.txt").exists()
+
     def test_second_setup_refused(self, run, workspace):
         # keys issued under the first master secret must keep verifying
         before = {name: (workspace / name).read_bytes() for name in ("master.key", "system.txt")}
@@ -957,3 +1008,28 @@ class TestErrorPaths:
         code, _, err = run("-w", tmp_path / "empty", "setup")
         assert code == 2
         assert "params" in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_walkthrough_commands_parse(self):
+        # every `dvbsig ...` line of the CLI walkthrough's three code blocks
+        # parses and reaches the handler of the command it names
+        section = README.read_text().split("## CLI walkthrough\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+        assert len(blocks) == 3
+        handlers = {words: handler for words, _, handler, _ in cli.COMMANDS}
+        parser = cli.build_parser()
+        for block in blocks:
+            lines = [line for line in block.splitlines() if line.startswith("dvbsig ")]
+            assert lines, block
+            for line in lines:
+                argv = shlex.split(line, comments=True)[1:]
+                assert argv[:2] == ["-w", "ws"], line
+                named = " ".join(takewhile(lambda word: not word.startswith("-"), argv[2:]))
+                handler = parser.parse_args(argv).func
+                assert handler is handlers[named], line
+                # and the table gives that command its own handler
+                assert handler.__name__ == "cmd_" + re.sub("[ -]", "_", named), line
