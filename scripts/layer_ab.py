@@ -16,6 +16,9 @@ sides alike.  The rows:
                                   identity
   pairing_cached                  tate_pairing with its Miller lines cached
   verify                          scheme.verify of a valid signature
+  param_search                    the scale's parameter set from scratch: the
+                                  p = 12*q*r - 1 search (and at mid scale the
+                                  q search) and the generator
 
 Prints one JSON object: per row and tree the median and quartiles in ms, the
 change-over-parent ratio of the medians, and whether both trees returned the
@@ -112,6 +115,7 @@ def build_rows(pkg, scale: str) -> dict:
         "verify": lambda i: scheme.verify(
             system, verifier.secret, signer.public, message, signature
         ),
+        "param_search": lambda i: build_params(pkg, scale),
     }
     # warm the caches that a repeated call would find warm
     for row in ("h1_repeat", "pairing_cached", "verify"):

@@ -12,7 +12,10 @@ so reruns in a fresh workspace are bit-identical.
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import secrets
+import stat
 import sys
 import time
 from pathlib import Path
@@ -50,12 +53,16 @@ class CommandLineError(Exception):
     """Usage-level failure: exits 2."""
 
 
+def _clock(seed: str | None, start: int = 0):
+    """The millisecond clock of one command: the wall clock, or for any seed
+    that is not None ("" too) a logical clock whose first reading is `start`."""
+    return session.wall_clock_ms if seed is None else LogicalClock(start)
+
+
 def _rng_and_clock(seed: str | None):
-    """The draws and the millisecond clock of one command: system randomness
-    and the wall clock, or the seeded stream and a logical clock."""
-    if seed is None:
-        return SystemRng(), session.wall_clock_ms
-    return SeededRng(seed), LogicalClock()
+    """The draws and the clock of one command: system randomness, or the
+    seeded stream."""
+    return (SystemRng() if seed is None else SeededRng(seed)), _clock(seed)
 
 
 def _identity(name: str, flag: str, error: type[Exception] = CommandLineError) -> str:
@@ -108,9 +115,30 @@ def _load_key(ws: storage.Workspace, system, identity: str) -> KeyPair:
     return key
 
 
+def _read_frame(path: Path) -> bytes:
+    """The bytes of the frame file at `path`, which must be a regular file:
+    it is opened without blocking, so a FIFO there cannot hand out one
+    message per reader."""
+    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as handle:
+        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            raise CommandLineError(f"{path} is not a regular file")
+        return handle.read()
+
+
+def _write_frame(path: Path, data: bytes, what: str) -> None:
+    """Create the frame file at `path`.  It is created exclusively, so of two
+    racing runs of one step only one writes a frame (and the state beside it)."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except FileExistsError:
+        raise CommandLineError(f"{what} already exists: {path}") from None
+    with open(fd, "wb") as handle:
+        handle.write(data)
+
+
 def _read_message(path: Path, kind: type, what: str, curve) -> session.ProtocolMessage:
     """The protocol message of type `kind` in the frame file at `path`."""
-    message = storage.decode_named(path, session.decode_message, path.read_bytes(), curve)
+    message = storage.decode_named(path, session.decode_message, _read_frame(path), curve)
     if not isinstance(message, kind):
         raise CommandLineError(f"{path} does not hold a {what}")
     return message
@@ -176,7 +204,13 @@ def cmd_params_gen(ws: storage.Workspace, args) -> int:
             f"--p-bits {args.p_bits} is too small: p = 12*q*r - 1 has at least "
             f"{least_p_bits} bits for q = {q}"
         )
-    params = params_for_subgroup_order(q, seed, p_bits=args.p_bits, security_label=args.label or "")
+    label = args.label or ""
+    if not storage.reads_back("security_label", label):
+        raise CommandLineError(
+            f"--label {label!r} would not read back from the params file"
+            " (no line breaks or surrounding whitespace)"
+        )
+    params = params_for_subgroup_order(q, seed, p_bits=args.p_bits, security_label=label)
     ws.ensure()
     storage.save_curve_params(params, ws.params_file)
     print(f"wrote {ws.params_file}")
@@ -253,7 +287,7 @@ def cmd_sign_commit(ws: storage.Workspace, args) -> int:
     rng, clock = _rng_and_clock(args.seed)
     session_id = rng.next_bytes(session.SESSION_ID_BYTES)
     state, commitment = scheme.sign_commit(system, signer, rng)
-    commit_path.write_bytes(session.encode_message(commitment, system.curve))
+    _write_frame(commit_path, session.encode_message(commitment, system.curve), "commit artifact")
     started = clock()
     storage.write_private(
         sdir / "signer.state",
@@ -277,7 +311,9 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
     signer_public = hash_to_point(signer.encode("utf-8"), system.curve)
     rng, _ = _rng_and_clock(args.seed)
     state, challenge = scheme.blind(system, message, commitment, signer_public, rng)
-    challenge_path.write_bytes(session.encode_message(challenge, system.curve))
+    _write_frame(
+        challenge_path, session.encode_message(challenge, system.curve), "challenge artifact"
+    )
     storage.write_private(
         sdir / "user.state",
         f"x = {state.x}\n"
@@ -291,11 +327,40 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
 
 def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
+    sdir, _, _, response_path = _session_paths(ws, args.session)
+    state_path = sdir / "signer.state"
+    # claim r before reading it: of two racing responds one rename wins, and
+    # the other exits here without having seen r
+    claim = sdir / f"signer.state.{os.getpid()}-{secrets.token_hex(4)}"
+    try:
+        os.rename(state_path, claim)
+    except FileNotFoundError:
+        raise CommandLineError(
+            f"signer state not found: {state_path}"
+            " (run sign commit first; a sign respond that claimed it answers once)"
+        ) from None
+    try:
+        response = _respond(ws, system, args, claim)
+    except BaseException:
+        os.rename(claim, state_path)  # nothing was recorded, so r has answered nothing
+        raise
+    claim.unlink()  # r has answered its one challenge
+    _write_frame(response_path, session.encode_message(response, system.curve), "response artifact")
+    if response.degenerate:
+        print(f"wrote {response_path} (degenerate response; rerun the session)")
+    else:
+        print(f"wrote {response_path}")
+    return 0
+
+
+def _respond(ws: storage.Workspace, system, args, claim: Path) -> scheme.Response:
+    """The response of the signer state claimed at `claim` to the session's
+    challenge, once it is logged.  Errors name the state by its own name."""
     sdir, _, challenge_path, response_path = _session_paths(ws, args.session)
-    state_path = _require(sdir / "signer.state", "signer state (run sign commit first)")
+    state_path = sdir / "signer.state"
     _require(challenge_path, "challenge artifact (run sign blind first)")
     _fresh(response_path, "response artifact")
-    fields = storage.read_kv(state_path)
+    fields = storage.read_kv(claim, state_path)
     signer_name = _identity(
         storage.kv_text(fields, "signer", state_path), f"{state_path}: field 'signer'", DecodeError
     )
@@ -312,7 +377,7 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
     # (which the user side can rewrite) holds now
     commitment = scalar_mul(r, signer.public)
     response = scheme.sign_respond(system, scheme.SignerState(r=r, key=signer), challenge)
-    finished = started + 1 if args.seed else session.wall_clock_ms()
+    clock = _clock(args.seed, started + 1)
     store = FileTranscriptStore(ws.transcript_log, system.curve)
     # the transcript is recorded before the response leaves: a session id
     # that was already answered raises DuplicateSession and writes nothing
@@ -324,16 +389,10 @@ def cmd_sign_respond(ws: storage.Workspace, args) -> int:
             challenge=challenge.value,
             response=response.point,
             started_ms=started,
-            finished_ms=finished,
+            finished_ms=clock(),
         )
     )
-    response_path.write_bytes(session.encode_message(response, system.curve))
-    state_path.unlink()  # r has answered its one challenge
-    if response.degenerate:
-        print(f"wrote {response_path} (degenerate response; rerun the session)")
-    else:
-        print(f"wrote {response_path}")
-    return 0
+    return response
 
 
 def cmd_sign_unblind(ws: storage.Workspace, args) -> int:

@@ -11,6 +11,7 @@ never contains the message, the blinding factors, or the final signature.
 
 from __future__ import annotations
 
+import fcntl
 import threading
 import time
 from pathlib import Path
@@ -193,10 +194,10 @@ def wall_clock_ms() -> int:
 
 
 class LogicalClock:
-    """Deterministic clock for seeded runs: 0, 1, 2, ... ms."""
+    """Deterministic clock for seeded runs: start, start + 1, ... ms."""
 
-    def __init__(self):
-        self._tick = -1
+    def __init__(self, start: int = 0):
+        self._tick = start - 1
 
     def __call__(self) -> int:
         self._tick += 1
@@ -283,26 +284,45 @@ class TranscriptStore:
 
 class FileTranscriptStore(TranscriptStore):
     """Store backed by an append-only file of transcript frames.  A malformed
-    record is a DecodeError naming the file and the offset in it."""
+    record is a DecodeError naming the file and the offset in it.
+
+    Processes share the file under `fcntl.flock`: opening reads it under a
+    shared lock, and `record` holds an exclusive one while it reads what
+    other processes appended since, refuses a session id already in the
+    file and appends.  So no session is recorded twice, whoever races."""
 
     def __init__(self, path: str | Path, params: CurveParams):
         super().__init__()
         self.path = Path(path)
         self.params = params
+        self._read = 0  # bytes of the file decoded so far
         if self.path.exists():
-            # one view of the file: each record's slice of it copies nothing
-            data = memoryview(self.path.read_bytes())
-            pos = 0
-            while pos < len(data):
-                try:
-                    transcript, used = decode_transcript(data[pos:], params)
-                except DecodeError as exc:
-                    raise DecodeError(f"{self.path}: {exc.reason}", pos + exc.position) from None
-                super().record(transcript)
-                pos += used
+            with self.path.open("rb") as fh:
+                fcntl.flock(fh, fcntl.LOCK_SH)
+                self._catch_up(fh)
+
+    def _catch_up(self, fh) -> None:
+        """Decode the records past the first `_read` bytes of the locked file."""
+        fh.seek(self._read)
+        # one view of the new bytes: each record's slice of it copies nothing
+        data = memoryview(fh.read())
+        pos = 0
+        while pos < len(data):
+            try:
+                transcript, used = decode_transcript(data[pos:], self.params)
+            except DecodeError as exc:
+                raise DecodeError(
+                    f"{self.path}: {exc.reason}", self._read + pos + exc.position
+                ) from None
+            TranscriptStore.record(self, transcript)
+            pos += used
+        self._read += pos
 
     def record(self, transcript: Transcript) -> None:
-        with self._lock:
+        with self._lock, self.path.open("a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            self._catch_up(fh)
             super().record(transcript)
-            with self.path.open("ab") as fh:
-                fh.write(encode_transcript(transcript, self.params))
+            frame = encode_transcript(transcript, self.params)
+            fh.write(frame)
+            self._read += len(frame)

@@ -52,9 +52,20 @@ def _utf8(data: bytes, path: Path) -> str:
         raise DecodeError(f"{path}: not UTF-8 text", exc.start) from None
 
 
-def read_kv(path: Path) -> dict[str, str]:
-    """Read and parse a key-value file; non-UTF-8 bytes are a DecodeError."""
-    return parse_kv(_utf8(path.read_bytes(), path), str(path))
+def read_kv(path: Path, name: Path | None = None) -> dict[str, str]:
+    """Read and parse a key-value file; non-UTF-8 bytes are a DecodeError.
+    Errors name the file as `name`, by default its path."""
+    name = name or path
+    return parse_kv(_utf8(path.read_bytes(), name), str(name))
+
+
+def reads_back(key: str, value: str) -> bool:
+    """Whether the line `key = value` parses back to exactly that one field:
+    a line break or surrounding whitespace in `value` would not."""
+    try:
+        return parse_kv(f"{key} = {value}\n") == {key: value}
+    except DecodeError:
+        return False
 
 
 def decode_named(path: Path | str, decode, *args):

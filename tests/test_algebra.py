@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from dvbsig.algebra import (
     sample_unit,
     sqrt_mod,
 )
+from dvbsig.curve import params_for_subgroup_order
 from dvbsig.errors import DomainError, InversionOfZero, ParamMismatch
 from dvbsig.rng import SeededRng
 from tests.test_curve import fp2_add, fp2_conj, fp2_inv, legendre, pow_oracle
@@ -351,3 +353,42 @@ class TestPrimality:
         assert p.bit_length() == 512
         assert is_prime(q) and is_prime(p)
         assert not is_prime(p + 2) and not is_prime(q * p)
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [(4093, True), (4095, False), (4096, False), (4097, False), (4099, True),
+         (4099**2, False), (4099 * 4111, False)],
+    )
+    def test_sieve_edge(self, n, prime):
+        # 4093 is the last prime in the sieve, 4097 = 17 * 241 the gcd's, and
+        # 4099^2 and 4099 * 4111 have no factor below 2^12 for it to find
+        assert algebra._SIEVE_LIMIT == 4096
+        assert is_prime(n) is prime
+
+    def test_composite_of_large_primes_below_the_base_limit(self):
+        # psi_9 = 149491 * 747451 * 34233211 is a strong pseudoprime to the
+        # first eleven bases; no factor is below 2^12, so base 37 decides it
+        psi_9 = 3825123056546413051
+        assert psi_9 == 149491 * 747451 * 34233211 and psi_9 < algebra._SMALL_BASES_LIMIT
+        assert all(is_prime(f) for f in (149491, 747451, 34233211))
+        assert all(_strong_probable_prime(psi_9, a) for a in _SMALL_PRIMES[:11])
+        assert not is_prime(psi_9)
+
+    def test_production_search_rounds(self, monkeypatch):
+        # the gcd refuses 107 of the search's 138 candidates; trial division
+        # by the primes up to 37 left 67 Miller-Rabin rounds
+        rounds = []
+
+        def counted(n, a):
+            rounds.append(a)
+            return _strong_probable_prime(n, a)
+
+        monkeypatch.setattr(algebra, "_strong_probable_prime", counted)
+        params = params_for_subgroup_order(
+            2**159 + 2**17 + 1, b"acceptance-production-scale", p_bits=512
+        )
+        assert len(rounds) <= 35
+        assert (params.p, params.cofactor) == (PRODUCTION_P, 12 * PRODUCTION_R)
+        assert hashlib.sha256(params.generator.encode()).hexdigest() == (
+            "a45d9bb5bc4472a4827481928a2099d9d8862b8378e160ab8bca9a3a78060901"
+        )

@@ -14,7 +14,13 @@ import pytest
 from dvbsig import cli, storage
 from dvbsig import curve as dvbsig_curve
 from dvbsig.curve import hash_to_point
-from dvbsig.session import MAX_RETRIES, FileTranscriptStore, LogicalClock, decode_message
+from dvbsig.session import (
+    MAX_RETRIES,
+    FileTranscriptStore,
+    LogicalClock,
+    decode_message,
+    decode_transcript,
+)
 from tests.conftest import TapeRng, find_tape_triples, scalar_chunk, session_tape
 
 
@@ -255,6 +261,123 @@ class TestStepwiseSigning:
             workspace / "keys" / "alice.key",
         ):
             assert stat.S_IMODE(path.stat().st_mode) == 0o600, path
+
+    def test_racing_responds_answer_one_challenge(self, run, workspace, message_file, monkeypatch):
+        # a second respond starts while the first is recording, after the
+        # user side has swapped challenge.frame: two answers under one r
+        # would give away the signer's key
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        challenge = sdir / "challenge.frame"
+        first = challenge.read_bytes()
+        challenge.unlink()
+        assert run(
+            "-w", workspace, "sign", "blind", "--session", "s1", "--signer", "alice",
+            "--message-file", message_file, "--seed", "b2",
+        )[0] == 0
+        second = challenge.read_bytes()
+        assert second != first
+        challenge.write_bytes(first)
+        record, racer = FileTranscriptStore.record, []
+
+        def racing_record(store, transcript):
+            if not racer:
+                challenge.write_bytes(second)
+                racer.append(run("-w", workspace, "sign", "respond", "--session", "s1"))
+            record(store, transcript)
+
+        monkeypatch.setattr(FileTranscriptStore, "record", racing_record)
+        code, out, _ = run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")
+        assert code == 0 and out == f"wrote {sdir / 'response.frame'}\n"
+        ((racer_code, racer_out, racer_err),) = racer
+        assert racer_code == 2 and racer_out == ""
+        assert f"signer state not found: {sdir / 'signer.state'}" in racer_err
+        system = storage.load_system_params(workspace / "system.txt")
+        # decoded record by record: a store would refuse a log holding an id twice
+        log, records = (workspace / "transcripts.log").read_bytes(), []
+        while log:
+            record, used = decode_transcript(log, system.curve)
+            records.append(record)
+            log = log[used:]
+        assert len(records) == 1
+        assert records[0].challenge == decode_message(first, system.curve).value
+        assert sorted(p.name for p in sdir.iterdir()) == [
+            "challenge.frame", "commit.frame", "response.frame", "user.state",
+        ]
+
+    def test_racing_processes_keep_the_log_readable(self, run, tmp_path):
+        # a smoke test, since the processes may miss each other's window:
+        # two responds to one session and two sign runs, all at once
+        ws = tmp_path / "ws"
+        assert run("-w", ws, "params", "gen", "--q-bits", 32, "--seed", "mid")[0] == 0
+        assert run("-w", ws, "setup", "--seed", "pkg")[0] == 0
+        for identity in ("alice", "bob"):
+            assert run("-w", ws, "keygen", "--id", identity)[0] == 0
+        assert run("-w", ws, "sign", "commit", "--signer", "alice", "--session", "s1")[0] == 0
+        assert run(
+            "-w", ws, "sign", "blind", "--session", "s1", "--signer", "alice",
+            "--asset-statement", "addr:5",
+        )[0] == 0
+        command = [sys.executable, "-m", "dvbsig.cli", "-w", str(ws), "sign"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        procs = [
+            subprocess.Popen(command + argv, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+            for argv in 2 * [["respond", "--session", "s1"]]
+            + 2 * [["run", "--signer", "alice", "--verifier", "bob", "--asset-statement", "addr:5"]]
+        ]
+        codes = [proc.wait(timeout=60) for proc in procs]
+        assert sorted(codes[:2]) == [0, 2] and codes[2:] == [0, 0]
+        curve = storage.load_system_params(ws / "system.txt").curve
+        assert len(FileTranscriptStore(ws / "transcripts.log", curve)) == 3
+
+    def test_failed_respond_returns_the_claim(self, run, workspace, message_file):
+        # nothing was recorded, so the session can answer once the challenge is back
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        frame = (sdir / "challenge.frame").read_bytes()
+        (sdir / "challenge.frame").unlink()
+        code, _, err = run("-w", workspace, "sign", "respond", "--session", "s1")
+        assert code == 2 and "challenge artifact" in err
+        assert sorted(p.name for p in sdir.iterdir()) == ["commit.frame", "signer.state", "user.state"]
+        (sdir / "challenge.frame").write_bytes(frame)
+        assert run("-w", workspace, "sign", "respond", "--session", "s1")[0] == 0
+
+    def test_challenge_fifo_refused(self, run, workspace, message_file):
+        # a FIFO could hand each of two responds a challenge of its own
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        challenge = sdir / "challenge.frame"
+        challenge.unlink()
+        os.mkfifo(challenge)
+        code, out, err = run("-w", workspace, "sign", "respond", "--session", "s1")
+        assert code == 2 and out == ""
+        assert err == f"error: {challenge} is not a regular file\n"
+        assert (sdir / "signer.state").exists()
+        assert not (workspace / "transcripts.log").exists()
+
+    def test_racing_commits_write_one_state(self, run, workspace, monkeypatch):
+        # two commits that both passed the early check: only the one that
+        # creates commit.frame writes signer.state, so the two match
+        assert run(
+            "-w", workspace, "sign", "commit", "--signer", "alice", "--session", "s1",
+            "--seed", "c",
+        )[0] == 0
+        sdir = workspace / "sessions" / "s1"
+        files = {p.name: p.read_bytes() for p in sdir.iterdir()}
+        monkeypatch.setattr(cli, "_fresh", lambda path, what: path)
+        code, _, err = run(
+            "-w", workspace, "sign", "commit", "--signer", "alice", "--session", "s1",
+            "--seed", "c2",
+        )
+        assert code == 2
+        assert err == f"error: commit artifact already exists: {sdir / 'commit.frame'}\n"
+        assert {p.name: p.read_bytes() for p in sdir.iterdir()} == files
+
+    def test_empty_seed_respond_logs_logical_time(self, run, workspace, message_file):
+        # --seed "" is a seed: the session's log record depends on its seeds only
+        self._commit_and_blind(run, workspace, message_file)
+        assert run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "")[0] == 0
+        curve = storage.load_system_params(workspace / "system.txt").curve
+        (record,) = FileTranscriptStore(workspace / "transcripts.log", curve)
+        assert (record.started_ms, record.finished_ms) == (0, 1)
 
     def test_respond_consumes_signer_state(self, run, workspace, message_file):
         sdir = self._commit_and_blind(run, workspace, message_file)
@@ -616,6 +739,25 @@ class TestErrorPaths:
     def test_unknown_command(self, run):
         code, *_ = run("frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("label", ["x\ny = 1", "x\r", " x", "x\u2028y"])
+    def test_label_that_would_not_read_back_refused(self, run, tmp_path, label):
+        # "x\ny = 1" wrote a field y = 1 of its own into params.txt
+        ws = tmp_path / "ws"
+        code, out, err = run(
+            "-w", ws, "params", "gen", "--q-bits", 4, "--seed", "test", "--label", label
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --label {label!r} would not read back")
+        assert not ws.exists()
+
+    def test_label_with_spaces_and_equals_kept(self, run, tmp_path):
+        ws = tmp_path / "ws"
+        label = "toy # a = b"
+        assert run(
+            "-w", ws, "params", "gen", "--q-bits", 4, "--seed", "test", "--label", label
+        )[0] == 0
+        assert storage.load_curve_params(ws / "params.txt").security_label == label
 
     def test_missing_message_source(self, run, workspace):
         code, *_ = run(

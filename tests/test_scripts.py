@@ -37,7 +37,7 @@ def test_layer_ab_compares_a_tree_with_itself():
     assert report["outputs_identical"] is True
     assert set(report["rows"]) == {
         "sqrt_residue", "sqrt_nonresidue", "fp2_pow_cofactor", "doubling_chain_161",
-        "h1_new", "h1_repeat", "pairing_cached", "verify",
+        "h1_new", "h1_repeat", "pairing_cached", "verify", "param_search",
     }
     for row in report["rows"].values():
         for side in ("parent", "change"):

@@ -510,6 +510,20 @@ class TestTranscriptStore:
         assert len(seen) == 6
         assert all(isinstance(d, memoryview) and d.obj is seen[0].obj for d in seen)
 
+    def test_file_store_sees_records_appended_since_it_opened(self, toy_params, tmp_path):
+        # two processes with the log open: the second to record a session id
+        # must find the first's record in the file, not append a duplicate
+        path = tmp_path / "transcripts.log"
+        first, second = (FileTranscriptStore(path, toy_params) for _ in range(2))
+        a, b, c = self._transcripts(toy_params, 3)
+        first.record(a)
+        second.record(b)
+        with pytest.raises(DuplicateSession):
+            second.record(a)
+        first.record(c)
+        assert list(first) == [a, b, c]
+        assert list(FileTranscriptStore(path, toy_params)) == [a, b, c]
+
     def test_file_store_reopen_keeps_the_product_cache(self, mid_params, tmp_path):
         # the reopen's 32 order-q checks go through the check cache only, so
         # the chain of a long-lived key multiplied before it is still kept
