@@ -589,10 +589,8 @@ def cmd_analyze_perf(ws: storage.Workspace, args) -> int:
 def cmd_bench(ws: storage.Workspace, args) -> int:
     import json
 
+    from . import layers
     from .algebra import sample_unit
-    from .curve import decode_point, in_subgroup, scalar_mul, tate_pairing
-    from .curve import _final_exponentiation, _miller_loop
-    from .scheme import MasterSecret
 
     if ws.system_file.exists():
         system = _load_system(ws)
@@ -601,69 +599,21 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
         system, _ = scheme.setup(params, SeededRng("bench"))
         print("no workspace system; benchmarking built-in toy parameters", file=sys.stderr)
     curve = system.curve
-    rng, _ = _rng_and_clock(args.seed or "bench")
     if ws.master_file.exists():
         msk = storage.load_master_secret(ws.master_file, curve.q)
     else:
-        msk = MasterSecret(sample_unit(rng, curve.q))
-    signer = scheme.keygen(system, msk, b"bench-signer")
-    verifier = scheme.keygen(system, msk, b"bench-verifier")
+        msk = scheme.MasterSecret(sample_unit(SeededRng("bench"), curve.q))
     n = args.iterations
-
-    def timed(label, fn, inputs):
+    for label, fn in layers.rows(sys.modules[__package__], system, msk, "bench", n).items():
         start = time.perf_counter()
-        for item in inputs:
-            fn(item)
+        for i in range(n):
+            fn(i)
         ms = (time.perf_counter() - start) * 1000 / n
         if args.json:
             row = {"label": label, "ms": ms, "iterations": n, "params": curve.security_label}
             print(json.dumps(row))
         else:
             print(f"{label} = {ms:.3f} ms")
-
-    timed("params_validate", lambda _: curve.validate(), range(n))
-    # Full-width scalars.  `g1_scalar_mul` and `pairing` reuse one base and
-    # one Miller argument, whose doubling chain and lines an untimed first
-    # call builds; the `_first_use` rows take a fresh point per iteration and
-    # so pay for building them.
-    scalars = [sample_unit(rng, curve.q) for _ in range(n)]
-    fresh = [scalar_mul(sample_unit(rng, curve.q), curve.generator) for _ in range(2 * n)]
-    base, other = signer.public, verifier.public
-    scalar_mul(scalars[0], base)
-    tate_pairing(base, other, curve)
-    timed("g1_scalar_mul", lambda k: scalar_mul(k, base), scalars)
-    timed("g1_scalar_mul_first_use", lambda i: scalar_mul(scalars[i], fresh[i]), range(n))
-    timed("pairing", lambda b: tate_pairing(base, b, curve), fresh[n:])
-    timed("pairing_first_use", lambda a: tate_pairing(a, other, curve), fresh[n:])
-    # `map_to_point` hashes a new identity each iteration (a cold H1);
-    # `map_to_point_repeat` one identity, whose cofactor clearing an untimed
-    # first call has cached
-    timed("map_to_point", lambda i: hash_to_point(f"bench{i}".encode(), curve), range(n))
-    hash_to_point(b"bench-repeat", curve)
-    timed("map_to_point_repeat", lambda _: hash_to_point(b"bench-repeat", curve), range(n))
-    timed(
-        "sign_session",
-        lambda _: session.run_local_session(
-            system, signer, b"bench message", verifier.public, rng
-        ),
-        range(n),
-    )
-    outcome = session.run_local_session(system, signer, b"bench message", verifier.public, rng)
-    timed(
-        "verify",
-        lambda _: scheme.verify_with_identity(
-            system, verifier.secret, b"bench-signer", b"bench message", outcome.signature
-        ),
-        range(n),
-    )
-    # points that no row has multiplied or checked, so no cache holds their chain
-    checked = [scalar_mul(sample_unit(rng, curve.q), curve.generator) for _ in range(n)]
-    timed("subgroup_check", lambda a: in_subgroup(a, curve.q), checked)
-    # decode_point of an encoding seen once (an order-q check), then a first product
-    encoded = [(k, a.encode()) for k, a in zip(scalars, fresh[n:])]
-    timed("checked_product", lambda e: scalar_mul(e[0], decode_point(e[1], curve)[0]), encoded)
-    loops = [_miller_loop(curve.q, curve.p, base.x, base.y, b.x, b.y) for b in fresh[n:]]
-    timed("final_exponentiation", lambda f: _final_exponentiation(f, curve), loops)
     return 0
 
 
@@ -732,7 +682,6 @@ COMMANDS = (
     )),
     ("analyze perf", "per-phase cost model", cmd_analyze_perf, (("--costs", {}),)),
     ("bench", "wall-clock micro-benchmarks", cmd_bench, (
-        "--seed",
         ("--iterations", {"type": _positive_int, "default": 20}),
         ("--json", {"action": "store_true", "help": "print each row as one JSON object"}),
     )),

@@ -663,27 +663,42 @@ class TestBlindnessDemo:
 
 
 BENCH_LABELS = (
-    "params_validate", "g1_scalar_mul", "g1_scalar_mul_first_use", "pairing", "pairing_first_use",
-    "map_to_point", "map_to_point_repeat", "sign_session", "verify", "subgroup_check",
-    "checked_product", "final_exponentiation",
+    "params_validate", "mod_inv", "sqrt_residue", "sqrt_nonresidue", "fp2_mul", "point_add",
+    "doubling_chain", "g1_scalar_mul", "miller_loop", "pairing", "final_exponentiation",
+    "map_to_point_repeat", "h2", "sign_session", "verify", "g1_scalar_mul_first_use",
+    "pairing_first_use", "map_to_point", "decode_signature", "decode_transcript",
+    "subgroup_check", "checked_product", "param_search",
 )
 
 
 class TestBench:
     def test_bench_runs(self, run, workspace):
-        code, out, _ = run("-w", workspace, "bench", "--iterations", 2, "--seed", "bench")
+        code, out, _ = run("-w", workspace, "bench", "--iterations", 2)
         assert code == 0
         for label in BENCH_LABELS:
             assert f"{label} = " in out
 
     def test_bench_json_rows(self, run, workspace):
-        code, out, _ = run("-w", workspace, "bench", "--iterations", 2, "--seed", "bench", "--json")
+        code, out, _ = run("-w", workspace, "bench", "--iterations", 2, "--json")
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
         assert tuple(row["label"] for row in rows) == BENCH_LABELS
         label = storage.load_system_params(workspace / "system.txt").curve.security_label
         for row in rows:
             assert row["iterations"] == 2 and row["params"] == label and row["ms"] >= 0
+
+    def test_bench_at_production_scale(self, run, tmp_path):
+        # the workspace's parameters set the scale: every row runs on a
+        # 160-bit q and a 512-bit p
+        ws = tmp_path / "ws"
+        q = str(2**159 + 2**17 + 1)
+        assert run("-w", ws, "params", "gen", "--q-value", q, "--p-bits", 512)[0] == 0
+        assert run("-w", ws, "setup", "--seed", "pkg")[0] == 0
+        code, out, _ = run("-w", ws, "bench", "--iterations", 1, "--json")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert tuple(row["label"] for row in rows) == BENCH_LABELS
+        assert {row["params"] for row in rows} == {"q=160b,p=512b"}
 
     def test_bench_scalars_and_bases(self, run, tmp_path, monkeypatch):
         # full-width scalars; the first-use and checked-product rows take a
@@ -706,7 +721,7 @@ class TestBench:
             dvbsig_curve, "scalar_mul", lambda k, a: calls.append((k, a)) or scalar_mul(k, a)
         )
         monkeypatch.setattr(dvbsig_curve, "in_subgroup", check)
-        assert run("-w", ws, "bench", "--iterations", 4, "--seed", "bench")[0] == 0
+        assert run("-w", ws, "bench", "--iterations", 4)[0] == 0
         signer = hash_to_point(b"bench-signer", curve)
         fixed = [k for k, a in calls if a == signer]
         first_use = [a for _, a in calls if a not in (signer, curve.generator)]
@@ -720,9 +735,10 @@ class TestBench:
 
 class TestImports:
     def test_cli_import_leaves_command_modules_out(self):
-        # analysis, fractions and json are imported by the commands that use
-        # them; dataclasses (and the inspect it imports) by none, since every
-        # process would pay for it and for each decorated class's exec
+        # analysis, layers, fractions and json are imported by the commands
+        # that use them; dataclasses (and the inspect it imports) by none,
+        # since every process would pay for it and for each decorated class's
+        # exec
         src = Path(cli.__file__).resolve().parents[1]
         loaded = subprocess.run(
             [sys.executable, "-c", "import sys, dvbsig.cli; print(*sorted(sys.modules))"],
@@ -732,7 +748,9 @@ class TestImports:
             check=True,
         ).stdout.split()
         assert "dvbsig.cli" in loaded
-        assert {"dvbsig.analysis", "fractions", "json", "dataclasses", "inspect"}.isdisjoint(loaded)
+        assert {
+            "dvbsig.analysis", "dvbsig.layers", "fractions", "json", "dataclasses", "inspect"
+        }.isdisjoint(loaded)
 
 
 class TestErrorPaths:

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_cli import BENCH_LABELS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["production_scale_smoke.py", "bound_sweep.py"])
+@pytest.mark.parametrize("script", ["bound_sweep.py"])
 def test_script_exits_cleanly(script):
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],
@@ -24,7 +26,8 @@ def test_script_exits_cleanly(script):
 
 
 def test_layer_ab_compares_a_tree_with_itself():
-    # toy scale, both sides the same tree: every row timed, same outputs
+    # toy scale, both sides the same tree: every row of `dvbsig bench`
+    # timed, same outputs
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "layer_ab.py"), str(ROOT / "src"),
          str(ROOT / "src"), "--scale", "toy", "--iterations", "3"],
@@ -35,10 +38,7 @@ def test_layer_ab_compares_a_tree_with_itself():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["outputs_identical"] is True
-    assert set(report["rows"]) == {
-        "sqrt_residue", "sqrt_nonresidue", "fp2_pow_cofactor", "doubling_chain_161",
-        "h1_new", "h1_repeat", "pairing_cached", "verify", "param_search",
-    }
+    assert tuple(report["rows"]) == BENCH_LABELS
     for row in report["rows"].values():
         for side in ("parent", "change"):
             assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
