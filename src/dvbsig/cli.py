@@ -252,8 +252,6 @@ def cmd_sign_run(ws: storage.Workspace, args) -> int:
     signer_name = _identity(args.signer, "--signer")
     verifier = _identity(args.verifier, "--verifier")
     message = _message_bytes(args)
-    # open the log first: its order-q checks (two per record) would evict the
-    # key's doubling chain from the 4-entry check cache before its first product
     store = FileTranscriptStore(ws.transcript_log, system.curve)
     signer = _load_key(ws, system, signer_name)
     verifier_public = hash_to_point(verifier.encode("utf-8"), system.curve)

@@ -281,17 +281,18 @@ def in_subgroup(point: G1Point, q: int) -> bool:
     return point.is_identity or _mul_raw(point.p, q, point.x, point.y, _doubling_chain)[0] is None
 
 
-def point_fault(point: G1Point, q: int) -> str | None:
+def point_fault(point: G1Point, q: int | None) -> str | None:
     """The one acceptance rule for a point from outside the program: why it is
     not in the order-q subgroup ("is not on the curve"), or None when it is.
-    It checks coordinates in [0, p), the curve equation, then order q."""
+    It checks coordinates in [0, p), the curve equation, then order q; a q
+    of None stops before the order, which the caller then owes."""
     if point.is_identity:
         return None
     if not (0 <= point.x < point.p and 0 <= point.y < point.p):
         return "has coordinates out of range"
     if not point.on_curve():
         return "is not on the curve"
-    if not in_subgroup(point, q):
+    if q is not None and not in_subgroup(point, q):
         return "is outside the order-q subgroup"
     return None
 
@@ -535,6 +536,12 @@ def decode_point(data: bytes, params: CurveParams, offset: int = 0) -> tuple[G1P
     Validates the point by `point_fault`; any malformation raises
     DecodeError carrying the offending byte position.
     """
+    return _parse_point(data, params, offset, params.q)
+
+
+def _parse_point(data, params: CurveParams, offset: int, q: int | None) -> tuple[G1Point, int]:
+    """`decode_point`, with `point_fault` taking q: None defers the order
+    check to the caller, whose error must then name `offset` + 1."""
     if len(data) == 0:
         raise DecodeError("empty point encoding", offset)
     tag = data[0]
@@ -548,7 +555,7 @@ def decode_point(data: bytes, params: CurveParams, offset: int = 0) -> tuple[G1P
     x = int.from_bytes(data[1 : 1 + w], "big")
     y = int.from_bytes(data[1 + w : 1 + 2 * w], "big")
     point = G1Point(params.p, x, y)
-    fault = point_fault(point, params.q)
+    fault = point_fault(point, q)
     if fault:
         raise DecodeError(f"point {fault}", offset + 1)
     return point, 1 + 2 * w
@@ -604,11 +611,16 @@ class Reader:
     def point(self, params: CurveParams) -> G1Point:
         return self._decode(decode_point, params)
 
+    def curve_point(self, params: CurveParams) -> G1Point:
+        """A point with every check of `point` but the order-q one, which
+        the caller owes it (`point_fault`) before it is used."""
+        return self._decode(_parse_point, params, None)
+
     def gt(self, params: CurveParams) -> GTElement:
         return self._decode(decode_gt, params)
 
-    def _decode(self, decode, params: CurveParams):
-        value, used = decode(self.data[self.pos :], params, self.base + self.pos)
+    def _decode(self, decode, params: CurveParams, *args):
+        value, used = decode(self.data[self.pos :], params, self.base + self.pos, *args)
         self.pos += used
         return value
 

@@ -55,9 +55,11 @@ def rows(dv, system, msk, seed: str, n: int) -> dict:
         session.encode_transcript(outcome.transcript._replace(commitment=u, response=v), params)
         for u, v in zip(fresh(), fresh())
     ]
+    # each validation checks a generator whose chain no check has built
+    generators = [params._replace(gx=h.x, gy=h.y) for h in fresh()]
 
     table = {
-        "params_validate": lambda i: params.validate(),
+        "params_validate": lambda i: generators[i].validate(),
         "mod_inv": lambda i: algebra.mod_inv(field[i], p),
         # p = 3 (mod 4), so -1 is a non-residue and so is minus a square
         "sqrt_residue": lambda i: algebra.sqrt_mod(squares[i], p),
@@ -96,6 +98,6 @@ def rows(dv, system, msk, seed: str, n: int) -> dict:
         ),
     }
     loops = [table["miller_loop"](i) for i in range(n)]
-    for warm in ("params_validate", "g1_scalar_mul", "pairing", "map_to_point_repeat", "verify"):
+    for warm in ("g1_scalar_mul", "pairing", "map_to_point_repeat", "verify"):
         table[warm](0)
     return table

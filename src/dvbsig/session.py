@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Union
 
 from . import scheme
-from .algebra import encode_int
-from .curve import CurveParams, G1Point, Reader
+from .algebra import byte_width, encode_int
+from .curve import CurveParams, G1Point, Reader, point_fault
 from .errors import DecodeError, Degenerate, DuplicateSession
 from .scheme import BlindedChallenge, Commitment, KeyPair, Response, Signature, SystemParams
 
@@ -124,7 +124,9 @@ def encode_transcript(t: Transcript, params: CurveParams) -> bytes:
 
 def decode_transcript(data: bytes | memoryview, params: CurveParams) -> tuple[Transcript, int]:
     """Parse one transcript frame from the head of `data`, which may be a
-    view into a whole log; returns it and the frame's length."""
+    view into a whole log; returns it and the frame's length.  U and V get
+    every check of `decode_point` but the order-q one, which the caller
+    owes them (`point_fault`) before they are used."""
     r = Reader(data)
     tag, body = _open_frame(r)
     if tag != TAG_TRANSCRIPT:
@@ -132,9 +134,9 @@ def decode_transcript(data: bytes | memoryview, params: CurveParams) -> tuple[Tr
     t = Transcript(
         session_id=bytes(body.take_lv("session id")),
         signer_identity=bytes(body.take_lv("signer identity")),
-        commitment=body.point(params),
+        commitment=body.curve_point(params),
         challenge=body.scalar(params.q, "challenge"),
-        response=body.point(params),
+        response=body.curve_point(params),
         started_ms=int.from_bytes(body.take(8, "start timestamp"), "big"),
         finished_ms=int.from_bytes(body.take(8, "finish timestamp"), "big"),
     )
@@ -286,6 +288,12 @@ class FileTranscriptStore(TranscriptStore):
     """Store backed by an append-only file of transcript frames.  A malformed
     record is a DecodeError naming the file and the offset in it.
 
+    Reading the file checks each record whole but for the order of its two
+    points, so opening it needs no curve arithmetic; a record read from the
+    file gets that check the first time `get` or iteration hands it out,
+    and a point outside the order-q subgroup is then the DecodeError that
+    opening the file raised before.
+
     Processes share the file under `fcntl.flock`: opening reads it under a
     shared lock, and `record` holds an exclusive one while it reads what
     other processes appended since, refuses a session id already in the
@@ -296,6 +304,7 @@ class FileTranscriptStore(TranscriptStore):
         self.path = Path(path)
         self.params = params
         self._read = 0  # bytes of the file decoded so far
+        self._unchecked: dict[bytes, int] = {}  # session id -> offset of its record
         if self.path.exists():
             with self.path.open("rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
@@ -315,6 +324,7 @@ class FileTranscriptStore(TranscriptStore):
                     f"{self.path}: {exc.reason}", self._read + pos + exc.position
                 ) from None
             TranscriptStore.record(self, transcript)
+            self._unchecked[transcript.session_id] = self._read + pos
             pos += used
         self._read += pos
 
@@ -326,3 +336,25 @@ class FileTranscriptStore(TranscriptStore):
             frame = encode_transcript(transcript, self.params)
             fh.write(frame)
             self._read += len(frame)
+
+    def get(self, session_id: bytes) -> Transcript:
+        return self._checked(super().get(session_id))
+
+    def __iter__(self) -> Iterator[Transcript]:
+        return map(self._checked, super().__iter__())
+
+    def _checked(self, t: Transcript) -> Transcript:
+        """`t`, once its points have passed the order-q check that reading
+        its record deferred; the error names the first byte of the point's
+        x, as `decode_point` does."""
+        at = self._unchecked.get(t.session_id)
+        if at is not None:
+            # frame header, then the two length-prefixed fields before U
+            u = at + 9 + len(t.session_id) + len(t.signer_identity)
+            v = u + len(t.commitment.encode()) + byte_width(self.params.q)
+            for point, offset in ((t.commitment, u), (t.response, v)):
+                fault = point_fault(point, self.params.q)
+                if fault:
+                    raise DecodeError(f"{self.path}: point {fault}", offset + 1)
+            self._unchecked.pop(t.session_id, None)
+        return t

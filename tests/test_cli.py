@@ -14,14 +14,17 @@ import pytest
 from dvbsig import cli, storage
 from dvbsig import curve as dvbsig_curve
 from dvbsig.curve import hash_to_point
+from dvbsig.errors import DecodeError
 from dvbsig.session import (
     MAX_RETRIES,
     FileTranscriptStore,
     LogicalClock,
     decode_message,
     decode_transcript,
+    encode_transcript,
 )
 from tests.conftest import TapeRng, find_tape_triples, scalar_chunk, session_tape
+from tests.test_curve import off_subgroup_point
 
 
 @pytest.fixture()
@@ -909,10 +912,9 @@ class TestErrorPaths:
         assert not (workspace / "transcripts.log").exists()
 
     def test_sign_run_reuses_the_signer_keys_doubling_chain(self, run, tmp_path, message_file):
-        # the reopen's order-q checks of the logged U and V run before the
-        # signer key's check, so the 4-entry check cache still holds S_s's
-        # chain when the response first multiplies by it: x*U, (r + h1)*S_s
-        # and x*V all reuse their check's chain
+        # reopening the log checks no point's order, so the 4-entry check
+        # cache still holds S_s's chain when the response first multiplies
+        # by it: x*U, (r + h1)*S_s and x*V all reuse their check's chain
         ws = tmp_path / "mid"
         assert run("-w", ws, "params", "gen", "--q-bits", 32, "--seed", "mid")[0] == 0
         assert run("-w", ws, "setup", "--seed", "pkg")[0] == 0
@@ -944,6 +946,32 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         size = log.stat().st_size
         assert f"{log}: truncated frame header (at byte {size})" in err
+
+    def test_sign_run_past_a_logged_point_outside_the_subgroup(
+        self, run, workspace, message_file
+    ):
+        # reopening the log leaves a record's order-q check to the reader
+        # that asks for the record, and `sign run` asks for none
+        system = storage.load_system_params(workspace / "system.txt")
+        curve = system.curve
+        log = workspace / "transcripts.log"
+        sign = (
+            "-w", workspace, "sign", "run", "--signer", "alice", "--verifier", "bob",
+            "--message-file", message_file,
+        )
+        for seed in ("s1", "s2", "s3"):
+            assert run(*sign, "--seed", seed)[0] == 0
+        first, second, third = FileTranscriptStore(log, curve)
+        rogue = second._replace(commitment=off_subgroup_point(curve.p, curve.q))
+        log.write_bytes(b"".join(encode_transcript(t, curve) for t in (first, rogue, third)))
+        code, out, err = run(*sign, "--seed", "s4")
+        assert (code, err) == (0, "") and out.startswith("wrote ")
+        store = FileTranscriptStore(log, curve)
+        assert len(store) == 4
+        # frame header 5, session id 2 + 16 and identity 2 + 5 bytes, then U
+        offset = len(encode_transcript(first, curve)) + 31
+        with pytest.raises(DecodeError, match=re.escape(f"(at byte {offset})")):
+            store.get(rogue.session_id)
 
     def blinded_session(self, run, workspace, message_file):
         """Session s1 after commit and blind; its directory."""

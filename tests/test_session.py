@@ -30,9 +30,19 @@ from dvbsig.session import (
     run_local_session,
 )
 from tests.conftest import TOY_SIGNER, TOY_VERIFIER, find_tape_triples, session_tape
+from tests.test_curve import off_subgroup_point
 
 Q = 13
 MESSAGE = b"settle the invoice"
+
+
+@pytest.fixture()
+def mul_raw_calls(monkeypatch):
+    """The arguments of every `curve._mul_raw` call (products, order-q
+    checks and cofactor clearings) made from here on."""
+    calls, mul = [], curve._mul_raw
+    monkeypatch.setattr(curve, "_mul_raw", lambda *args: calls.append(args) or mul(*args))
+    return calls
 
 
 def assert_same_message(decoded, message):
@@ -189,7 +199,8 @@ class TestFieldOffsets:
                 decode_transcript,
                 _layout(
                     ("tag", 1), ("length", 4), ("lv", 2), ("opaque", 16), ("lv", 2),
-                    ("opaque", 5), ("point", point), ("scalar", scalar), ("point", point),
+                    ("opaque", 5), ("curve point", point), ("scalar", scalar),
+                    ("curve point", point),
                     ("opaque", 8), ("opaque", 8),
                 ),
                 {TAG_TRANSCRIPT},
@@ -217,7 +228,13 @@ class TestFieldOffsets:
             return st.integers(len(blob) - end + 1, 0xFFFF).map(lambda x: x.to_bytes(2, "big"))
         if kind == "scalar":
             return st.integers(params.q, 256**n - 1).map(lambda x: x.to_bytes(n, "big"))
-        decode = {"point": decode_point, "gt": decode_gt}[kind]
+        # a record's points get their order-q check when the store hands
+        # the record out, so the record parser refuses less than decode_point
+        decode = {
+            "point": decode_point,
+            "curve point": lambda raw, p: curve.Reader(raw).curve_point(p),
+            "gt": decode_gt,
+        }[kind]
         return st.binary(min_size=n, max_size=n).filter(lambda raw: _refused(decode, raw, params))
 
     @given(data=st.data(), k=st.integers(1, 12), v=st.integers(0, 12))
@@ -524,20 +541,84 @@ class TestTranscriptStore:
         assert list(first) == [a, b, c]
         assert list(FileTranscriptStore(path, toy_params)) == [a, b, c]
 
-    def test_file_store_reopen_keeps_the_product_cache(self, mid_params, tmp_path):
-        # the reopen's 32 order-q checks go through the check cache only, so
-        # the chain of a long-lived key multiplied before it is still kept
+    def test_file_store_reopen_keeps_the_product_cache(self, mid_params, tmp_path, mul_raw_calls):
+        # reopening runs no curve arithmetic: the records' order-q checks wait
+        # for get or iteration, so neither chain cache is even read
         path = tmp_path / "transcripts.log"
         store = FileTranscriptStore(path, mid_params)
         for t in self._transcripts(mid_params, 16):
             store.record(t)
-        key = scalar_mul(424242, mid_params.generator)
-        products = curve._product_chain
-        products.cache_clear()
-        scalar_mul(7, key)
-        assert products.cache_info().currsize == 1
+        chains = (curve._doubling_chain, curve._product_chain)
+        for cache in chains:
+            cache.cache_clear()
+        scalar_mul(7, scalar_mul(424242, mid_params.generator))
+        before = [cache.cache_info() for cache in chains]
+        mul_raw_calls.clear()
         assert len(FileTranscriptStore(path, mid_params)) == 16
-        assert products.cache_info().currsize == 1
-        scalar_mul(9, key)
-        assert products.cache_info()[:2] == (1, 1)  # hits, misses
-        products.cache_clear()
+        assert mul_raw_calls == []
+        assert [cache.cache_info() for cache in chains] == before
+        for cache in chains:
+            cache.cache_clear()
+
+    def _log_with_rogue_point(self, params, path, field):
+        """A 3-record log whose middle record holds an on-curve point outside
+        the order-q subgroup as its `field`; the records, and the offset of
+        that point's x, where decode_point names it."""
+        transcripts = self._transcripts(params, 3)
+        transcripts[1] = transcripts[1]._replace(**{field: off_subgroup_point(params.p, params.q)})
+        store = FileTranscriptStore(path, params)
+        for t in transcripts:
+            store.record(t)
+        # frame header 5, session id 2 + 16 and identity 2 + 5 bytes, then U
+        # (5 bytes at toy scale) and a 1-byte challenge before V
+        head = len(encode_transcript(transcripts[0], params))
+        return transcripts, head + (31 if field == "commitment" else 37)
+
+    @pytest.mark.parametrize("field", ["commitment", "response"])
+    def test_file_store_checks_order_when_it_hands_a_record_out(self, toy_params, tmp_path, field):
+        path = tmp_path / "transcripts.log"
+        transcripts, offset = self._log_with_rogue_point(toy_params, path, field)
+        store = FileTranscriptStore(path, toy_params)
+        assert len(store) == 3
+        assert store.get(transcripts[2].session_id) == transcripts[2]
+        message = f"{path}: point is outside the order-q subgroup (at byte {offset})"
+        for read in (lambda: store.get(transcripts[1].session_id), lambda: list(store)):
+            with pytest.raises(DecodeError) as info:
+                read()
+            assert str(info.value) == message and info.value.position == offset
+
+    def test_file_store_checks_a_record_once(self, toy_params, tmp_path, mul_raw_calls):
+        path = tmp_path / "transcripts.log"
+        transcripts, _ = self._log_with_rogue_point(toy_params, path, "commitment")
+        store = FileTranscriptStore(path, toy_params)
+        good = transcripts[0].session_id
+        mul_raw_calls.clear()
+        assert store.get(good) == transcripts[0]
+        assert len(mul_raw_calls) == 2  # U and V
+        assert store.get(good) == transcripts[0]
+        assert len(mul_raw_calls) == 2
+
+    def test_file_store_reopens_a_production_log_without_curve_arithmetic(
+        self, tmp_path, mul_raw_calls
+    ):
+        params = curve.params_for_subgroup_order(2**159 + 2**17 + 1, b"log", p_bits=512)
+        g = params.generator
+        t = Transcript(
+            session_id=bytes(16),
+            signer_identity=b"alice",
+            commitment=scalar_mul(3, g),
+            challenge=7,
+            response=scalar_mul(9, g),
+            started_ms=1,
+            finished_ms=2,
+        )
+        path = tmp_path / "transcripts.log"
+        ids = [i.to_bytes(16, "big") for i in range(10**4)]
+        path.write_bytes(
+            b"".join(encode_transcript(t._replace(session_id=sid), params) for sid in ids)
+        )
+        mul_raw_calls.clear()
+        store = FileTranscriptStore(path, params)
+        assert len(store) == 10**4
+        assert mul_raw_calls == []
+        assert store.get(ids[-1]) == t._replace(session_id=ids[-1])
