@@ -129,11 +129,9 @@ def _write_frame(path: Path, data: bytes, what: str) -> None:
     """Create the frame file at `path`.  It is created exclusively, so of two
     racing runs of one step only one writes a frame (and the state beside it)."""
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        storage.write_file(path, data, exclusive=True)
     except FileExistsError:
         raise CommandLineError(f"{what} already exists: {path}") from None
-    with open(fd, "wb") as handle:
-        handle.write(data)
 
 
 def _read_message(path: Path, kind: type, what: str, curve) -> session.ProtocolMessage:
@@ -149,6 +147,15 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return int(text)
+
+
+def _utf8_text(text: str) -> str:
+    """argparse type for text flags that become bytes: UTF-8 must encode them."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not UTF-8 text: {text!r}") from None
+    return text
 
 
 def _count(text: str, low: int = 0) -> int:
@@ -208,7 +215,7 @@ def cmd_params_gen(ws: storage.Workspace, args) -> int:
     if not storage.reads_back("security_label", label):
         raise CommandLineError(
             f"--label {label!r} would not read back from the params file"
-            " (no line breaks or surrounding whitespace)"
+            " (no line breaks or surrounding whitespace, or characters UTF-8 cannot encode)"
         )
     params = params_for_subgroup_order(q, seed, p_bits=args.p_bits, security_label=label)
     ws.ensure()
@@ -286,13 +293,10 @@ def cmd_sign_commit(ws: storage.Workspace, args) -> int:
     session_id = rng.next_bytes(session.SESSION_ID_BYTES)
     state, commitment = scheme.sign_commit(system, signer, rng)
     _write_frame(commit_path, session.encode_message(commitment, system.curve), "commit artifact")
-    started = clock()
-    storage.write_private(
+    storage.write_kv(
         sdir / "signer.state",
-        f"session_id = {session_id.hex()}\n"
-        f"signer = {args.signer}\n"
-        f"r = {state.r}\n"
-        f"started_ms = {started}\n",
+        dict(session_id=session_id.hex(), signer=args.signer, r=state.r, started_ms=clock()),
+        secret=True,
     )
     print(f"wrote {commit_path}")
     return 0
@@ -312,13 +316,8 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
     _write_frame(
         challenge_path, session.encode_message(challenge, system.curve), "challenge artifact"
     )
-    storage.write_private(
-        sdir / "user.state",
-        f"x = {state.x}\n"
-        f"y = {state.y}\n"
-        f"h = {state.h}\n"
-        f"u_prime = {state.u_prime.encode().hex()}\n",
-    )
+    fields = {"x": state.x, "y": state.y, "h": state.h, "u_prime": state.u_prime.encode().hex()}
+    storage.write_kv(sdir / "user.state", fields, secret=True)
     print(f"wrote {challenge_path}")
     return 0
 
@@ -588,19 +587,10 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
     import json
 
     from . import layers
-    from .algebra import sample_unit
 
-    if ws.system_file.exists():
-        system = _load_system(ws)
-    else:
-        params = params_for_subgroup_order(13, b"bench-toy")
-        system, _ = scheme.setup(params, SeededRng("bench"))
-        print("no workspace system; benchmarking built-in toy parameters", file=sys.stderr)
+    system = _load_system(ws)
     curve = system.curve
-    if ws.master_file.exists():
-        msk = storage.load_master_secret(ws.master_file, curve.q)
-    else:
-        msk = scheme.MasterSecret(sample_unit(SeededRng("bench"), curve.q))
+    msk = storage.load_master_secret(_require(ws.master_file, "master secret (run setup)"), curve.q)
     n = args.iterations
     for label, fn in layers.rows(sys.modules[__package__], system, msk, "bench", n).items():
         start = time.perf_counter()
@@ -621,7 +611,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
 
 # flags that several commands take, each declared once: flag -> add_argument keywords
 SHARED_FLAGS = {
-    "--seed": {},
+    "--seed": {"type": _utf8_text},
     "--signer": {"required": True},
     "--verifier": {"required": True},
     "--session": {"required": True},
@@ -640,7 +630,7 @@ COMMANDS = (
         ("--q-value",
          {"type": int, "help": "explicit decimal subgroup order (overrides --q-bits)"}),
         ("--p-bits", {"type": _positive_int, "help": "target bit length for the field prime"}),
-        ("--seed", {"help": "derivation seed"}),
+        ("--seed", {"type": _utf8_text, "help": "derivation seed"}),
         ("--label", {"help": "security label stored in the params file"}),
     )),
     ("setup", "run PKG setup (master key + system params)", cmd_setup, ("--seed",)),
@@ -707,7 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
             if flag == MESSAGE:
                 pair = command.add_mutually_exclusive_group(required=True)
                 pair.add_argument("--message-file")
-                pair.add_argument("--asset-statement", help="<address-tag>:<threshold> sugar")
+                pair.add_argument(
+                    "--asset-statement", type=_utf8_text, help="<address-tag>:<threshold> sugar"
+                )
             else:
                 option, keywords = (flag, SHARED_FLAGS[flag]) if isinstance(flag, str) else flag
                 command.add_argument(option, **keywords)

@@ -1,10 +1,10 @@
 """On-disk workspace: parameter, system, master-key, identity-key and
 signature files, plus the session directory layout used by the step-wise CLI.
 
-All public artifacts are key-value text with decimal integers (signatures
-may also use a hex text envelope); secrets are the same format in files
-created owner-only (no encryption at rest, by design: this is a research
-artifact).  Fields are read through the checked `kv_*` readers.
+All public artifacts are UTF-8 key-value text (`write_kv`) with decimal
+integers (signatures may also be binary, or use a hex text envelope); secrets
+are the same format in owner-only files (no encryption at rest, by design:
+this is a research artifact).  `write_file` creates every workspace file.
 """
 
 from __future__ import annotations
@@ -60,11 +60,14 @@ def read_kv(path: Path, name: Path | None = None) -> dict[str, str]:
 
 
 def reads_back(key: str, value: str) -> bool:
-    """Whether the line `key = value` parses back to exactly that one field:
-    a line break or surrounding whitespace in `value` would not."""
+    """Whether the line `key = value` is UTF-8 text that parses back to
+    exactly that one field: a line break, surrounding whitespace or a
+    character UTF-8 cannot encode (a lone surrogate) in `value` would not."""
+    line = f"{key} = {value}\n"
     try:
-        return parse_kv(f"{key} = {value}\n") == {key: value}
-    except DecodeError:
+        line.encode("utf-8")
+        return parse_kv(line) == {key: value}
+    except (UnicodeEncodeError, DecodeError):
         return False
 
 
@@ -111,29 +114,45 @@ def kv_text(fields: dict[str, str], key: str, path: Path | str) -> str:
     return kv_field(fields, key, path, str, "text")
 
 
-def write_private(path: Path, text: str) -> None:
-    """Write a secret file that is owner-only (0600) before it holds a byte;
-    a file that already exists is narrowed to 0600 too."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        os.fchmod(fd, 0o600)
-        handle.write(text)
+def write_file(path: Path, data: bytes, secret: bool = False, exclusive: bool = False) -> None:
+    """Create (or truncate) the workspace file at `path` and write `data`.  A
+    secret file is owner-only (0600) before it holds a byte, and one that
+    already exists is narrowed to 0600 too.  An exclusive file must not exist
+    yet: FileExistsError, so of two racing writers only one writes."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | (os.O_EXCL if exclusive else 0)
+    fd = os.open(path, flags, 0o600 if secret else 0o666)
+    with open(fd, "wb") as handle:
+        if secret:
+            os.fchmod(fd, 0o600)
+        handle.write(data)
+
+
+def write_kv(path: Path, fields: dict[str, object], secret: bool = False) -> None:
+    """Write `fields` as UTF-8 `key = value` lines through `write_file`.  A
+    field that would not read back unchanged (`reads_back`) is a ValueError,
+    raised before the file is opened."""
+    lines = []
+    for key, value in fields.items():
+        if not reads_back(key, str(value)):
+            raise ValueError(f"{path}: field {key!r} = {value!r} would not read back")
+        lines.append(f"{key} = {value}\n")
+    write_file(path, "".join(lines).encode("utf-8"), secret)
 
 
 # ---------------------------------------------------------------------------
 # curve / system parameter files
 
 
-def _curve_text(params: CurveParams) -> str:
+def _curve_fields(params: CurveParams) -> dict[str, object]:
     """The curve fields shared by params.txt and system.txt."""
-    return (
-        f"p = {params.p}\n"
-        f"q = {params.q}\n"
-        f"cofactor = {params.cofactor}\n"
-        f"Px = {params.gx}\n"
-        f"Py = {params.gy}\n"
-        f"security_label = {params.security_label}\n"
-    )
+    return {
+        "p": params.p,
+        "q": params.q,
+        "cofactor": params.cofactor,
+        "Px": params.gx,
+        "Py": params.gy,
+        "security_label": params.security_label,
+    }
 
 
 def _point_from_fields(
@@ -165,7 +184,7 @@ def _curve_from_fields(fields: dict[str, str], path: Path) -> CurveParams:
 
 
 def save_curve_params(params: CurveParams, path: Path) -> None:
-    path.write_text(_curve_text(params))
+    write_kv(path, _curve_fields(params))
 
 
 def load_curve_params(path: Path) -> CurveParams:
@@ -173,13 +192,8 @@ def load_curve_params(path: Path) -> CurveParams:
 
 
 def save_system_params(system: SystemParams, path: Path) -> None:
-    path.write_text(
-        _curve_text(system.curve)
-        + f"Ppubx = {system.p_pub.x}\n"
-        f"Ppuby = {system.p_pub.y}\n"
-        f"hash_h1 = {H1_NAME}\n"
-        f"hash_h2 = {H2_NAME}\n"
-    )
+    public = {"Ppubx": system.p_pub.x, "Ppuby": system.p_pub.y}
+    write_kv(path, _curve_fields(system.curve) | public | {"hash_h1": H1_NAME, "hash_h2": H2_NAME})
 
 
 def load_system_params(path: Path) -> SystemParams:
@@ -197,7 +211,7 @@ def load_system_params(path: Path) -> SystemParams:
 
 
 def save_master_secret(msk: MasterSecret, path: Path) -> None:
-    write_private(path, f"s = {msk.s}\n")
+    write_kv(path, {"s": msk.s}, secret=True)
 
 
 def load_master_secret(path: Path, q: int) -> MasterSecret:
@@ -206,12 +220,8 @@ def load_master_secret(path: Path, q: int) -> MasterSecret:
 
 
 def save_identity_key(key: KeyPair, path: Path) -> None:
-    write_private(
-        path,
-        f"identity = {key.identity.decode('utf-8')}\n"
-        f"Sx = {key.secret.x}\n"
-        f"Sy = {key.secret.y}\n",
-    )
+    fields = {"identity": key.identity.decode("utf-8"), "Sx": key.secret.x, "Sy": key.secret.y}
+    write_kv(path, fields, secret=True)
 
 
 def load_identity_key(path: Path, system: SystemParams) -> KeyPair:
@@ -226,14 +236,6 @@ def load_identity_key(path: Path, system: SystemParams) -> KeyPair:
 # signatures
 
 
-def signature_to_text(signature: Signature) -> str:
-    """Key-value text envelope with hex payloads (CLI interchange form)."""
-    return (
-        f"u_prime = {signature.u_prime.encode().hex()}\n"
-        f"sigma = {signature.sigma.encode().hex()}\n"
-    )
-
-
 def signature_from_text(text: str, params: CurveParams, path: str = "<text>") -> Signature:
     fields = parse_kv(text, path)
     raw = kv_hex(fields, "u_prime", path) + kv_hex(fields, "sigma", path)
@@ -241,10 +243,13 @@ def signature_from_text(text: str, params: CurveParams, path: str = "<text>") ->
 
 
 def save_signature(signature: Signature, path: Path, text: bool = False) -> None:
+    """Binary `encode_signature`, or the key-value text envelope with hex
+    payloads (CLI interchange form)."""
     if text:
-        path.write_text(signature_to_text(signature))
+        u_prime, sigma = signature.u_prime.encode().hex(), signature.sigma.encode().hex()
+        write_kv(path, {"u_prime": u_prime, "sigma": sigma})
     else:
-        path.write_bytes(encode_signature(signature))
+        write_file(path, encode_signature(signature))
 
 
 def load_signature(path: Path, system: SystemParams) -> Signature:

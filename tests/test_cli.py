@@ -157,6 +157,27 @@ class TestStepwiseSigning:
         store = FileTranscriptStore(workspace / "transcripts.log", system.curve)
         assert len(store) == 1
 
+    def test_commit_frame_of_another_kind_refused(self, run, workspace, message_file):
+        # a response carries a point too, so without the kind check sign blind
+        # read a response frame copied over commit.frame as a commitment
+        msg = ("--message-file", message_file)
+        for step in (
+            ("commit", "--signer", "alice", "--session", "s1", "--seed", "c"),
+            ("blind", "--session", "s1", "--signer", "alice", *msg, "--seed", "b"),
+            ("respond", "--session", "s1", "--seed", "r"),
+            ("commit", "--signer", "alice", "--session", "s2", "--seed", "c2"),
+        ):
+            assert run("-w", workspace, "sign", *step)[0] == 0, step
+        sessions = workspace / "sessions"
+        response = (sessions / "s1" / "response.frame").read_bytes()
+        (sessions / "s2" / "commit.frame").write_bytes(response)
+        code, out, err = run(
+            "-w", workspace, "sign", "blind", "--session", "s2", "--signer", "alice", *msg
+        )
+        assert code == 2 and out == ""
+        assert f"{sessions / 's2' / 'commit.frame'} does not hold a commitment" in err
+        assert not (sessions / "s2" / "challenge.frame").exists()
+
     def test_respond_requires_commit(self, run, workspace):
         code, _, err = run("-w", workspace, "sign", "respond", "--session", "fresh")
         assert code == 2
@@ -735,6 +756,24 @@ class TestBench:
         assert not any(a == b for a, _ in checks[-8:-4] for _, b in calls)
         assert all(missed for _, missed in checks[-8:])
 
+    @pytest.mark.parametrize(
+        "name, missing",
+        [
+            ("system.txt", "system parameters (run setup)"),
+            ("master.key", "master secret (run setup)"),
+        ],
+    )
+    def test_bench_needs_a_workspace(self, run, workspace, name, missing):
+        (workspace / name).unlink()
+        code, out, err = run("-w", workspace, "bench", "--iterations", 1)
+        assert code == 2 and out == ""
+        assert f"error: {missing} not found: {workspace / name}" in err
+
+    def test_bench_in_an_empty_workspace(self, run, tmp_path):
+        code, out, err = run("-w", tmp_path / "empty", "bench", "--iterations", 1)
+        assert code == 2 and out == ""
+        assert "system parameters (run setup) not found" in err
+
 
 class TestImports:
     def test_cli_import_leaves_command_modules_out(self):
@@ -761,7 +800,7 @@ class TestErrorPaths:
         code, *_ = run("frobnicate")
         assert code == 2
 
-    @pytest.mark.parametrize("label", ["x\ny = 1", "x\r", " x", "x\u2028y"])
+    @pytest.mark.parametrize("label", ["x\ny = 1", "x\r", " x", "x\u2028y", "\udcff"])
     def test_label_that_would_not_read_back_refused(self, run, tmp_path, label):
         # "x\ny = 1" wrote a field y = 1 of its own into params.txt
         ws = tmp_path / "ws"
@@ -779,6 +818,42 @@ class TestErrorPaths:
             "-w", ws, "params", "gen", "--q-bits", 4, "--seed", "test", "--label", label
         )[0] == 0
         assert storage.load_curve_params(ws / "params.txt").security_label == label
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (("params", "gen", "--q-bits", "4"), "--seed"),
+            (("sign", "run", "--signer", "alice", "--verifier", "bob", "MSG"), "--seed"),
+            (("sign", "commit", "--signer", "alice", "--session", "s1"), "--seed"),
+            (("simulate", "--signer", "alice", "--verifier", "bob", "MSG"), "--seed"),
+            (("sign", "run", "--signer", "alice", "--verifier", "bob"), "--asset-statement"),
+            (("verify", "--signer", "alice", "--verifier", "bob", "--sig", "s"), "--asset-statement"),
+        ],
+        ids=lambda v: " ".join(takewhile(lambda w: w[0] != "-", v)) if isinstance(v, tuple) else v,
+    )
+    def test_text_flag_utf8_cannot_encode_refused(
+        self, run, workspace, message_file, command, flag
+    ):
+        # a byte that is not UTF-8 in argv arrives as a lone surrogate; these
+        # flags become bytes, and a UnicodeEncodeError escaped as exit 1, which
+        # verify documents as INVALID
+        if command[-1] == "MSG":
+            command = command[:-1] + ("--message-file", message_file)
+        command += (flag, "\udcff" if flag == "--seed" else "\udcff:5")
+        before = {path: path.read_bytes() for path in workspace.rglob("*") if path.is_file()}
+        code, out, err = run("-w", workspace, *command)
+        assert code == 2 and out == ""
+        assert f"argument {flag}: not UTF-8 text" in err
+        assert {path: path.read_bytes() for path in workspace.rglob("*") if path.is_file()} == before
+        assert not (workspace / "sessions" / "s1").exists()
+
+    def test_params_gen_needs_a_subgroup_order(self, run, tmp_path):
+        # argparse requires neither flag; without the check q_bits None < 4
+        # raised a TypeError
+        code, out, err = run("-w", tmp_path / "ws", "params", "gen")
+        assert code == 2 and out == ""
+        assert "one of --q-bits / --q-value is required" in err
+        assert not (tmp_path / "ws").exists()
 
     def test_missing_message_source(self, run, workspace):
         code, *_ = run(
@@ -1196,6 +1271,43 @@ class TestErrorPaths:
         code, _, err = run("-w", tmp_path / "empty", "setup")
         assert code == 2
         assert "params" in err
+
+
+class TestOneWriter:
+    def test_every_workspace_file_is_created_by_write_file(self, run, tmp_path, monkeypatch):
+        # every file but the append-only transcript log, which is appended to
+        # under its lock
+        created = []
+        write_file = storage.write_file
+
+        def record(path, *args, **kwargs):
+            created.append(Path(path))
+            write_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(storage, "write_file", record)
+        monkeypatch.chdir(tmp_path)
+        Path("m.txt").write_bytes(b"one writer")
+        msg = ("--message-file", "m.txt")
+        for step in [
+            ("params", "gen", "--q-bits", 4, "--seed", "test", "--label", "caf\u00e9"),
+            ("setup", "--seed", "pkg"),
+            ("keygen", "--id", "alice"),
+            ("keygen", "--id", "bob"),
+            ("sign", "run", "--signer", "alice", "--verifier", "bob", *msg, "--seed", "s1",
+             "--out", "ws/run.bin"),
+            ("sign", "run", "--signer", "alice", "--verifier", "bob", *msg, "--seed", "s2",
+             "--out", "ws/run.txt", "--format", "text"),
+            ("sign", "commit", "--signer", "alice", "--session", "s1", "--seed", "c"),
+            ("sign", "blind", "--session", "s1", "--signer", "alice", *msg, "--seed", "b"),
+            ("sign", "respond", "--session", "s1", "--seed", "r"),
+            ("sign", "unblind", "--session", "s1", "--verifier", "bob"),
+            ("simulate", "--signer", "alice", "--verifier", "bob", *msg, "--seed", "sim",
+             "--out", "ws/sim.bin"),
+        ]:
+            assert run("-w", "ws", *step)[0] == 0, step
+        files = {path for path in Path("ws").rglob("*") if path.is_file()}
+        assert len(files) == 14 and Path("ws/sessions/s1/signer.state") in created
+        assert files - set(created) == {Path("ws/transcripts.log")}
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

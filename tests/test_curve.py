@@ -822,6 +822,21 @@ class TestEncodings:
         with pytest.raises(DecodeError, match="outside the order-q subgroup"):
             decode_gt(i.encode(), toy_params)
 
+    @pytest.mark.parametrize(
+        "part, reason, position",
+        [(0, "real component out of range", 5), (1, "imaginary component out of range", 7)],
+    )
+    def test_gt_decode_refuses_a_component_of_p_or_more(self, toy_params, part, reason, position):
+        # a component plus p still fits the 2-byte field at p = 311 and names
+        # the same element: without the range check one value has two encodings
+        value = tate_pairing(toy_params.generator, toy_params.generator, toy_params).value
+        parts = [value.a, value.b]
+        parts[part] += P
+        data = b"".join(c.to_bytes(2, "big") for c in parts)
+        with pytest.raises(DecodeError, match=reason) as info:
+            decode_gt(data, toy_params, 5)
+        assert info.value.position == position
+
 
 class TestPinnedOutputs:
     """Outputs of the affine arithmetic this code replaced; any rewrite of

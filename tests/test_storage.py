@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dvbsig import storage
@@ -55,10 +60,13 @@ class TestParamsFiles:
             ({"p": 313}, "p = 313 is not 3 mod 4"),
             ({"cofactor": 25}, "q * cofactor != p + 1"),
             ({"p": 7, "q": 2, "cofactor": 4}, "q divides the cofactor"),
+            ({"q": 26, "cofactor": 12}, "q = 26 is not prime"),
         ],
     )
     def test_structural_checks_name_file(self, toy_params, tmp_path, fields, reason):
-        # toy p = 311 = 13 * 24 - 1; 7 + 1 = 2 * 4 with 2 | 4
+        # toy p = 311 = 13 * 24 - 1; 7 + 1 = 2 * 4 with 2 | 4; 26 * 12 = 311 + 1,
+        # and 26 * G is the identity for the order-13 generator, so q = 26
+        # passes every later check
         path = tmp_path / "params.txt"
         storage.save_curve_params(toy_params._replace(**fields), path)
         with pytest.raises(DecodeError) as info:
@@ -218,11 +226,6 @@ class TestSignatureFiles:
 
 
 class TestTextEnvelope:
-    def test_text_roundtrip(self, toy_system, signature):
-        system, _ = toy_system
-        text = storage.signature_to_text(signature)
-        assert storage.signature_from_text(text, system.curve) == signature
-
     def test_malformed_text_rejected(self, toy_system):
         system, _ = toy_system
         with pytest.raises(DecodeError):
@@ -250,3 +253,63 @@ class TestWorkspace:
         assert ws.master_file != ws.params_file
         assert ws.key_file("alice").name == "alice.key"
         assert ws.session_dir("s1").parent == ws.sessions_dir
+
+
+# values that would not read back from `key = value`: a line break,
+# surrounding whitespace, and a lone surrogate (a non-UTF-8 byte in argv)
+UNREADABLE = ["x\ny = 1", "x\r", " x", "x ", "\udcff"]
+
+
+class TestKeyValueWriter:
+    @pytest.mark.parametrize("value", UNREADABLE)
+    def test_refused_before_the_file_is_opened(self, tmp_path, value):
+        old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+        old.write_bytes(b"a = 1\n")
+        for path in (old, new):
+            with pytest.raises(ValueError, match="field 'b' .* would not read back"):
+                storage.write_kv(path, {"a": 2, "b": value})
+        assert old.read_bytes() == b"a = 1\n" and not new.exists()
+
+    @pytest.mark.parametrize("value", UNREADABLE)
+    @pytest.mark.parametrize("writer", ["params", "system", "identity key"])
+    def test_refused_by_each_text_writer(self, toy_system, toy_keys, tmp_path, writer, value):
+        # a lone surrogate cannot reach a key's identity, which is bytes: its
+        # encoding is not UTF-8, so decoding it is the ValueError there
+        system, _ = toy_system
+        curve = system.curve._replace(security_label=value)
+        key = toy_keys[TOY_SIGNER]._replace(identity=value.encode("utf-8", "surrogatepass"))
+        path = tmp_path / "file.txt"
+        save = {
+            "params": lambda: storage.save_curve_params(curve, path),
+            "system": lambda: storage.save_system_params(system._replace(curve=curve), path),
+            "identity key": lambda: storage.save_identity_key(key, path),
+        }[writer]
+        with pytest.raises(ValueError):
+            save()
+        assert not path.exists()
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale with UTF-8 mode off, text files default to ASCII
+        path = tmp_path / "params.txt"
+        script = (
+            "import sys; from pathlib import Path; from dvbsig import storage;"
+            " from dvbsig.curve import params_for_subgroup_order;"
+            " params = params_for_subgroup_order(13, b'toy')._replace(security_label='caf\\u00e9');"
+            " storage.save_curve_params(params, Path(sys.argv[1]))"
+        )
+        src = Path(storage.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C"}
+        env.pop("PYTHONUTF8", None)
+        subprocess.run([sys.executable, "-X", "utf8=0", "-c", script, path], env=env, check=True)
+        assert "security_label = caf\u00e9\n".encode("utf-8") in path.read_bytes()
+        assert storage.load_curve_params(path).security_label == "caf\u00e9"
+
+    def test_secret_files_are_narrowed_and_exclusive_files_fresh(self, tmp_path):
+        path = tmp_path / "secret.key"
+        path.write_bytes(b"old")
+        path.chmod(0o644)
+        storage.write_file(path, b"new", secret=True)
+        assert path.read_bytes() == b"new" and (path.stat().st_mode & 0o777) == 0o600
+        with pytest.raises(FileExistsError):
+            storage.write_file(path, b"other", exclusive=True)
+        assert path.read_bytes() == b"new"
