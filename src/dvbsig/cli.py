@@ -126,8 +126,9 @@ def _read_frame(path: Path) -> bytes:
 
 
 def _write_frame(path: Path, data: bytes, what: str) -> None:
-    """Create the frame file at `path`.  It is created exclusively, so of two
-    racing runs of one step only one writes a frame (and the state beside it)."""
+    """Create the frame file at `path`.  It is created exclusively, so a step
+    that already ran is refused here, and of two racing runs of one step only
+    one writes a frame (and the state beside it)."""
     try:
         storage.write_file(path, data, exclusive=True)
     except FileExistsError:
@@ -288,7 +289,6 @@ def cmd_sign_commit(ws: storage.Workspace, args) -> int:
     signer = _load_key(ws, system, _identity(args.signer, "--signer"))
     sdir, commit_path, _, _ = _session_paths(ws, args.session)
     sdir.mkdir(parents=True, exist_ok=True)
-    _fresh(commit_path, "commit artifact")
     rng, clock = _rng_and_clock(args.seed)
     session_id = rng.next_bytes(session.SESSION_ID_BYTES)
     state, commitment = scheme.sign_commit(system, signer, rng)
@@ -306,7 +306,6 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
     system = _load_system(ws)
     sdir, commit_path, challenge_path, _ = _session_paths(ws, args.session)
     _require(commit_path, "commit artifact (run sign commit first)")
-    _fresh(challenge_path, "challenge artifact")
     message = _message_bytes(args)
     commitment = _read_message(commit_path, scheme.Commitment, "commitment", system.curve)
     signer = _identity(args.signer, "--signer")

@@ -449,8 +449,6 @@ def hash_to_point(id_bytes: bytes, params: CurveParams) -> G1Point:
 
 def _find_prime(bits: int, seed: bytes) -> int:
     """Deterministic prime of exactly `bits` bits from a seeded SHA-256 stream."""
-    if bits < 2:
-        raise ParamSearchFailed(f"cannot build a {bits}-bit prime")
     blocks = (bits + 255) // 256
     counter = 0
     while True:
@@ -474,9 +472,9 @@ def params_for_subgroup_order(
 ) -> CurveParams:
     """Build curve parameters around a given prime subgroup order q.
 
-    Searches the smallest r with p = 12*q*r - 1 prime, p = 3 (mod 4) and
-    q not dividing 12*r.  When p_bits is given, r starts at the least value
-    putting p at exactly p_bits bits and the search stays inside that window;
+    Searches the smallest r with p = 12*q*r - 1 prime (so p = 3 mod 4) and
+    q not dividing 12*r.  When p_bits is given, r runs over the window that
+    puts p at exactly p_bits bits (12*q*r is even, so never 2^p_bits + 1);
     R_SEARCH_LIMIT then bounds the number of candidates tried, not r itself.
     The generator is hash_to_point(b"generator|" + seed).
     """
@@ -487,13 +485,9 @@ def params_for_subgroup_order(
     else:
         r_start = ((1 << (p_bits - 1)) + 1 + 12 * q - 1) // (12 * q)
         r_stop = min(((1 << p_bits) + 1) // (12 * q) + 1, r_start + R_SEARCH_LIMIT)
-        if r_start >= r_stop:
-            raise ParamSearchFailed(f"no {p_bits}-bit p of the form 12*q*r - 1 for this q")
     for r in range(r_start, r_stop):
         p = 12 * q * r - 1
-        if p % 4 != 3 or (12 * r) % q == 0:
-            continue
-        if p_bits is not None and p.bit_length() != p_bits:
+        if (12 * r) % q == 0:
             continue
         if is_prime(p):
             params = CurveParams(
@@ -509,12 +503,7 @@ def params_for_subgroup_order(
     raise ParamSearchFailed(f"no prime p = 12*q*r - 1 found for q = {q} within the search bound")
 
 
-def generate_params(
-    q_bits: int,
-    seed: bytes,
-    p_bits: int | None = None,
-    security_label: str = "",
-) -> CurveParams:
+def generate_params(q_bits: int, seed: bytes) -> CurveParams:
     """Deterministically derive a full parameter set from a seed.
 
     Picks a q_bits-bit prime q from the seeded stream, then delegates to
@@ -522,8 +511,7 @@ def generate_params(
     """
     if q_bits < 4:
         raise ParamSearchFailed("q_bits must be at least 4")
-    q = _find_prime(q_bits, seed)
-    return params_for_subgroup_order(q, seed, p_bits=p_bits, security_label=security_label)
+    return params_for_subgroup_order(_find_prime(q_bits, seed), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,8 @@ class TranscriptStore:
 
 class FileTranscriptStore(TranscriptStore):
     """Store backed by an append-only file of transcript frames.  A malformed
-    record is a DecodeError naming the file and the offset in it.
+    record, or one repeating an earlier record's session id, is a DecodeError
+    naming the file and the offset in it.
 
     Reading the file checks each record whole but for the order of its two
     points, so opening it needs no curve arithmetic; a record read from the
@@ -311,29 +312,35 @@ class FileTranscriptStore(TranscriptStore):
                 self._catch_up(fh)
 
     def _catch_up(self, fh) -> None:
-        """Decode the records past the first `_read` bytes of the locked file."""
+        """Decode the records past the first `_read` bytes of the locked file.
+        `_read` passes each record as it is kept, so after an error a retry
+        starts at the record at fault."""
         fh.seek(self._read)
         # one view of the new bytes: each record's slice of it copies nothing
         data = memoryview(fh.read())
         pos = 0
         while pos < len(data):
+            at = self._read
             try:
                 transcript, used = decode_transcript(data[pos:], self.params)
             except DecodeError as exc:
+                raise DecodeError(f"{self.path}: {exc.reason}", at + exc.position) from None
+            if transcript.session_id in self._by_id:
                 raise DecodeError(
-                    f"{self.path}: {exc.reason}", self._read + pos + exc.position
-                ) from None
-            TranscriptStore.record(self, transcript)
-            self._unchecked[transcript.session_id] = self._read + pos
+                    f"{self.path}: repeated session id {transcript.session_id.hex()}", at
+                )
+            self._by_id[transcript.session_id] = transcript
+            self._unchecked[transcript.session_id] = at
             pos += used
-        self._read += pos
+            self._read += used
 
     def record(self, transcript: Transcript) -> None:
+        # encoded first: a transcript the log cannot hold changes nothing
+        frame = encode_transcript(transcript, self.params)
         with self._lock, self.path.open("a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             self._catch_up(fh)
             super().record(transcript)
-            frame = encode_transcript(transcript, self.params)
             fh.write(frame)
             self._read += len(frame)
 

@@ -105,6 +105,12 @@ class TestAdvantageBounds:
         with pytest.raises(DomainError):
             unforgeability_advantage(budget(0, 0, 0, 0), 13)
 
+    def test_group_order_below_2_rejected(self):
+        # the formula itself would give 0 for a group of order 1
+        with pytest.raises(DomainError, match="group order must be at least 2"):
+            unforgeability_advantage(QueryBudget(h1_queries=2), 1)
+        assert unforgeability_advantage(QueryBudget(h1_queries=2, advantage=1), 2) == F(3, 4)
+
     def test_same_advantage_formula_both_reductions(self):
         b = budget(10, 1, 1, 1)
         assert unforgeability_bound(b, COSTS, 13).advantage == unverifiability_bound(

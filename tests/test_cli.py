@@ -685,6 +685,27 @@ class TestBlindnessDemo:
         assert "inconsistent" not in out
         assert "cannot link" in out
 
+    def test_demo_refuses_parameters_beyond_toy_scale(self, run, tmp_path):
+        # refused before any session: the witness search would raise
+        # RefusedTooLarge (exit 3) only after signing
+        ws = tmp_path / "ws"
+        assert run("-w", ws, "params", "gen", "--q-bits", 32, "--seed", "mid")[0] == 0
+        assert run("-w", ws, "setup", "--seed", "pkg")[0] == 0
+        code, out, err = run("-w", ws, "blindness-demo", "--sessions", 1, "--seed", "demo")
+        assert code == 2 and out == ""
+        assert "blindness-demo needs toy-scale parameters" in err
+
+    def test_demo_reports_pairs_without_a_witness(self, run, workspace, monkeypatch):
+        from dvbsig import analysis
+
+        monkeypatch.setattr(analysis, "extract_blinding_witness", lambda *args: None)
+        code, out, err = run(
+            "-w", workspace, "blindness-demo", "--sessions", 2, "--seed", "demo"
+        )
+        assert code == 1
+        assert out.count("inconsistent") == 4 and "cannot link" not in out
+        assert err == "FAILED: 4 cross pairs had no blinding witness\n"
+
 
 BENCH_LABELS = (
     "params_validate", "mod_inv", "sqrt_residue", "sqrt_nonresidue", "fp2_mul", "point_add",
@@ -1242,6 +1263,16 @@ class TestErrorPaths:
         code, out, err = run("-w", workspace, *command)
         assert code == 2 and out == ""
         assert command[-2] in err
+
+    def test_params_gen_searches_at_the_least_p_bits(self, run, tmp_path):
+        # the least length a p = 12*q*r - 1 can have is searched, not refused:
+        # for q = 5 that is 6 bits, and r = 1 gives the prime 59
+        code, out, _ = run("-w", tmp_path / "a", "params", "gen", "--q-value", 5, "--p-bits", 6)
+        assert code == 0 and "p = 59\n" in out
+        # for q = 13 the one 8-bit candidate, 155, is composite
+        code, out, err = run("-w", tmp_path / "b", "params", "gen", "--q-value", 13, "--p-bits", 8)
+        assert code == 3 and out == ""
+        assert "no prime p = 12*q*r - 1 found for q = 13" in err
 
     def test_params_gen_writes_only_the_workspace_params(self, run, tmp_path):
         # setup reads only <workspace>/params.txt, so -w names the output

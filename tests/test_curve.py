@@ -23,6 +23,7 @@ from dvbsig.curve import (
 )
 from dvbsig.errors import (
     DecodeError,
+    HashToPointFailed,
     InvalidPoint,
     InversionOfZero,
     ParamMismatch,
@@ -237,6 +238,12 @@ class TestParameterSearch:
     def test_rejects_composite_order(self):
         with pytest.raises(ParamSearchFailed):
             params_for_subgroup_order(15, b"toy")
+
+    def test_generate_params_refuses_q_bits_below_4(self):
+        # a 3-bit q would be found (5 or 7) and a curve built around it
+        with pytest.raises(ParamSearchFailed, match="q_bits must be at least 4"):
+            generate_params(3, b"s")
+        assert generate_params(4, b"s").q.bit_length() == 4
 
     def test_deterministic_from_seed(self):
         a = generate_params(16, b"det-seed")
@@ -682,6 +689,14 @@ class TestHashToPoint:
             assert len(roots) == tries
             assert [legendre(a, p) for a, _ in roots] == [-1] * (tries - 1) + [1]
             assert hashlib.sha256(point.encode()).hexdigest() == digest
+
+    def test_gives_up_after_the_last_counter(self, toy_params, monkeypatch):
+        tries = []
+        monkeypatch.setattr(curve, "sqrt_mod", lambda a, p: tries.append(a))
+        monkeypatch.setattr(curve, "HASH_TO_POINT_MAX_COUNTER", 4)
+        with pytest.raises(HashToPointFailed, match="no curve point found for b'alice'"):
+            hash_to_point(b"alice", toy_params)
+        assert len(tries) == 4
 
     def test_generator_is_one_map_to_point(self, toy_params):
         with measure() as counter:

@@ -94,6 +94,10 @@ class TestFraming:
         with pytest.raises(DecodeError, match="out of range"):
             decode_message(framed, toy_params)
 
+    def test_encode_refuses_a_non_message(self, toy_params):
+        with pytest.raises(TypeError, match="not a protocol message"):
+            encode_message(toy_params.generator, toy_params)
+
     def test_declared_length_is_the_boundary(self, toy_params):
         # decoder must not interpret bytes past the declared payload length
         inner = encode_message(BlindedChallenge(3), toy_params)
@@ -136,6 +140,12 @@ class TestTranscriptCodec:
             seen.append(record)
             pos += used
         assert seen == [t, t, t]
+
+    def test_identity_longer_than_its_length_prefix_refused(self, toy_params):
+        t = self._transcript(toy_params)._replace(signer_identity=bytes(0xFFFF))
+        assert decode_transcript(encode_transcript(t, toy_params), toy_params)[0] == t
+        with pytest.raises(ValueError, match="too long for 2-byte length prefix"):
+            encode_transcript(t._replace(signer_identity=bytes(0x10000)), toy_params)
 
     def test_protocol_frame_rejected(self, toy_params):
         framed = encode_message(BlindedChallenge(3), toy_params)
@@ -507,6 +517,51 @@ class TestTranscriptStore:
             FileTranscriptStore(path, toy_params)
         assert str(info.value).startswith(f"{path}: ")
         assert info.value.position == offset
+
+    def test_file_store_repeated_session_id_names_file_and_offset(self, toy_params, tmp_path):
+        path = tmp_path / "transcripts.log"
+        a, b = self._transcripts(toy_params, 2)
+        record = encode_transcript(a, toy_params)
+        message = f"{path}: repeated session id {a.session_id.hex()} (at byte 57)"
+        path.write_bytes(record * 2)
+        with pytest.raises(DecodeError) as info:
+            FileTranscriptStore(path, toy_params)
+        assert str(info.value) == message and info.value.position == len(record) == 57
+        # the same record appended after the store opened: `record` reads it first
+        path.write_bytes(record)
+        store = FileTranscriptStore(path, toy_params)
+        path.write_bytes(record * 2)
+        with pytest.raises(DecodeError) as info:
+            store.record(b)
+        assert str(info.value) == message
+        assert path.read_bytes() == record * 2
+
+    def test_file_store_retry_after_damage_names_the_same_byte(self, toy_params, tmp_path):
+        # the records read before the damage are kept once: a retry reports
+        # the damage again, not a record it had already read
+        path = tmp_path / "transcripts.log"
+        a, b, c = self._transcripts(toy_params, 3)
+        store = FileTranscriptStore(path, toy_params)
+        store.record(a)
+        with path.open("ab") as fh:
+            fh.write(encode_transcript(b, toy_params) + b"\x10\x00\x00")
+        for _ in range(2):
+            with pytest.raises(DecodeError) as info:
+                store.record(c)
+            assert str(info.value) == f"{path}: truncated frame header (at byte 117)"
+        assert list(store) == [a, b]
+
+    def test_file_store_refused_record_changes_nothing(self, toy_params, tmp_path):
+        # the frame is encoded before the log is opened: a transcript the log
+        # cannot hold is not remembered, and creates no file
+        path = tmp_path / "transcripts.log"
+        store = FileTranscriptStore(path, toy_params)
+        (t,) = self._transcripts(toy_params, 1)
+        with pytest.raises(OverflowError):
+            store.record(t._replace(started_ms=2**64))
+        assert len(store) == 0 and not path.exists()
+        store.record(t)
+        assert list(FileTranscriptStore(path, toy_params)) == [t]
 
     def test_file_store_reopen_copies_no_tail(self, toy_params, tmp_path, monkeypatch):
         # each record is read from one view of the file, not from a copy of
