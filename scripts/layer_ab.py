@@ -35,14 +35,17 @@ SOLINAS_Q = 2**159 + 2**17 + 1
 
 
 def load_tree(src: Path, name: str):
-    """Import src/dvbsig as the package `name`; its relative imports bind its
-    own modules, so two trees never share one."""
+    """Import src/dvbsig as the package `name`, with the modules that
+    `layers.rows` reads off it; its relative imports bind its own modules,
+    so two trees never share one."""
     spec = importlib.util.spec_from_file_location(
         name, src / "dvbsig" / "__init__.py", submodule_search_locations=[str(src / "dvbsig")]
     )
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
+    for module in ("algebra", "curve", "rng", "scheme", "session"):
+        importlib.import_module(f"{name}.{module}")
     return package
 
 

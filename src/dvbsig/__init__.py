@@ -9,48 +9,4 @@ else.  The package ships the scheme, the protocol machinery, analysis tools
 a CLI driving the whole lifecycle.
 """
 
-from .curve import CurveParams, G1Point, GTElement, generate_params, params_for_subgroup_order
-from .rng import SeededRng, SystemRng
-from .scheme import (
-    KeyPair,
-    MasterSecret,
-    Signature,
-    SystemParams,
-    keygen,
-    setup,
-    simulate,
-    verify,
-    verify_with_identity,
-)
-from .session import (
-    SessionOutcome,
-    Transcript,
-    TranscriptStore,
-    run_local_session,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CurveParams",
-    "G1Point",
-    "GTElement",
-    "KeyPair",
-    "MasterSecret",
-    "SeededRng",
-    "SessionOutcome",
-    "Signature",
-    "SystemParams",
-    "SystemRng",
-    "Transcript",
-    "TranscriptStore",
-    "generate_params",
-    "keygen",
-    "params_for_subgroup_order",
-    "run_local_session",
-    "setup",
-    "simulate",
-    "verify",
-    "verify_with_identity",
-    "__version__",
-]

@@ -483,8 +483,10 @@ def params_for_subgroup_order(
     if p_bits is None:
         r_start, r_stop = 1, R_SEARCH_LIMIT + 1
     else:
-        r_start = ((1 << (p_bits - 1)) + 1 + 12 * q - 1) // (12 * q)
-        r_stop = min(((1 << p_bits) + 1) // (12 * q) + 1, r_start + R_SEARCH_LIMIT)
+        # a p_bits below 1 searches the window of p_bits = 1, which is empty
+        bits = max(p_bits, 1)
+        r_start = ((1 << (bits - 1)) + 1 + 12 * q - 1) // (12 * q)
+        r_stop = min(((1 << bits) + 1) // (12 * q) + 1, r_start + R_SEARCH_LIMIT)
     for r in range(r_start, r_stop):
         p = 12 * q * r - 1
         if (12 * r) % q == 0:

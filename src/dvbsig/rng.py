@@ -9,7 +9,7 @@ SystemRng wraps the OS entropy pool for real use.
 from __future__ import annotations
 
 import hashlib
-import secrets
+import os
 
 
 class SeededRng:
@@ -37,4 +37,4 @@ class SystemRng:
     """OS entropy; not replayable."""
 
     def next_bytes(self, n: int) -> bytes:
-        return secrets.token_bytes(n)
+        return os.urandom(n)

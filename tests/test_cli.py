@@ -796,24 +796,37 @@ class TestBench:
         assert "system parameters (run setup) not found" in err
 
 
+def _loaded_by(statement: str) -> list[str]:
+    """The modules that a fresh interpreter holds after `statement`."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; {statement}; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+
+
 class TestImports:
     def test_cli_import_leaves_command_modules_out(self):
         # analysis, layers, fractions and json are imported by the commands
         # that use them; dataclasses (and the inspect it imports) by none,
         # since every process would pay for it and for each decorated class's
-        # exec
-        src = Path(cli.__file__).resolve().parents[1]
-        loaded = subprocess.run(
-            [sys.executable, "-c", "import sys, dvbsig.cli; print(*sorted(sys.modules))"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.split()
+        # exec.  session is imported where a session runs or is logged, and
+        # commands when one of its handlers runs; randomness comes from
+        # os.urandom, not secrets
+        loaded = _loaded_by("import dvbsig.cli")
         assert "dvbsig.cli" in loaded
         assert {
-            "dvbsig.analysis", "dvbsig.layers", "fractions", "json", "dataclasses", "inspect"
+            "dvbsig.analysis", "dvbsig.layers", "fractions", "json", "dataclasses", "inspect",
+            "dvbsig.session", "dvbsig.commands", "secrets",
         }.isdisjoint(loaded)
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = _loaded_by("import dvbsig")
+        assert "dvbsig" in loaded
+        assert [name for name in loaded if name.startswith("dvbsig.")] == []
 
 
 class TestErrorPaths:
@@ -1364,3 +1377,115 @@ class TestReadme:
                 assert handler is handlers[named], line
                 # and the table gives that command its own handler
                 assert handler.__name__ == "cmd_" + re.sub("[ -]", "_", named), line
+
+
+# SHA-256 of every --help screen at COLUMNS=80, from the parser that built
+# all commands for every argv.  Python 3.10-3.12 print these screens; 3.13's
+# argparse words five of them differently.
+HELP_DIGESTS = {
+    "": "bb5fa3fdfb11e6b72d45dbc30eab08ca27de38ad0e43465f5501ef50e3f9ab2c",
+    "params": "0c7751fb41a80fb32a1d6a0f2b9fc2f5f97bd34b5052da2c658ae1770a24f8a6",
+    "params gen": "44a7731b197f403fc7a4f3a64a22b26b45e984b390eb9aea4e9a97ed487cf81a",
+    "setup": "ca4cb55a3a194fdcd5047139a1c4c3270368d8c1a57696b22eec9e5687684246",
+    "keygen": "44828d2c43cd931c9ed28a58f92d5c6f04028d6a14a4d4b7296e1c3918f16a1f",
+    "sign": "36e60edbb6d69ade325bda8704dce37fd7c6c454db3e81bc13aeb9be848241c7",
+    "sign run": "70cc61ebc6219553ca7ddeb0f8243e614b8f8818409bc686e6f0768d3d379a2b",
+    "sign commit": "ffbabdf7a7c91a830fce55f2595664e9d00ed2b26e79800612c6b18017d81b69",
+    "sign blind": "ab6b7721b8781e7d48a35b1656817fb7aab60678798caec70a15c9d8377abadb",
+    "sign respond": "bf4e2e862e0c9b3fc125aaf1307216d6e891e004a72183bccaed3dccf46af568",
+    "sign unblind": "a1fc2b8dfbad728278bf33918383d93f63cf9e4384ca3b148563f7e0c9380411",
+    "verify": "5f89f48ff3d8a18b1799b5853754acbd6f7cce8fa7b24bddb0736aa653a4e28a",
+    "simulate": "b1899531dc3fc14db2ef4f5be46126dba12338ebc8f5221bbecb40ecdebf9e09",
+    "blindness-demo": "9979bf106182f9a71cdb1a6ab21c6b6de3d742f9b89fafe924f884bb3f7b7279",
+    "analyze": "ace762197f3bb09643c1b601f5b78d3d89c4b8c37d6e1fd7da7b404f6b6d3471",
+    "analyze bounds": "d825a4f8623d7cb9ec17970d98c005dfc9f8879e6dbc9a6a7d0e9d8eb6ad02e0",
+    "analyze perf": "caa965d052b8ca1df1fe1eeb837042dd65aab9145c410ce425dc4df10a74d9d2",
+    "bench": "9467d40426465d968af384f3b2f2f3623b69b7664932a9e478c7abf53c6a16c3",
+}
+HELP_DIGESTS_313 = {
+    **HELP_DIGESTS,
+    "": "5fcdfe53570f2f9560447e8a95444e56ccb63863bf3024c363bc91eebdb7fe97",
+    "sign run": "546c9b77160df294a257f2a56c3511b6c8682d30163cf2d10e15983ca22ed469",
+    "sign blind": "bae44ba835766f06bff412f630fc699ec4efad9646d92436326c3f43989aeb4e",
+    "verify": "2a4e29311e185d846e416ed9abfce36f111f11481d7ac1c783dc8251674f97f2",
+    "simulate": "c48f4fe24bb06e51dc7a93aa4d5bf1f254afb58a894456b423e184df3155848a",
+}
+
+# one valid argv per command; those of the commands in REQUIRED begin with a
+# required flag
+VALID_ARGV = {
+    "params gen": ["--q-bits", "4", "--p-bits", "12", "--seed", "s", "--label", "l"],
+    "setup": ["--seed", "s"],
+    "keygen": ["--id", "alice"],
+    "sign run": ["--signer", "a", "--verifier", "b", "--asset-statement", "t:1", "--seed", "s",
+                 "--out", "o", "--format", "text"],
+    "sign commit": ["--signer", "a", "--session", "s"],
+    "sign blind": ["--session", "s", "--signer", "a", "--message-file", "m"],
+    "sign respond": ["--session", "s"],
+    "sign unblind": ["--session", "s", "--verifier", "b", "--out", "o"],
+    "verify": ["--signer", "a", "--verifier", "b", "--message-file", "m", "--sig", "x"],
+    "simulate": ["--signer", "a", "--verifier", "b", "--asset-statement", "t:1"],
+    "blindness-demo": ["--sessions", "2", "--seed", "s"],
+    "analyze bounds": ["--qh1", "3", "--budget-file", "b"],
+    "analyze perf": ["--costs", "c"],
+    "bench": ["--iterations", "2", "--json"],
+}
+REQUIRED = {"keygen", "sign run", "sign commit", "sign blind", "sign respond", "sign unblind",
+            "verify", "simulate"}
+WORKSPACE_FORMS = ([], ["-w", "ws"], ["-wws"], ["--workspace", "ws"], ["--workspace=ws"])
+
+
+def _invalid_argv():
+    for words, valid in VALID_ARGV.items():
+        command = words.split()
+        yield command + valid[:1]  # a flag without its value
+        yield ["-w", "ws"] + command + valid + ["--bogus"]
+        yield command + valid + ["extra"]
+        if words in REQUIRED:
+            yield command + valid[2:]
+        if words in ("sign run", "sign unblind", "simulate"):
+            yield command + valid + ["--format", "pdf"]
+    # an abbreviation of --help, and options out of place
+    yield ["sign", "run", "--he"]
+    yield ["sign", "run", "-w", "ws"] + VALID_ARGV["sign run"]
+    yield ["-w"]
+
+
+def _parsed(parse, argv, capsys):
+    """(exit code or namespace, stdout, stderr) of parse(argv)."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+class TestNarrowParse:
+    @pytest.mark.skipif(sys.version_info[:2] > (3, 13), reason="digests taken under 3.10-3.13")
+    @pytest.mark.parametrize("words", HELP_DIGESTS)
+    def test_help_screens_unchanged(self, words, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        digests = HELP_DIGESTS_313 if sys.version_info[:2] == (3, 13) else HELP_DIGESTS
+        code, out, err = _parsed(cli.main, words.split() + ["-h"], capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[words]
+
+    @pytest.mark.parametrize("words", VALID_ARGV)
+    def test_valid_argv_parses_alone_as_in_full(self, words):
+        handlers = {name: handler for name, _, handler, _ in cli.COMMANDS}
+        for workspace in WORKSPACE_FORMS:
+            argv = workspace + words.split() + VALID_ARGV[words]
+            narrow = cli._parse_narrow(argv)
+            assert narrow is not None, argv
+            assert narrow == cli.build_parser().parse_args(argv), argv
+            assert narrow.func is handlers[words]
+        # an abbreviated --workspace is the full parser's to read
+        assert cli._parse_narrow(["--work", "ws", *words.split(), *VALID_ARGV[words]]) is None
+
+    @pytest.mark.parametrize("argv", list(_invalid_argv()), ids=" ".join)
+    def test_invalid_argv_prints_what_the_full_parser_prints(self, argv, capsys):
+        assert cli._parse_narrow(argv) is None
+        full = _parsed(cli.build_parser().parse_args, argv, capsys)
+        assert full[0] in (0, 2)  # help, or a usage error
+        assert _parsed(cli.main, argv, capsys) == full

@@ -235,6 +235,13 @@ class TestParameterSearch:
             # the only 8-bit candidate, 12*13*1 - 1 = 155, is composite
             params_for_subgroup_order(13, b"toy", p_bits=8)
 
+    @pytest.mark.parametrize("p_bits", [1, 0, -1])
+    def test_no_p_below_two_bits(self, p_bits):
+        # p_bits 0 and -1 shifted by a negative count (ValueError) before
+        # reaching the search's own refusal
+        with pytest.raises(ParamSearchFailed, match="no prime p = 12"):
+            params_for_subgroup_order(13, b"toy", p_bits=p_bits)
+
     def test_rejects_composite_order(self):
         with pytest.raises(ParamSearchFailed):
             params_for_subgroup_order(15, b"toy")

@@ -45,6 +45,36 @@ def test_layer_ab_compares_a_tree_with_itself():
             assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
 
 
+def test_launch_ab_compares_a_tree_with_itself(tmp_path):
+    # toy scale, both sides the same tree, 2 pairs: every launch exits 0
+    # with the same output, signature and log on both sides
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    ws = tmp_path / "ws"
+    for argv in (["params", "gen", "--q-value", "13", "--seed", "t"], ["setup", "--seed", "p"],
+                 ["keygen", "--id", "signer"], ["keygen", "--id", "verifier"]):
+        subprocess.run([sys.executable, "-m", "dvbsig.cli", "-w", str(ws), *argv], env=env,
+                       capture_output=True, check=True)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "launch_ab.py"), str(ROOT / "src"),
+         str(ROOT / "src"), "--workspace", str(ws), "--pairs", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["pairs"] == 2 and report["failed_launches"] == 0
+    assert report["outputs_and_signatures_identical"] is True
+    assert report["logs_identical"] is True
+    assert tuple(report["commands"]) == ("sign run", "verify")
+    for row in report["commands"].values():
+        assert 0 <= row["change_wins"] <= 2
+        for side in ("parent", "change"):
+            assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
+    # the workspace itself is left as it was: no log, no signature
+    assert not (ws / "transcripts.log").exists() and not (ws / "sig.bin").exists()
+
+
 def test_mutate_checks_kills_a_pinned_refusal():
     # one mutant, one test: encode_message's refusal of a non-message
     # replaced by `pass` must make that test fail
