@@ -19,8 +19,15 @@ the cofactor clearing of `hash_to_point` are kept in bounded
 `functools.lru_cache`s keyed by exact affine coordinates: checks and
 products keep their chains in two caches, so points that are only checked
 never evict a long-lived key's chain, and neither keeps a clearing's.
-Every cached value is a pure function of its key, so results are the same
-cold or warm, and a point object carries nothing but p, x, y.
+Every cached value is computed from its key alone, so results are the same
+cold or warm, and a point object carries nothing but p, x, y.  The tables
+in the two long-lived caches (a `scalar_mul` base's chain, a first pairing
+argument's lines) change form once: each counts its reads, and its
+NORMALISE_AT-th read rewrites it in place with one batch inversion, chain
+entries to (X/Z^2, Y/Z^3, 1) and lines to (c1/c2, c0/c2, 1).  The loops
+that read them stay as they are, since adding an entry with Z = 1 is a
+mixed addition and a line divided by c2 differs by an F_p factor, which
+the final exponentiation erases; products and pairings stay bit-identical.
 
 A point from outside the program is accepted by one rule, `point_fault`.
 Binary artifacts are read through one cursor, `Reader`, on top of
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import threading
 from typing import NamedTuple
 
 from . import meter
@@ -53,6 +61,12 @@ from .errors import (
 
 HASH_TO_POINT_MAX_COUNTER = 1 << 16
 R_SEARCH_LIMIT = 1 << 22  # cofactor candidates r tried by params_for_subgroup_order
+# The read of a kept table that normalises it, from measured costs at 512
+# bits (medians of 200): a normalisation costs 1.66 ms for a 161-entry chain
+# and 1.38 ms for a line set, and saves 0.20 and 0.21 ms on every later read,
+# so it pays for itself after 1.66 / 0.20 = 8.3 or 1.38 / 0.21 = 6.6 reads;
+# 8 serves both, and a table read fewer times never pays for one.
+NORMALISE_AT = 8
 
 
 class G1Point:
@@ -218,6 +232,68 @@ def _to_affine(p, x, y, z):
     return x * zinv2 % p, y * zinv2 * zinv % p
 
 
+def _inverses(values, p):
+    """The inverses mod p of nonzero `values`, with one inversion
+    (Montgomery's trick): invert the product, then peel off one factor at a
+    time from the end."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
+
+
+class _Table(list):
+    """A doubling chain or a line set kept in a long-lived cache, and the
+    number of times it has been read (`_read`)."""
+
+    reads = 0
+
+
+_reads_lock = threading.Lock()
+
+
+def _read(table, p, normalise):
+    """Count one read of `table`; the NORMALISE_AT-th rewrites it in place.
+
+    The count is exact across threads, so one thread rewrites a table, once.
+    A thread that reads the table meanwhile may meet some entries rewritten
+    and some as built, and each stands for the same point or line.
+    """
+    with _reads_lock:
+        reads = table.reads = table.reads + 1
+    if reads == NORMALISE_AT:
+        normalise(p, table)
+    return table
+
+
+def _normalise_chain(p, chain):
+    """Rewrite each entry (X, Y, Z) of `chain` as (X/Z^2, Y/Z^3, 1) in place;
+    entries with Z = 0 (the identity) stay."""
+    live = [(i, entry) for i, entry in enumerate(chain) if entry[2]]
+    for (i, (x, y, _)), zinv in zip(live, _inverses([entry[2] for _, entry in live], p)):
+        zinv2 = zinv * zinv % p
+        chain[i] = (x * zinv2 % p, y * zinv2 * zinv % p, 1)
+
+
+def _normalise_lines(p, steps):
+    """Rewrite each line (c1, c0, c2) of `steps` as (c1/c2, c0/c2, 1) in
+    place; lines with c2 = 0 stay."""
+    inverses = iter(_inverses([c2 for step in steps for _, _, c2 in step if c2], p))
+    for i, step in enumerate(steps):
+        lines = []
+        for c1, c0, c2 in step:
+            if c2:
+                inv = next(inverses)
+                c1, c0, c2 = c1 * inv % p, c0 * inv % p, 1
+            lines.append((c1, c0, c2))
+        steps[i] = tuple(lines)
+
+
 @functools.lru_cache(maxsize=4)
 def _doubling_chain(p, x, y, n):
     """2^i*(x, y) for i < n, in Jacobian coordinates.  Order-q checks read
@@ -236,12 +312,19 @@ def _doubling_chain(p, x, y, n):
 # through between their uses
 @functools.lru_cache(maxsize=16)
 def _product_chain(p, x, y, n):
-    """The chain of a `scalar_mul` base, read through `_doubling_chain` on a
-    miss, so points that are only checked never evict it."""
-    return _doubling_chain(p, x, y, n)
+    """The chain of a `scalar_mul` base, as a `_Table` of its own, read
+    through `_doubling_chain` on a miss, so points that are only checked
+    never evict it, and its normalisation leaves the check cache's alone."""
+    return _Table(_doubling_chain(p, x, y, n))
 
 
-def _mul_raw(p, k, x, y, chains=_product_chain):
+def _kept_chain(p, x, y, n):
+    """`_product_chain`'s table, read once more: affine from its
+    NORMALISE_AT-th read on."""
+    return _read(_product_chain(p, x, y, n), p, _normalise_chain)
+
+
+def _mul_raw(p, k, x, y, chains=_kept_chain):
     """k*(x, y) right to left by Yao's bucket method: the entry 2^i*(x, y) of
     the base's doubling chain, from the cache `chains`, joins bucket B_|d|,
     negated when d < 0, for each width-4 digit d of k at i (k's sign flips
@@ -250,6 +333,8 @@ def _mul_raw(p, k, x, y, chains=_product_chain):
     The chain runs to one past k's bit length rounded up to a multiple of
     32, which bounds k's width-4 form, so the check by a 160-bit q and a
     product by any k < q (all but a 2^-31 share of them) share one chain.
+    Entries are Jacobian as built, or affine once a kept chain is
+    normalised, where `_add_jacobian`'s z = 1 case is the mixed addition.
     The single inversion is skipped when the result is the identity, which
     is what every subgroup check expects.
     """
@@ -349,7 +434,7 @@ def tate_pairing(a: G1Point, b: G1Point, params: CurveParams) -> GTElement:
 
 
 @functools.lru_cache(maxsize=8)
-def _miller_lines(q: int, p: int, ax: int, ay: int) -> tuple:
+def _miller_lines(q: int, p: int, ax: int, ay: int) -> _Table:
     """The lines of f_{q,A}, per bit of q, as (c1, c0, c2) with the line's
     value at phi(B) = (-bx, i*by) being (c1*bx + c0) + c2*by * i; c0 is
     left unreduced, as it is only added to c1*bx before a reduction.
@@ -360,9 +445,11 @@ def _miller_lines(q: int, p: int, ax: int, ay: int) -> tuple:
     The chord through T and A, taken at A and scaled by the new Z', is
     R*bx + (R*ax - ay*Z') + by*Z' * i (the tangent when T = A, where R = M).
     The scale factors and the vertical lines lie in F_p^* and vanish in the
-    final exponentiation.
+    final exponentiation.  So does the c2 that `_normalise_lines` divides
+    out of each line once the table has been read NORMALISE_AT times (c0 is
+    then reduced).  Tangents at 2-torsion points have c2 = 0 and stay.
     """
-    steps = []
+    steps = _Table()
     tx, ty, tz = ax, ay, 1
     for bit in bin(q)[3:]:
         lines = []
@@ -378,16 +465,17 @@ def _miller_lines(q: int, p: int, ax: int, ay: int) -> tuple:
             if chord and tz:
                 lines.append((r, r * ax - ay * tz, tz))
         steps.append(tuple(lines))
-    return tuple(steps)
+    return steps
 
 
 def _miller_loop(q: int, p: int, ax: int, ay: int, bx: int, by: int) -> Fp2Element:
     """Accumulate f_{q,A} evaluated at phi(B) = (-bx, i*by), up to F_p factors.
 
     The lines depend on A alone; they are built on A's first use and cached
-    per (q, p, ax, ay), so a long-lived first argument pays for them once.
+    per (q, p, ax, ay), so a long-lived first argument pays for them once,
+    and from their NORMALISE_AT-th read on, each line's c2 * by is by.
     """
-    lines = _miller_lines(q, p, ax, ay)
+    lines = _read(_miller_lines(q, p, ax, ay), p, _normalise_lines)
     fa, fb = 1, 0  # f as fa + fb*i
     for step in lines:
         # f <- f^2 * the step's tangent, then its chord, at phi(B)

@@ -456,21 +456,44 @@ def neg(point):
     return point if point.is_identity else G1Point(point.p, point.x, -point.y % point.p)
 
 
+def affine(chain):
+    """Whether every entry of a doubling chain is affine or the identity."""
+    return {z for _, _, z in chain} <= {0, 1}
+
+
+def divided(lines):
+    """Whether every line of a Miller line set has c2 = 1, or c2 = 0."""
+    return {c2 for step in lines for _, _, c2 in step} <= {0, 1}
+
+
+def read_past_k(read):
+    """Call `read` as often as it takes its table to be normalised."""
+    for _ in range(curve.NORMALISE_AT):
+        read()
+
+
 class TestPrecompute:
     def test_scalar_mul_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
         # all 312 points: chain entries of small-order bases are the
-        # identity, and the bucket additions meet T = A and T = -A
+        # identity, and the bucket additions meet T = A and T = -A; every k
+        # on a new chain, on a chain as built and on a normalised chain
         for pt in all_points(P):
             a = G1Point(P, *(pt or (None, None)))
             multiples = [None]
             for _ in range(27):
                 multiples.append(add_oracle(P, multiples[-1], pt))
             want = {k: multiples[k] if k >= 0 else negated(multiples[-k]) for k in range(-27, 28)}
-            for k in range(-27, 28):  # k = -27 builds the chain, the rest reuse it
-                assert as_pair(scalar_mul(k, a)) == want[k]
+            for warm in (0, 1):
+                for k in range(-27, 28):
+                    curve._product_chain.cache_clear()
+                    curve._doubling_chain.cache_clear()
+                    if warm:
+                        scalar_mul(1, a)  # builds the 33-entry chain every k here reads
+                    assert as_pair(scalar_mul(k, a)) == want[k]
+            read_past_k(lambda: scalar_mul(1, a))
+            if pt:
+                assert affine(curve._product_chain(P, *pt, 33))
             for k in range(-27, 28):
-                curve._product_chain.cache_clear()
-                curve._doubling_chain.cache_clear()
                 assert as_pair(scalar_mul(k, a)) == want[k]
             # 1-bit scalars, and scalars on either side of the 32- and 64-bit
             # roundings of the chain's length, where the width-4 form of the
@@ -562,15 +585,70 @@ class TestPrecompute:
     def test_pairing_matches_oracle_cold_and_warm(self, toy_params, cold_caches):
         # every point as the Miller (cached) argument, every subgroup point as
         # the other; T = O inside the loop for the 11 points whose order
-        # divides 12 (T runs through 1, 2, 3, 6, 12 times A)
+        # divides 12 (T runs through 1, 2, 3, 6, 12 times A), and the
+        # tangent at a 2-torsion T has c2 = 0, which stays past K
         points = [G1Point(P, *pt) for pt in all_points(P)[1:]]
         subgroup = [b for b in points if in_subgroup(b, Q)]
         for a in points:
+            want = {b: miller_oracle(toy_params, a, b) for b in subgroup}
             for b in subgroup:
-                want = miller_oracle(toy_params, a, b)
                 curve._miller_lines.cache_clear()
-                assert tate_pairing(a, b, toy_params).value == want
-                assert tate_pairing(a, b, toy_params).value == want
+                assert tate_pairing(a, b, toy_params).value == want[b]
+                assert tate_pairing(a, b, toy_params).value == want[b]
+            read_past_k(lambda: tate_pairing(a, subgroup[0], toy_params))
+            assert divided(curve._miller_lines(Q, P, a.x, a.y))
+            for b in subgroup:
+                assert tate_pairing(a, b, toy_params).value == want[b]
+
+    def test_a_kept_table_is_rewritten_on_its_kth_read(self, mid_params, cold_caches):
+        # a product base's chain and a Miller argument's lines stay as built
+        # for K - 1 reads, the K-th rewrites them in place, and every product
+        # and pairing is the same before and after; the raw Miller value
+        # changes by an F_p factor, and the check cache's chain stays as built
+        params = mid_params
+        p, q, g = params.p, params.q, params.generator
+        b, k = hash_to_point(b"other", params), q - 12345
+        product = scalar_mul(k, g)  # the first read of each table
+        as_built = curve._miller_loop(q, p, g.x, g.y, b.x, b.y)
+        chain, lines = curve._product_chain(p, g.x, g.y, 33), curve._miller_lines(q, p, g.x, g.y)
+        for _ in range(2, curve.NORMALISE_AT):
+            assert scalar_mul(k, g) == product
+            assert curve._miller_loop(q, p, g.x, g.y, b.x, b.y) == as_built
+        assert not affine(chain) and not divided(lines)
+        assert scalar_mul(k, g) == product  # the K-th reads
+        f = curve._miller_loop(q, p, g.x, g.y, b.x, b.y)
+        assert affine(chain) and divided(lines)
+        assert curve._product_chain(p, g.x, g.y, 33) is chain
+        assert curve._miller_lines(q, p, g.x, g.y) is lines
+        assert f != as_built and (f.a * as_built.b - f.b * as_built.a) % p == 0
+        assert scalar_mul(k, g) == product
+        assert tate_pairing(g, b, params).value == curve._final_exponentiation(as_built, params)
+        assert not affine(curve._doubling_chain(p, g.x, g.y, 33))
+
+    @pytest.mark.parametrize("lines", ["as built", "past K"])
+    def test_every_toy_pairing_is_pinned(self, toy_params, cold_caches, monkeypatch, lines):
+        # e(A, B) for all 312 x 312 pairs, the identity included, each as
+        # its encoding or the class name of what it raised, as computed
+        # before lines were normalised: 33 pairs, all with B = (0, 0), have
+        # Miller value 0, which the final exponentiation cannot invert
+        points = [G1Point(P, *(pt or (None, None))) for pt in all_points(P)]
+        if lines == "as built":
+            monkeypatch.setattr(curve, "NORMALISE_AT", 0)  # no read normalises a table
+        digest, raised = hashlib.sha256(), []
+        for a in points:
+            if lines == "past K" and not a.is_identity:
+                read_past_k(lambda: tate_pairing(a, toy_params.generator, toy_params))
+                assert divided(curve._miller_lines(Q, P, a.x, a.y))
+            for b in points:
+                try:
+                    digest.update(tate_pairing(a, b, toy_params).encode())
+                except InversionOfZero as exc:
+                    digest.update(type(exc).__name__.encode())
+                    raised.append(b)
+        assert digest.hexdigest() == (
+            "6ebc634faf5c81956a267c6f3169c1cfd1e3bf5e2c1a46baf8da4bca1e49e7e7"
+        )
+        assert len(raised) == 33 and set(raised) == {G1Point(P, 0, 0)}
 
     def test_pairing_is_symmetric_on_the_subgroup(self, toy_params, mid_params):
         subgroup = [scalar_mul(k, toy_params.generator) for k in range(Q)]
@@ -600,12 +678,25 @@ class TestPrecompute:
         g = G1Point(P, toy_params.gx, toy_params.gy)
         assert in_subgroup(g, Q) and not in_subgroup(g, 2) and in_subgroup(g, Q)
 
-    def test_caches_are_shared_safely_between_threads(self, toy_params, cold_caches):
+    def test_caches_are_shared_safely_between_threads(self, toy_params, cold_caches, monkeypatch):
         # more threads than cores, switching often, over more bases than the
         # chain caches hold and more identities than the clearing cache holds:
-        # every result must match its single-thread product and cold hash
+        # every result must match its single-thread product and cold hash.
+        # Every thread also multiplies and pairs with one hot point g, so
+        # tables are normalised while other threads read them
+        g = toy_params.generator
         points = [G1Point(P, *pt) for pt in all_points(P)[1:41]]
-        want = {(k, a): G1Point(P, *_mul_raw(P, k, a.x, a.y)) for a in points for k in (5, 11)}
+        want = {(k, a): G1Point(P, *_mul_raw(P, k, a.x, a.y)) for a in points + [g] for k in (5, 11)}
+        subgroup = [scalar_mul(k, g) for k in range(1, Q)]
+        pairings = {b: miller_oracle(toy_params, g, b) for b in subgroup}
+        for cache in CACHES:
+            cache.cache_clear()
+        rewrites = []  # (which, table): holding each table keeps its id unique
+        for name in ("_normalise_chain", "_normalise_lines"):
+            rewrite = getattr(curve, name)
+            monkeypatch.setattr(
+                curve, name, lambda p, t, f=rewrite, n=name: rewrites.append((n, t)) or f(p, t)
+            )
         ids = [f"id-{i}".encode() for i in range(40)]
         hashed = {}
         for ident in ids:
@@ -620,7 +711,12 @@ class TestPrecompute:
                     a, k = rnd.choice(points), rnd.choice((5, 11))
                     if scalar_mul(k, a) != want[(k, a)]:
                         errors.append((k, a))
-                    tate_pairing(a, toy_params.generator, toy_params)
+                    if scalar_mul(k, g) != want[(k, g)]:
+                        errors.append((k, g))
+                    tate_pairing(a, g, toy_params)
+                    b = rnd.choice(subgroup)
+                    if tate_pairing(g, b, toy_params).value != pairings[b]:
+                        errors.append((g, b))
                     ident = rnd.choice(ids)
                     if hash_to_point(ident, toy_params) != hashed[ident]:
                         errors.append(ident)
@@ -641,6 +737,9 @@ class TestPrecompute:
         assert errors == []
         info = curve._product_chain.cache_info()
         assert info.currsize <= info.maxsize
+        # both kinds of table were rewritten while shared, and none twice
+        assert {name for name, _ in rewrites} == {"_normalise_chain", "_normalise_lines"}
+        assert len({id(table) for _, table in rewrites}) == len(rewrites)
 
     def test_caches_stay_bounded(self, toy_params, cold_caches):
         g = toy_params.generator

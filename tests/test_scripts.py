@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,28 @@ def test_layer_ab_compares_a_tree_with_itself():
     for row in report["rows"].values():
         for side in ("parent", "change"):
             assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
+
+
+@pytest.mark.parametrize("value, identical", [("2 * fa, 2 * fb", True), ("-fb, fa", False)])
+def test_layer_ab_compares_miller_values_up_to_an_fp_factor(tmp_path, value, identical):
+    # a tree whose raw Miller value is 2*f computes the same pairings and is
+    # the same; one whose Miller value is i*f computes the same pairings too
+    # (i^4 = 1 and 4 divides the final exponent), but i is not in F_p
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    curve_py = src / "dvbsig" / "curve.py"
+    text = curve_py.read_text()
+    assert text.count("return Fp2Element(fa, fb, p)") == 1
+    curve_py.write_text(text.replace("return Fp2Element(fa, fb, p)", f"return Fp2Element({value}, p)"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "layer_ab.py"), str(ROOT / "src"), str(src),
+         "--scale", "toy", "--iterations", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == (0 if identical else 1), done.stderr
+    assert json.loads(done.stdout)["outputs_identical"] is identical
 
 
 def test_launch_ab_compares_a_tree_with_itself(tmp_path):
