@@ -196,10 +196,39 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# field elements
+# immutable values and F_p2 elements
 
 
-class Fp2Element:
+class Value:
+    """An immutable value whose fields are its class's `__slots__`, set once
+    by the constructor: it refuses assignment and deletion, equals only a
+    value of its own class, and takes its hash and repr from its fields."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Fp2Element(Value):
     """Immutable element a + b*i of F_p2 with i^2 = -1 (requires p = 3 mod 4)."""
 
     __slots__ = ("a", "b", "p")
@@ -208,23 +237,6 @@ class Fp2Element:
         object.__setattr__(self, "a", a % p)
         object.__setattr__(self, "b", b % p)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an Fp2Element")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an Fp2Element")
-
-    def __eq__(self, other):
-        if other.__class__ is not Fp2Element:
-            return NotImplemented
-        return (self.a, self.b, self.p) == (other.a, other.b, other.p)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.p))
-
-    def __repr__(self):
-        return f"Fp2Element(a={self.a}, b={self.b}, p={self.p})"
 
     @classmethod
     def one(cls, p: int) -> Fp2Element:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import scheme, storage
-from .curve import hash_to_point
+from .curve import G1Point, hash_to_point
 from .errors import DecodeError, DvbsigError
 from .rng import SeededRng, SystemRng
 from .scheme import KeyPair
@@ -62,6 +62,11 @@ def _identity(name: str, flag: str, error: type[Exception] = CommandLineError) -
     return name
 
 
+def _identity_point(name: str, flag: str, curve) -> G1Point:
+    """H1 of the identity `name`, given by `flag` (checked by `_identity`)."""
+    return hash_to_point(_identity(name, flag).encode("utf-8"), curve)
+
+
 def _require(path: Path, what: str) -> Path:
     if not path.exists():
         raise CommandLineError(f"{what} not found: {path}")
@@ -100,6 +105,13 @@ def _load_key(ws: storage.Workspace, system, identity: str) -> KeyPair:
     return key
 
 
+def _write_signature(args, signature: scheme.Signature, default: Path, note: str = "") -> None:
+    """Save `signature` at --out, or at `default`, in --format, and say where."""
+    out = Path(args.out) if args.out else default
+    storage.save_signature(signature, out, text=args.format == "text")
+    print(f"wrote {out}{note}")
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
     if not text.isdecimal() or int(text) < 1:
@@ -125,11 +137,10 @@ def cmd_sign_run(ws: storage.Workspace, args) -> int:
 
     system = _load_system(ws)
     signer_name = _identity(args.signer, "--signer")
-    verifier = _identity(args.verifier, "--verifier")
+    verifier_public = _identity_point(args.verifier, "--verifier", system.curve)
     message = _message_bytes(args)
     store = session.FileTranscriptStore(ws.transcript_log, system.curve)
     signer = _load_key(ws, system, signer_name)
-    verifier_public = hash_to_point(verifier.encode("utf-8"), system.curve)
     rng, clock = _rng_and_clock(args.seed)
     outcome = session.run_local_session(
         system,
@@ -140,9 +151,7 @@ def cmd_sign_run(ws: storage.Workspace, args) -> int:
         store=store,
         clock=clock,
     )
-    out = Path(args.out) if args.out else ws.root / "sig.bin"
-    storage.save_signature(outcome.signature, out, text=args.format == "text")
-    print(f"wrote {out} (retries: {outcome.retries})")
+    _write_signature(args, outcome.signature, ws.root / "sig.bin", f" (retries: {outcome.retries})")
     return 0
 
 

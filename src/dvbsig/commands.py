@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import cli, scheme, session, storage
 from .algebra import is_prime
-from .curve import Reader, _find_prime, hash_to_point, params_for_subgroup_order, scalar_mul
+from .curve import Reader, _find_prime, params_for_subgroup_order, scalar_mul
 from .errors import DecodeError, Degenerate
 
 if TYPE_CHECKING:
@@ -54,6 +54,10 @@ def _read_message(path: Path, kind: type, what: str, curve) -> session.ProtocolM
     if not isinstance(message, kind):
         raise cli.CommandLineError(f"{path} does not hold a {what}")
     return message
+
+
+def _load_master_secret(ws: storage.Workspace, q: int) -> scheme.MasterSecret:
+    return storage.load_master_secret(cli._require(ws.master_file, "master secret (run setup)"), q)
 
 
 def _count(text: str, low: int = 0) -> int:
@@ -137,9 +141,7 @@ def cmd_setup(ws: storage.Workspace, args) -> int:
 
 def cmd_keygen(ws: storage.Workspace, args) -> int:
     system = cli._load_system(ws)
-    msk = storage.load_master_secret(
-        cli._require(ws.master_file, "master secret (run setup)"), system.curve.q
-    )
+    msk = _load_master_secret(ws, system.curve.q)
     identity = cli._identity(args.id, "--id")
     key = scheme.keygen(system, msk, identity.encode("utf-8"))
     ws.ensure()
@@ -177,8 +179,7 @@ def cmd_sign_blind(ws: storage.Workspace, args) -> int:
     cli._require(commit_path, "commit artifact (run sign commit first)")
     message = cli._message_bytes(args)
     commitment = _read_message(commit_path, scheme.Commitment, "commitment", system.curve)
-    signer = cli._identity(args.signer, "--signer")
-    signer_public = hash_to_point(signer.encode("utf-8"), system.curve)
+    signer_public = cli._identity_point(args.signer, "--signer", system.curve)
     rng, _ = cli._rng_and_clock(args.seed)
     state, challenge = scheme.blind(system, message, commitment, signer_public, rng)
     _write_frame(
@@ -275,26 +276,20 @@ def cmd_sign_unblind(ws: storage.Workspace, args) -> int:
     response = _read_message(response_path, scheme.Response, "response", system.curve)
     if response.degenerate:
         raise Degenerate("degenerate response (V is the identity); rerun the session")
-    verifier = cli._identity(args.verifier, "--verifier")
-    verifier_public = hash_to_point(verifier.encode("utf-8"), system.curve)
+    verifier_public = cli._identity_point(args.verifier, "--verifier", system.curve)
     signature = scheme.unblind(system, blind_state, response, verifier_public)
-    out = Path(args.out) if args.out else sdir / "sig.bin"
-    storage.save_signature(signature, out, text=args.format == "text")
-    print(f"wrote {out}")
+    cli._write_signature(args, signature, sdir / "sig.bin")
     return 0
 
 
 def cmd_simulate(ws: storage.Workspace, args) -> int:
     system = cli._load_system(ws)
     verifier = cli._load_key(ws, system, cli._identity(args.verifier, "--verifier"))
-    signer = cli._identity(args.signer, "--signer")
-    signer_public = hash_to_point(signer.encode("utf-8"), system.curve)
+    signer_public = cli._identity_point(args.signer, "--signer", system.curve)
     message = cli._message_bytes(args)
     rng, _ = cli._rng_and_clock(args.seed)
     signature = scheme.simulate(system, signer_public, verifier.secret, message, rng)
-    out = Path(args.out) if args.out else ws.root / "sig.bin"
-    storage.save_signature(signature, out, text=args.format == "text")
-    print(f"wrote {out}")
+    cli._write_signature(args, signature, ws.root / "sig.bin")
     return 0
 
 
@@ -307,9 +302,7 @@ def cmd_blindness_demo(ws: storage.Workspace, args) -> int:
             "blindness-demo needs toy-scale parameters (witness extraction brute-forces"
             f" discrete logs; q = {system.curve.q} is too large)"
         )
-    msk = storage.load_master_secret(
-        cli._require(ws.master_file, "master secret (run setup)"), system.curve.q
-    )
+    msk = _load_master_secret(ws, system.curve.q)
     signer = scheme.keygen(system, msk, cli._identity(args.signer, "--signer").encode("utf-8"))
     verifier_name = cli._identity(args.verifier, "--verifier")
     verifier = scheme.keygen(system, msk, verifier_name.encode("utf-8"))
@@ -446,9 +439,7 @@ def cmd_bench(ws: storage.Workspace, args) -> int:
 
     system = cli._load_system(ws)
     params = system.curve
-    msk = storage.load_master_secret(
-        cli._require(ws.master_file, "master secret (run setup)"), params.q
-    )
+    msk = _load_master_secret(ws, params.q)
     n = args.iterations
     for label, fn in layers.rows(sys.modules[__package__], system, msk, "bench", n).items():
         start = time.perf_counter()

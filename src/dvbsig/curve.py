@@ -44,6 +44,7 @@ from typing import NamedTuple
 from . import meter
 from .algebra import (
     Fp2Element,
+    Value,
     _signed_digits,
     byte_width,
     encode_int,
@@ -69,7 +70,7 @@ R_SEARCH_LIMIT = 1 << 22  # cofactor candidates r tried by params_for_subgroup_o
 NORMALISE_AT = 8
 
 
-class G1Point:
+class G1Point(Value):
     """Immutable affine point on y^2 = x^3 + x over F_p; x = y = None is the
     identity."""
 
@@ -79,23 +80,6 @@ class G1Point:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a G1Point")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a G1Point")
-
-    def __eq__(self, other):
-        if other.__class__ is not G1Point:
-            return NotImplemented
-        return (self.p, self.x, self.y) == (other.p, other.x, other.y)
-
-    def __hash__(self):
-        return hash((self.p, self.x, self.y))
-
-    def __repr__(self):
-        return f"G1Point(p={self.p}, x={self.x}, y={self.y})"
 
     @classmethod
     def identity(cls, p: int) -> G1Point:
@@ -118,13 +102,13 @@ class G1Point:
         return b"\x04" + encode_int(self.x, self.p) + encode_int(self.y, self.p)
 
 
-class GTElement(NamedTuple):
+class GTElement(Value):
     """Element of the order-q subgroup of F_p2^* (pairing values)."""
 
-    value: Fp2Element
+    __slots__ = ("value",)
 
-    # tuple's concatenation and repetition are not group operations
-    __add__ = __rmul__ = None
+    def __init__(self, value: Fp2Element):
+        object.__setattr__(self, "value", value)
 
     def __mul__(self, other: GTElement) -> GTElement:
         return GTElement(self.value * other.value)

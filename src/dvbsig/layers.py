@@ -6,11 +6,11 @@ callable(i), called for i = 0 .. n-1:
 
 - a row that must see cold caches takes an input drawn for its i up front,
   which no earlier call has cached;
-- a row that times a warm path has made its untimed first calls here (as
-  many as the tree's `curve.NORMALISE_AT`, so that the tables it reads are
-  past the read that rewrites them and it times one state only), and it
-  comes before every row that fills the cache it reads, so its entries are
-  still there when a caller times each row n times before the next.
+- a row that times a warm path has read its tables here `curve.NORMALISE_AT`
+  times, by untimed calls or with fixed inputs, so it times them past the
+  read that rewrites them; and it comes before every row that fills the
+  cache it reads, so its entries are still there when a caller times each
+  row n times before the next.
 
 Every draw comes from one seeded stream and every session's clock is a
 `LogicalClock`, so two trees with the same kernels return identical values.
@@ -59,13 +59,10 @@ def rows(dv, system, msk, seed: str, n: int) -> dict:
     ]
     # each validation checks a generator whose chain no check has built
     generators = [params._replace(gx=h.x, gy=h.y) for h in fresh()]
-    # a copy of a table as built, per call, for the rows that normalise one;
-    # a tree that keeps its tables as built times a no-op there
+    # a copy of a table as built, per call, for the rows that normalise one
     chain = curve._doubling_chain.__wrapped__(p, g.x, g.y, q.bit_length() + 1)
     lines = curve._miller_lines.__wrapped__(q, p, g.x, g.y)
     chains, line_sets = [list(chain) for _ in range(n)], [list(lines) for _ in range(n)]
-    normalise_chain = getattr(curve, "_normalise_chain", lambda p, table: None)
-    normalise_lines = getattr(curve, "_normalise_lines", lambda p, table: None)
 
     table = {
         "params_validate": lambda i: generators[i].validate(),
@@ -78,10 +75,10 @@ def rows(dv, system, msk, seed: str, n: int) -> dict:
         "doubling_chain": lambda i: curve._doubling_chain.__wrapped__(
             p, g.x, g.y, q.bit_length() + 1
         ),
-        "normalise_chain": lambda i: normalise_chain(p, chains[i]),
+        "normalise_chain": lambda i: curve._normalise_chain(p, chains[i]),
         "g1_scalar_mul": lambda i: curve.scalar_mul(scalars[i], base),
         "miller_loop": lambda i: curve._miller_loop(q, p, base.x, base.y, others[i].x, others[i].y),
-        "normalise_lines": lambda i: normalise_lines(p, line_sets[i]),
+        "normalise_lines": lambda i: curve._normalise_lines(p, line_sets[i]),
         "pairing": lambda i: curve.tate_pairing(base, others[i], params),
         "final_exponentiation": lambda i: curve._final_exponentiation(loops[i], params),
         "map_to_point_repeat": lambda i: curve.hash_to_point(b"bench-repeat", params),
@@ -108,9 +105,14 @@ def rows(dv, system, msk, seed: str, n: int) -> dict:
             q, b"bench-params-%d" % i, p_bits=p.bit_length()
         ),
     }
-    for warm in ("g1_scalar_mul", "miller_loop", "pairing", "verify"):
-        for _ in range(getattr(curve, "NORMALISE_AT", 1)):
+    # sign_session draws from the seeded stream, so its own tables (S_s's
+    # product chain, Q_v's Miller lines) are read with fixed inputs instead
+    respond = scheme.SignerState(r=1, key=signer), scheme.BlindedChallenge(value=q - 2)
+    for _ in range(curve.NORMALISE_AT):
+        for warm in ("g1_scalar_mul", "miller_loop", "pairing", "verify"):
             table[warm](0)
+        scheme.sign_respond(system, *respond)
+        curve.tate_pairing(other, g, params)
     table["map_to_point_repeat"](0)
     loops = [table["miller_loop"](i) for i in range(n)]
     return table

@@ -24,7 +24,7 @@ from dvbsig.session import (
     encode_transcript,
 )
 from tests.conftest import TapeRng, find_tape_triples, scalar_chunk, session_tape
-from tests.test_curve import off_subgroup_point
+from tests.test_curve import CACHES, off_subgroup_point
 
 
 @pytest.fixture()
@@ -780,6 +780,35 @@ class TestBench:
         assert not any(a == b for a, _ in checks[-8:-4] for _, b in calls)
         assert all(missed for _, missed in checks[-8:])
 
+    def test_each_row_times_one_table_state(self, mid_system, monkeypatch):
+        # every table a timed row reads is past the read that rewrites it, so
+        # only the two rows that time a rewrite make one
+        import dvbsig
+        from dvbsig import algebra, layers, rng, scheme, session  # noqa: F401
+
+        rewrites, timing = [], [None]
+
+        def counted(normalise):
+            return lambda p, table: rewrites.append(timing[0]) or normalise(p, table)
+
+        for name in ("_normalise_chain", "_normalise_lines"):
+            monkeypatch.setattr(dvbsig_curve, name, counted(getattr(dvbsig_curve, name)))
+        for cache in CACHES:
+            cache.cache_clear()
+        n = 10
+        try:
+            for label, fn in layers.rows(dvbsig, *mid_system, "bench", n).items():
+                for i in range(n):
+                    timing[0] = (label, i)
+                    fn(i)
+        finally:
+            for cache in CACHES:
+                cache.cache_clear()
+        timed = [where for where in rewrites if where is not None]
+        assert [where for where in timed if not where[0].startswith("normalise_")] == []
+        rows = ("normalise_chain", "normalise_lines")
+        assert sorted(timed) == [(label, i) for label in rows for i in range(n)]
+
     @pytest.mark.parametrize(
         "name, missing",
         [
@@ -800,10 +829,12 @@ class TestBench:
 
 
 def _loaded_by(statement: str) -> list[str]:
-    """The modules that a fresh interpreter holds after `statement`."""
+    """The modules that `statement` adds in a fresh interpreter, over those
+    that its startup (`site` and any `.pth` file it runs) already loaded."""
     src = Path(cli.__file__).resolve().parents[1]
+    script = f"import sys; before = set(sys.modules); {statement}"
     return subprocess.run(
-        [sys.executable, "-c", f"import sys; {statement}; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", f"{script}; print(*sorted(set(sys.modules) - before))"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,

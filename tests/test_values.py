@@ -1,7 +1,9 @@
 """Value semantics of the immutable types: fields cannot be assigned, and
-equal values compare and hash equal.  That a decoded point's first product
-reuses the doubling chain of its order-q check is tested in test_scheme
-(TestUnblind) and test_curve (TestPrecompute)."""
+equal values compare and hash equal.  G1 points, F_p2 elements and pairing
+values share one base, `algebra.Value`; the records are NamedTuples.  That
+a decoded point's first product reuses the doubling chain of its order-q
+check is tested in test_scheme (TestUnblind) and test_curve
+(TestPrecompute)."""
 
 import pytest
 
@@ -14,7 +16,6 @@ P, Q = 311, 13
 
 RECORDS = [
     curve.CurveParams,
-    curve.GTElement,
     scheme.SystemParams,
     scheme.MasterSecret,
     scheme.KeyPair,
@@ -69,6 +70,49 @@ def test_point_is_a_value(toy_params):
     assert_fields_refuse_assignment(g, ("p", "x", "y"))
     # an order-q check leaves nothing on the point, so equality and hash hold
     assert in_subgroup(g, Q) and g == same and hash(g) == hash(same)
+
+
+def test_gt_element_is_a_value(toy_params):
+    g = toy_params.generator
+    e = curve.tate_pairing(g, g, toy_params)
+    same = curve.GTElement(Fp2Element(e.value.a, e.value.b, P))
+    assert e == same and hash(e) == hash(same) and e is not same
+    assert e != e * e and e != (e.value,) and e != e.value
+    assert len({e, same, e * e}) == 2
+    assert repr(e) == f"GTElement(value=Fp2Element(a={e.value.a}, b={e.value.b}, p={P}))"
+    assert_fields_refuse_assignment(e, ("value",))
+    with pytest.raises(AttributeError):
+        e.other = 1
+
+
+def toy_values(params):
+    g = params.generator
+    return [g, Fp2Element(-1, P + 2, P), curve.tate_pairing(g, g, params)]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["G1Point", "Fp2Element", "GTElement"])
+def test_a_value_equals_only_its_own_class(toy_params, index):
+    value = toy_values(toy_params)[index]
+    fields = tuple(getattr(value, name) for name in type(value).__slots__)
+    assert value != fields and fields != value
+
+    class Twin(type(value)):
+        __slots__ = ()
+
+    # each constructor takes the fields in slot order
+    assert type(value)(*fields) == value
+    assert value != Twin(*fields) and Twin(*fields) != value
+
+
+def test_repr_and_hash_are_pinned(toy_params):
+    # the same text and hashes as when each type wrote its own methods; a
+    # tuple of ints hashes alike in every 64-bit CPython process (3.11, 3.13)
+    pinned = [
+        ("G1Point(p=311, x=254, y=181)", -4202262534942407334),
+        ("Fp2Element(a=310, b=2, p=311)", -6499095396739200382),
+        ("GTElement(value=Fp2Element(a=24, b=228, p=311))", 2892317949900789376),
+    ]
+    assert [(repr(v), hash(v)) for v in toy_values(toy_params)] == pinned
 
 
 def test_gt_element_has_no_tuple_arithmetic():
