@@ -9,7 +9,8 @@ passes.  The operators:
 
 - raise-to-pass:   a `raise` statement becomes `pass`;
 - point-fault:     a call to `point_fault` becomes `None` (every point passes);
-- boundary:        `<` and `<=` swap in the test of an `if` whose body raises.
+- boundary:        `<` and `<=`, or `>` and `>=`, swap in the test of an
+                   `if` whose body raises.
 
 Usage (from anywhere; paths are relative to the repository root):
 
@@ -41,6 +42,7 @@ SKIP = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".bench_*"
 )
 TIMEOUT_S = 600  # per pytest run: many times a whole tier-1 run
+BOUNDARY = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 
 
 class Mutant(NamedTuple):
@@ -83,9 +85,9 @@ def find_mutants(source: bytes) -> list[Mutant]:
                 if not isinstance(compare, ast.Compare):
                     continue
                 for i, op in enumerate(compare.ops):
-                    if isinstance(op, (ast.Lt, ast.LtE)):
+                    if type(op) in BOUNDARY:
                         ops = list(compare.ops)
-                        ops[i] = ast.LtE() if isinstance(op, ast.Lt) else ast.Lt()
+                        ops[i] = BOUNDARY[type(op)]()
                         swapped = ast.Compare(compare.left, ops, compare.comparators)
                         add(compare, "boundary", ast.unparse(swapped))
     return sorted(found, key=lambda m: (m.start, m.operator))

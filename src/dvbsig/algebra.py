@@ -227,6 +227,11 @@ class Value:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which takes the
+        # fields in slot order, not through the refused setattr
+        return type(self), self._key()
+
 
 class Fp2Element(Value):
     """Immutable element a + b*i of F_p2 with i^2 = -1 (requires p = 3 mod 4)."""

@@ -288,7 +288,7 @@ def cmd_simulate(ws: storage.Workspace, args) -> int:
     signer_public = cli._identity_point(args.signer, "--signer", system.curve)
     message = cli._message_bytes(args)
     rng, _ = cli._rng_and_clock(args.seed)
-    signature = scheme.simulate(system, signer_public, verifier.secret, message, rng)
+    signature = session.simulate(system, signer_public, verifier.secret, message, rng)
     cli._write_signature(args, signature, ws.root / "sig.bin")
     return 0
 

@@ -1,7 +1,8 @@
-"""The five algorithms of the identity-based strong designated verifier blind
+"""The algorithms of the identity-based strong designated verifier blind
 signature scheme: PKG setup, identity key extraction, the four-step
-interactive signing (commit / blind / respond / unblind), designated
-verification, and the verifier-side transcript simulation.
+interactive signing (commit / blind / respond / unblind) and designated
+verification.  The fifth, the verifier-side transcript simulation, reruns
+degenerate attempts as a signing session does, so it is `session.simulate`.
 
 All algorithms are pure functions of their inputs plus an explicit rng
 handle.  Group math goes through the instrumented operations in `curve`, so
@@ -201,10 +202,13 @@ def verify(
     Only the holder of the designated verifier's private key can evaluate
     the right-hand side, which is computed as e(S_verifier, U' + h*Q_signer)
     (equal on the order-q subgroup) so that the key's Miller lines are the
-    cached ones.
+    cached ones.  U' + h*Q_signer = identity would pair to 1 under every
+    verifier's key, and no honest signature has it, so it is refused.
     """
     h = h2(message, signature.u_prime, system.curve.q)
     lhs = point_add(signature.u_prime, scalar_mul(h, signer_public))
+    if lhs.is_identity:
+        return False
     return tate_pairing(verifier_secret, lhs, system.curve) == signature.sigma
 
 
@@ -218,27 +222,6 @@ def verify_with_identity(
     """Verification entry point that rederives Q_signer = H1(identity)."""
     signer_public = hash_to_point(signer_identity, system.curve)
     return verify(system, verifier_secret, signer_public, message, signature)
-
-
-def simulate(
-    system: SystemParams,
-    signer_public: G1Point,
-    verifier_secret: G1Point,
-    message: bytes,
-    rng,
-) -> Signature:
-    """Verifier-side transcript simulation.
-
-    Runs the four signing steps with the signer's public key Q_s standing in
-    for the private one, and the verifier's secret S_v in place of Q_v inside
-    the pairing:  e(x(r+h1) * Q_s, S_v) = e(x(r+h1) * S_s, Q_v).
-    Under a matched random tape the output is bit-identical to a real run.
-    """
-    stand_in = KeyPair(identity=b"", public=signer_public, secret=signer_public)
-    signer_state, commitment = sign_commit(system, stand_in, rng)
-    blind_state, challenge = blind(system, message, commitment, signer_public, rng)
-    response = sign_respond(system, signer_state, challenge)
-    return unblind(system, blind_state, response, verifier_secret)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The interactive three-move signing protocol: wire framing for the messages
 that cross the signer/user boundary (scheme's Commitment, BlindedChallenge
 and Response), state machines for both sides, a local in-process runner
-that reruns degenerate sessions a fixed number of times, and an append-only
-transcript store.
+that reruns degenerate sessions a fixed number of times, the verifier-side
+simulation that reruns them the same way, and append-only transcript stores.
 
 A transcript is exactly the signer's view of one session: the commitment it
 sent, the blinded challenge it received, and the response it returned.  It
@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Union
 
 from . import scheme
-from .algebra import byte_width, encode_int
-from .curve import CurveParams, G1Point, Reader, point_fault
+from .algebra import encode_int
+from .curve import CurveParams, G1Point, Reader
 from .errors import DecodeError, Degenerate, DuplicateSession
 from .scheme import BlindedChallenge, Commitment, KeyPair, Response, Signature, SystemParams
 
@@ -212,7 +212,7 @@ def run_local_session(
     message: bytes,
     verifier_public: G1Point,
     rng,
-    store: "TranscriptStore | None" = None,
+    store: "TranscriptStore | FileTranscriptStore | None" = None,
     clock=None,
 ) -> SessionOutcome:
     """Run commit -> blind -> respond -> unblind in one process.
@@ -225,6 +225,35 @@ def run_local_session(
     """
     clock = clock or wall_clock_ms
     session_id = rng.next_bytes(SESSION_ID_BYTES)
+    outcome = _sound_attempt(system, signer, message, verifier_public, rng, clock, session_id)
+    if store is not None:
+        store.record(outcome.transcript)
+    return outcome
+
+
+def simulate(
+    system: SystemParams, signer_public: G1Point, verifier_secret: G1Point, message: bytes, rng
+) -> Signature:
+    """Verifier-side transcript simulation.
+
+    Runs the four signing steps with the signer's public key Q_s standing in
+    for the private one, and the verifier's secret S_v in place of Q_v inside
+    the pairing:  e(x(r+h1) * Q_s, S_v) = e(x(r+h1) * S_s, Q_v).
+    Under a matched random tape the output is bit-identical to a real run.
+    A degenerate attempt, whose sigma = 1 every verifier accepts, reruns.
+    """
+    stand_in = KeyPair(identity=b"", public=signer_public, secret=signer_public)
+    outcome = _sound_attempt(system, stand_in, message, verifier_secret, rng, LogicalClock(), b"")
+    return outcome.signature
+
+
+def _sound_attempt(
+    system: SystemParams, signer: KeyPair, message: bytes, verifier_key: G1Point, rng, clock,
+    session_id: bytes,
+) -> SessionOutcome:
+    """The first attempt of up to MAX_RETRIES + 1 whose response is not
+    degenerate, unblinded with `verifier_key`; each attempt draws r, x and y,
+    and `session_id` only labels the transcript."""
     for attempt in range(MAX_RETRIES + 1):
         started = clock()
         signer_side, commitment = begin_sign(system, signer, rng)
@@ -234,17 +263,11 @@ def run_local_session(
         if response.degenerate:
             continue
         transcript = Transcript(
-            session_id=session_id,
-            signer_identity=signer.identity,
-            commitment=commitment.point,
-            challenge=challenge.value,
-            response=response.point,
-            started_ms=started,
-            finished_ms=finished,
+            session_id=session_id, signer_identity=signer.identity,
+            commitment=commitment.point, challenge=challenge.value, response=response.point,
+            started_ms=started, finished_ms=finished,
         )
-        signature = user_side.unblind(response, verifier_public)
-        if store is not None:
-            store.record(transcript)
+        signature = user_side.unblind(response, verifier_key)
         return SessionOutcome(signature, transcript, attempt, user_side.state)
     raise Degenerate(
         f"signing session stayed degenerate (r + h1 = 0 mod q) in {MAX_RETRIES + 1} attempts"
@@ -257,21 +280,17 @@ def run_local_session(
 
 class TranscriptStore:
     """Append-only in-memory store keyed by session id, insertion-ordered.
-
-    Appends are serialized with a lock; sessions running on different threads
-    may share one store.
-    """
+    Appends are serialized with a lock; sessions running on different
+    threads may share one store."""
 
     def __init__(self):
         self._by_id: dict[bytes, Transcript] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def record(self, transcript: Transcript) -> None:
         with self._lock:
             if transcript.session_id in self._by_id:
-                raise DuplicateSession(
-                    f"session {transcript.session_id.hex()} already recorded"
-                )
+                raise DuplicateSession(f"session {transcript.session_id.hex()} already recorded")
             self._by_id[transcript.session_id] = transcript
 
     def get(self, session_id: bytes) -> Transcript:
@@ -284,16 +303,13 @@ class TranscriptStore:
         return iter(self._by_id.values())
 
 
-class FileTranscriptStore(TranscriptStore):
-    """Store backed by an append-only file of transcript frames.  A malformed
-    record, or one repeating an earlier record's session id, is a DecodeError
-    naming the file and the offset in it.
-
-    Reading the file checks each record whole but for the order of its two
-    points, so opening it needs no curve arithmetic; a record read from the
-    file gets that check the first time `get` or iteration hands it out,
-    and a point outside the order-q subgroup is then the DecodeError that
-    opening the file raised before.
+class FileTranscriptStore:
+    """Append-only file of transcript frames that keeps only the session ids
+    it holds, all that refusing a repeated one needs.  Opening the file
+    checks each record whole but for the order of its two points, so it
+    needs no curve arithmetic; a malformed record, or one repeating an
+    earlier record's session id, is a DecodeError naming the file and the
+    offset in it.
 
     Processes share the file under `fcntl.flock`: opening reads it under a
     shared lock, and `record` holds an exclusive one while it reads what
@@ -301,11 +317,11 @@ class FileTranscriptStore(TranscriptStore):
     file and appends.  So no session is recorded twice, whoever races."""
 
     def __init__(self, path: str | Path, params: CurveParams):
-        super().__init__()
         self.path = Path(path)
         self.params = params
+        self._ids: set[bytes] = set()
         self._read = 0  # bytes of the file decoded so far
-        self._unchecked: dict[bytes, int] = {}  # session id -> offset of its record
+        self._lock = threading.Lock()
         if self.path.exists():
             with self.path.open("rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
@@ -325,12 +341,11 @@ class FileTranscriptStore(TranscriptStore):
                 transcript, used = decode_transcript(data[pos:], self.params)
             except DecodeError as exc:
                 raise DecodeError(f"{self.path}: {exc.reason}", at + exc.position) from None
-            if transcript.session_id in self._by_id:
+            if transcript.session_id in self._ids:
                 raise DecodeError(
                     f"{self.path}: repeated session id {transcript.session_id.hex()}", at
                 )
-            self._by_id[transcript.session_id] = transcript
-            self._unchecked[transcript.session_id] = at
+            self._ids.add(transcript.session_id)
             pos += used
             self._read += used
 
@@ -340,28 +355,11 @@ class FileTranscriptStore(TranscriptStore):
         with self._lock, self.path.open("a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             self._catch_up(fh)
-            super().record(transcript)
+            if transcript.session_id in self._ids:
+                raise DuplicateSession(f"session {transcript.session_id.hex()} already recorded")
             fh.write(frame)
+            self._ids.add(transcript.session_id)
             self._read += len(frame)
 
-    def get(self, session_id: bytes) -> Transcript:
-        return self._checked(super().get(session_id))
-
-    def __iter__(self) -> Iterator[Transcript]:
-        return map(self._checked, super().__iter__())
-
-    def _checked(self, t: Transcript) -> Transcript:
-        """`t`, once its points have passed the order-q check that reading
-        its record deferred; the error names the first byte of the point's
-        x, as `decode_point` does."""
-        at = self._unchecked.get(t.session_id)
-        if at is not None:
-            # frame header, then the two length-prefixed fields before U
-            u = at + 9 + len(t.session_id) + len(t.signer_identity)
-            v = u + len(t.commitment.encode()) + byte_width(self.params.q)
-            for point, offset in ((t.commitment, u), (t.response, v)):
-                fault = point_fault(point, self.params.q)
-                if fault:
-                    raise DecodeError(f"{self.path}: point {fault}", offset + 1)
-            self._unchecked.pop(t.session_id, None)
-        return t
+    def __len__(self) -> int:
+        return len(self._ids)

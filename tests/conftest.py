@@ -4,6 +4,7 @@ from hypothesis import settings
 from dvbsig import scheme
 from dvbsig.curve import generate_params, params_for_subgroup_order
 from dvbsig.rng import SeededRng
+from dvbsig.session import decode_transcript
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -60,6 +61,18 @@ def find_tape_triples(system, signer, message):
                 if degenerate and benign:
                     return degenerate, benign
     raise AssertionError("toy search space exhausted")
+
+
+def read_log(path, params):
+    """Every transcript in the log at `path`, decoded record by record (the
+    file-backed store keeps only session ids).  The points have not passed
+    the order-q check: `point_fault` them before any use."""
+    data, records = memoryview(path.read_bytes()), []
+    while data:
+        record, used = decode_transcript(data, params)
+        records.append(record)
+        data = data[used:]
+    return records
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from dvbsig import analysis, scheme
+from dvbsig import analysis, scheme, session
 from dvbsig.analysis import (
     OperationCounts,
     QueryBudget,
@@ -103,7 +103,7 @@ def test_03_non_transferability_matched_tapes(toy_system, toy_keys):
             )
             response = scheme.sign_respond(system, state, challenge)
             real = scheme.unblind(system, blind_state, response, verifier.public)
-            simulated = scheme.simulate(
+            simulated = session.simulate(
                 system, signer.public, verifier.secret, message, SeededRng(f"nt-{i}")
             )
             if encode_signature(real) != encode_signature(simulated):
@@ -119,7 +119,7 @@ def test_04_strongness_simulation(toy_system, toy_keys):
         phantom_public = hash_to_point(b"phantom-signer", system.curve)
         verifier = toy_keys[TOY_VERIFIER]
         for i in range(100):
-            sig = scheme.simulate(
+            sig = session.simulate(
                 system, phantom_public, verifier.secret, b"never signed", SeededRng(f"st-{i}")
             )
             assert scheme.verify(

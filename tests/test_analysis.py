@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dvbsig import analysis, scheme
+from dvbsig import analysis, scheme, session
 from dvbsig.algebra import encode_int
 from dvbsig.analysis import (
     OpCosts,
@@ -234,7 +234,7 @@ class TestInstrumentation:
     def test_simulation_counts(self, toy_system, toy_keys):
         system, _ = toy_system
         with measure() as counter:
-            scheme.simulate(
+            session.simulate(
                 system,
                 toy_keys[TOY_SIGNER].public,
                 toy_keys[TOY_VERIFIER].secret,

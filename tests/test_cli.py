@@ -11,19 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from dvbsig import cli, storage
+from dvbsig import cli, scheme, storage
 from dvbsig import curve as dvbsig_curve
-from dvbsig.curve import hash_to_point
-from dvbsig.errors import DecodeError
+from dvbsig.algebra import Fp2Element
+from dvbsig.curve import GTElement, hash_to_point, point_fault, scalar_mul
 from dvbsig.session import (
     MAX_RETRIES,
     FileTranscriptStore,
     LogicalClock,
     decode_message,
-    decode_transcript,
     encode_transcript,
 )
-from tests.conftest import TapeRng, find_tape_triples, scalar_chunk, session_tape
+from tests.conftest import TapeRng, find_tape_triples, read_log, scalar_chunk, session_tape
 from tests.test_curve import CACHES, off_subgroup_point
 
 
@@ -86,6 +85,28 @@ class TestLifecycle:
         )
         assert code == 1
         assert out.strip() == "INVALID"
+
+    def test_degenerate_forgery_invalid_for_every_verifier(self, run, workspace, tmp_path):
+        # U' = t*Q_alice with H2(m, U') = -t (mod q) and sigma = 1, built from
+        # public values alone, made U' + h*Q_alice the identity: VALID for all
+        curve = storage.load_system_params(workspace / "system.txt").curve
+        alice, q = hash_to_point(b"alice", curve), curve.q
+        message, t = next(
+            (message, t)
+            for message in (b"I control at least %d coins" % n for n in range(50))
+            for t in range(1, q)
+            if scheme.h2(message, scalar_mul(t, alice), q) == q - t
+        )
+        message_file, sig = tmp_path / "forged.txt", tmp_path / "forged.bin"
+        message_file.write_bytes(message)
+        one = GTElement(Fp2Element.one(curve.p))
+        storage.save_signature(scheme.Signature(scalar_mul(t, alice), one), sig)
+        for verifier in ("bob", "carol"):
+            code, out, _ = run(
+                "-w", workspace, "verify", "--verifier", verifier, "--signer", "alice",
+                "--message-file", message_file, "--sig", sig,
+            )
+            assert (code, out) == (1, "INVALID\n"), verifier
 
     def test_simulated_signature_verifies(self, run, workspace, message_file, tmp_path):
         sig = tmp_path / "sim.bin"
@@ -244,7 +265,7 @@ class TestStepwiseSigning:
         assert decode_message(other.read_bytes(), system.curve).point != own
         (sdir / "commit.frame").write_bytes(other.read_bytes())
         assert run("-w", workspace, "sign", "respond", "--session", "x", "--seed", "r")[0] == 0
-        (record,) = FileTranscriptStore(workspace / "transcripts.log", system.curve)
+        (record,) = read_log(workspace / "transcripts.log", system.curve)
         assert record.commitment == own
 
     def test_degenerate_session(self, run, workspace, message_file, monkeypatch):
@@ -262,7 +283,7 @@ class TestStepwiseSigning:
         assert code == 0 and "degenerate" in out
         assert (sdir / "response.frame").exists()
         assert not (sdir / "signer.state").exists()
-        (record,) = FileTranscriptStore(workspace / "transcripts.log", system.curve)
+        (record,) = read_log(workspace / "transcripts.log", system.curve)
         assert record.response.is_identity
         code, out, err = run(
             "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
@@ -317,11 +338,7 @@ class TestStepwiseSigning:
         assert f"signer state not found: {sdir / 'signer.state'}" in racer_err
         system = storage.load_system_params(workspace / "system.txt")
         # decoded record by record: a store would refuse a log holding an id twice
-        log, records = (workspace / "transcripts.log").read_bytes(), []
-        while log:
-            record, used = decode_transcript(log, system.curve)
-            records.append(record)
-            log = log[used:]
+        records = read_log(workspace / "transcripts.log", system.curve)
         assert len(records) == 1
         assert records[0].challenge == decode_message(first, system.curve).value
         assert sorted(p.name for p in sdir.iterdir()) == [
@@ -400,7 +417,7 @@ class TestStepwiseSigning:
         self._commit_and_blind(run, workspace, message_file)
         assert run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "")[0] == 0
         curve = storage.load_system_params(workspace / "system.txt").curve
-        (record,) = FileTranscriptStore(workspace / "transcripts.log", curve)
+        (record,) = read_log(workspace / "transcripts.log", curve)
         assert (record.started_ms, record.finished_ms) == (0, 1)
 
     def test_respond_consumes_signer_state(self, run, workspace, message_file):
@@ -1093,8 +1110,8 @@ class TestErrorPaths:
     def test_sign_run_past_a_logged_point_outside_the_subgroup(
         self, run, workspace, message_file
     ):
-        # reopening the log leaves a record's order-q check to the reader
-        # that asks for the record, and `sign run` asks for none
+        # reopening the log leaves a record's order-q check to whoever reads
+        # the record back, and `sign run` reads none
         system = storage.load_system_params(workspace / "system.txt")
         curve = system.curve
         log = workspace / "transcripts.log"
@@ -1104,17 +1121,16 @@ class TestErrorPaths:
         )
         for seed in ("s1", "s2", "s3"):
             assert run(*sign, "--seed", seed)[0] == 0
-        first, second, third = FileTranscriptStore(log, curve)
+        first, second, third = read_log(log, curve)
         rogue = second._replace(commitment=off_subgroup_point(curve.p, curve.q))
         log.write_bytes(b"".join(encode_transcript(t, curve) for t in (first, rogue, third)))
         code, out, err = run(*sign, "--seed", "s4")
         assert (code, err) == (0, "") and out.startswith("wrote ")
-        store = FileTranscriptStore(log, curve)
-        assert len(store) == 4
-        # frame header 5, session id 2 + 16 and identity 2 + 5 bytes, then U
-        offset = len(encode_transcript(first, curve)) + 31
-        with pytest.raises(DecodeError, match=re.escape(f"(at byte {offset})")):
-            store.get(rogue.session_id)
+        assert len(FileTranscriptStore(log, curve)) == 4
+        # read back, the rogue record still needs its order check before use
+        records = read_log(log, curve)
+        assert records[:3] == [first, rogue, third]
+        assert point_fault(records[1].commitment, curve.q)
 
     def blinded_session(self, run, workspace, message_file):
         """Session s1 after commit and blind; its directory."""
@@ -1220,7 +1236,7 @@ class TestErrorPaths:
         self.rewrite_field(state, "started_ms", 2**64 - 2)
         assert run("-w", workspace, "sign", "respond", "--session", "s1", "--seed", "r")[0] == 0
         curve = storage.load_system_params(workspace / "system.txt").curve
-        (record,) = FileTranscriptStore(workspace / "transcripts.log", curve)
+        (record,) = read_log(workspace / "transcripts.log", curve)
         assert (record.started_ms, record.finished_ms) == (2**64 - 2, 2**64 - 1)
 
     @pytest.mark.parametrize("times_q", [0, 1], ids=["0", "q"])

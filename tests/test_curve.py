@@ -958,6 +958,17 @@ class TestEncodings:
             decode_gt(data, toy_params, 5)
         assert info.value.position == position
 
+    @pytest.mark.parametrize(
+        "a, b, reason, position",
+        [(P, 1, "real component out of range", 5), (1, P, "imaginary component out of range", 7)],
+    )
+    def test_gt_decode_refuses_a_component_of_exactly_p(self, toy_params, a, b, reason, position):
+        # (1, p) is a second encoding of 1, and (p, 1) one of i
+        data = a.to_bytes(2, "big") + b.to_bytes(2, "big")
+        with pytest.raises(DecodeError, match=reason) as info:
+            decode_gt(data, toy_params, 5)
+        assert info.value.position == position
+
 
 class TestPinnedOutputs:
     """Outputs of the affine arithmetic this code replaced; any rewrite of

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dvbsig import curve, scheme
+from dvbsig import curve, scheme, session
 from dvbsig.curve import (
     G1Point,
     decode_point,
@@ -19,7 +19,14 @@ from dvbsig.scheme import (
     decode_signature,
     encode_signature,
 )
-from tests.conftest import TOY_SIGNER, TOY_THIRD_PARTY, TOY_VERIFIER, TapeRng, scalar_chunk
+from tests.conftest import (
+    TOY_SIGNER,
+    TOY_THIRD_PARTY,
+    TOY_VERIFIER,
+    TapeRng,
+    find_tape_triples,
+    scalar_chunk,
+)
 from tests.test_curve import add_oracle, mul_oracle, neg, off_subgroup_point
 
 P, Q = 311, 13
@@ -366,16 +373,7 @@ class TestVerify:
             sig = self._sign(
                 system, toy_keys[TOY_SIGNER], toy_keys[TOY_VERIFIER], MESSAGE, seed=f"s{i}"
             )
-            h = scheme.h2(MESSAGE, sig.u_prime, Q)
-            anchor = add_oracle(
-                P,
-                (sig.u_prime.x, sig.u_prime.y) if not sig.u_prime.is_identity else None,
-                mul_oracle(
-                    P, h, (toy_keys[TOY_SIGNER].public.x, toy_keys[TOY_SIGNER].public.y)
-                ),
-            )
-            if anchor is None:
-                continue  # sigma = 1 edge case: verifies under any key
+            # a degenerate session's sigma = 1 is refused too, for every key
             if scheme.verify(
                 system,
                 toy_keys[TOY_THIRD_PARTY].secret,
@@ -385,6 +383,26 @@ class TestVerify:
             ):
                 accepted += 1
         assert accepted == 0
+
+    def test_degenerate_signature_rejects_for_every_verifier(self, toy_system, toy_keys):
+        # U' = t*Q_s with H2(m, U') = -t (mod q) puts the identity in the
+        # pairing, so sigma = 1 matched every verifier's key: a forgery that
+        # needs no secret
+        system, _ = toy_system
+        signer = toy_keys[TOY_SIGNER]
+        forged = []
+        for message in (b"forged %d" % i for i in range(20)):
+            for t in range(1, Q):
+                u_prime = scalar_mul(t, signer.public)
+                if scheme.h2(message, u_prime, Q) == Q - t:
+                    forged.append((message, u_prime))
+        assert len(forged) >= 10
+        for name in (TOY_VERIFIER, TOY_THIRD_PARTY):
+            secret = toy_keys[name].secret
+            one = tate_pairing(secret, G1Point.identity(P), system.curve)
+            for message, u_prime in forged:
+                sig = scheme.Signature(u_prime, one)
+                assert not scheme.verify(system, secret, signer.public, message, sig)
 
     def test_verify_with_identity_matches(self, toy_system, toy_keys):
         system, _ = toy_system
@@ -399,7 +417,7 @@ class TestSimulate:
         system, _ = toy_system
         rng = SeededRng("sim")
         for _ in range(20):
-            sig = scheme.simulate(
+            sig = session.simulate(
                 system,
                 toy_keys[TOY_SIGNER].public,
                 toy_keys[TOY_VERIFIER].secret,
@@ -427,18 +445,36 @@ class TestSimulate:
             )
             response = scheme.sign_respond(system, state, challenge)
             real = scheme.unblind(system, blind_state, response, verifier.public)
-            simulated = scheme.simulate(
+            simulated = session.simulate(
                 system, signer.public, verifier.secret, MESSAGE, SeededRng(f"tape-{seed}")
             )
             assert encode_signature(real) == encode_signature(simulated)
 
+    def test_degenerate_attempt_reruns(self, toy_system, toy_keys):
+        # a degenerate attempt's sigma = 1 verified for every verifier; the
+        # rerun gives what the benign draws alone give.  MESSAGE has no
+        # degenerate draws at q = 13
+        system, _ = toy_system
+        signer, verifier = toy_keys[TOY_SIGNER], toy_keys[TOY_VERIFIER]
+        message = b"settle the invoice"
+        degenerate, benign = find_tape_triples(system, signer, message)
+
+        def simulate(*triples):
+            tape = TapeRng([scalar_chunk(v, Q) for triple in triples for v in triple])
+            signature = session.simulate(system, signer.public, verifier.secret, message, tape)
+            assert tape.chunks == []
+            return signature
+
+        rerun = simulate(degenerate, benign)
+        assert rerun == simulate(benign) and not rerun.sigma.is_one
+
     def test_seeded_replay(self, toy_system, toy_keys):
         system, _ = toy_system
-        a = scheme.simulate(
+        a = session.simulate(
             system, toy_keys[TOY_SIGNER].public, toy_keys[TOY_VERIFIER].secret, MESSAGE,
             SeededRng("replay"),
         )
-        b = scheme.simulate(
+        b = session.simulate(
             system, toy_keys[TOY_SIGNER].public, toy_keys[TOY_VERIFIER].secret, MESSAGE,
             SeededRng("replay"),
         )

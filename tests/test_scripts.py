@@ -130,6 +130,8 @@ def test_mutate_checks_operators():
         b"        raise ValueError('bad')\n"
         b"    if n <= 0:\n"
         b"        return None\n"
+        b"    if n > 2 * low:\n"
+        b"        raise ValueError('big')\n"
         b"    return n\n"
     )
     mutants = mutate.find_mutants(source)
@@ -137,6 +139,8 @@ def test_mutate_checks_operators():
         (2, "boundary", "n < low", "n <= low"),
         (2, "point-fault", "point_fault(point, n)", "None"),
         (3, "raise-to-pass", "raise ValueError('bad')", "pass"),
+        (6, "boundary", "n > 2 * low", "n >= 2 * low"),
+        (7, "raise-to-pass", "raise ValueError('big')", "pass"),
     ]
     assert mutate.apply(source, mutants[1]).splitlines()[1] == (
         "    if n < low or None:  # ±".encode("utf-8")

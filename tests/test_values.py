@@ -5,6 +5,9 @@ a decoded point's first product reuses the doubling chain of its order-q
 check is tested in test_scheme (TestUnblind) and test_curve
 (TestPrecompute)."""
 
+import copy
+import pickle
+
 import pytest
 
 from dvbsig import analysis, curve, scheme, session, storage
@@ -102,6 +105,20 @@ def test_a_value_equals_only_its_own_class(toy_params, index):
     # each constructor takes the fields in slot order
     assert type(value)(*fields) == value
     assert value != Twin(*fields) and Twin(*fields) != value
+
+
+@pytest.mark.parametrize("index", range(3), ids=["G1Point", "Fp2Element", "GTElement"])
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_value_copies_and_pickles(toy_params, index, duplicate):
+    # the default reduction restored the slots by setattr, which a value refuses
+    value = toy_values(toy_params)[index]
+    twin = duplicate(value)
+    assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+    assert_fields_refuse_assignment(twin, type(value).__slots__)
 
 
 def test_repr_and_hash_are_pinned(toy_params):
