@@ -10,7 +10,10 @@ passes.  The operators:
 - raise-to-pass:   a `raise` statement becomes `pass`;
 - point-fault:     a call to `point_fault` becomes `None` (every point passes);
 - boundary:        `<` and `<=`, or `>` and `>=`, swap in the test of an
-                   `if` whose body raises.
+                   `if` whose body raises;
+- return-verdict:  an `if` whose body refuses by return value, `return
+                   False` or a `return` of a string (a reason), gets the
+                   body `pass`.
 
 Usage (from anywhere; paths are relative to the repository root):
 
@@ -62,6 +65,14 @@ def _is_point_fault_call(node: ast.AST) -> bool:
     return name == "point_fault"
 
 
+def _is_verdict_return(node: ast.AST) -> bool:
+    """`return False` or `return "<reason>"`."""
+    value = node.value if isinstance(node, ast.Return) else None
+    return isinstance(value, ast.Constant) and (
+        value.value is False or isinstance(value.value, str)
+    )
+
+
 def find_mutants(source: bytes) -> list[Mutant]:
     """Every mutant of `source`, in source order."""
     line_starts = [0]  # ast columns are byte offsets into their line
@@ -90,6 +101,8 @@ def find_mutants(source: bytes) -> list[Mutant]:
                         ops[i] = BOUNDARY[type(op)]()
                         swapped = ast.Compare(compare.left, ops, compare.comparators)
                         add(compare, "boundary", ast.unparse(swapped))
+        if isinstance(node, ast.If) and len(node.body) == 1 and _is_verdict_return(node.body[0]):
+            add(node.body[0], "return-verdict", "pass")
     return sorted(found, key=lambda m: (m.start, m.operator))
 
 

@@ -91,8 +91,8 @@ def _fmt(value: Fraction) -> str:
 def cmd_params_gen(ws: storage.Workspace, args) -> int:
     seed = (args.seed or "dvbsig-params").encode("utf-8")
     if args.q_value is not None:
-        if not is_prime(args.q_value):
-            raise cli.CommandLineError(f"--q-value {args.q_value} is not prime")
+        if args.q_value < 5 or not is_prime(args.q_value):  # 2 and 3 divide every 12*r
+            raise cli.CommandLineError(f"--q-value {args.q_value} is not a prime of at least 5")
         q = args.q_value
     else:
         if args.q_bits is None:

@@ -542,7 +542,8 @@ def params_for_subgroup_order(
     p_bits: int | None = None,
     security_label: str = "",
 ) -> CurveParams:
-    """Build curve parameters around a given prime subgroup order q.
+    """Build curve parameters around a given prime subgroup order q >= 5:
+    2 and 3 divide every cofactor 12*r, so no search is run for them.
 
     Searches the smallest r with p = 12*q*r - 1 prime (so p = 3 mod 4) and
     q not dividing 12*r.  When p_bits is given, r runs over the window that
@@ -550,8 +551,8 @@ def params_for_subgroup_order(
     R_SEARCH_LIMIT then bounds the number of candidates tried, not r itself.
     The generator is hash_to_point(b"generator|" + seed).
     """
-    if not is_prime(q):
-        raise ParamSearchFailed(f"subgroup order {q} is not prime")
+    if not is_prime(q) or 12 % q == 0:
+        raise ParamSearchFailed(f"subgroup order {q} is not a prime of at least 5")
     if p_bits is None:
         r_start, r_stop = 1, R_SEARCH_LIMIT + 1
     else:

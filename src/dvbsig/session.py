@@ -12,10 +12,11 @@ never contains the message, the blinding factors, or the final signature.
 from __future__ import annotations
 
 import fcntl
+import os
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from . import scheme
 from .algebra import encode_int
@@ -122,11 +123,11 @@ def encode_transcript(t: Transcript, params: CurveParams) -> bytes:
     return _frame(TAG_TRANSCRIPT, payload)
 
 
-def decode_transcript(data: bytes | memoryview, params: CurveParams) -> tuple[Transcript, int]:
-    """Parse one transcript frame from the head of `data`, which may be a
-    view into a whole log; returns it and the frame's length.  U and V get
-    every check of `decode_point` but the order-q one, which the caller
-    owes them (`point_fault`) before they are used."""
+def decode_transcript(data: bytes, params: CurveParams) -> tuple[Transcript, int]:
+    """Parse one transcript frame from the head of `data`; returns it and
+    the frame's length.  U and V get every check of `decode_point` but the
+    order-q one, which the caller owes them (`point_fault`) before they are
+    used."""
     r = Reader(data)
     tag, body = _open_frame(r)
     if tag != TAG_TRANSCRIPT:
@@ -279,9 +280,9 @@ def _sound_attempt(
 
 
 class TranscriptStore:
-    """Append-only in-memory store keyed by session id, insertion-ordered.
-    Appends are serialized with a lock; sessions running on different
-    threads may share one store."""
+    """Append-only in-memory store keyed by session id.  Appends are
+    serialized with a lock; sessions running on different threads may share
+    one store."""
 
     def __init__(self):
         self._by_id: dict[bytes, Transcript] = {}
@@ -296,25 +297,19 @@ class TranscriptStore:
     def get(self, session_id: bytes) -> Transcript:
         return self._by_id[session_id]
 
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __iter__(self) -> Iterator[Transcript]:
-        return iter(self._by_id.values())
-
 
 class FileTranscriptStore:
     """Append-only file of transcript frames that keeps only the session ids
-    it holds, all that refusing a repeated one needs.  Opening the file
-    checks each record whole but for the order of its two points, so it
-    needs no curve arithmetic; a malformed record, or one repeating an
-    earlier record's session id, is a DecodeError naming the file and the
-    offset in it.
+    it holds, all that refusing a repeated one needs.
 
-    Processes share the file under `fcntl.flock`: opening reads it under a
-    shared lock, and `record` holds an exclusive one while it reads what
-    other processes appended since, refuses a session id already in the
-    file and appends.  So no session is recorded twice, whoever races."""
+    The file is read in one place, `record`, under the exclusive
+    `fcntl.flock` it appends under: it reads, a frame at a time, what was
+    appended since it last looked, refuses a session id already in the file
+    and appends.  So no session is recorded twice, whoever races.  Each
+    record read is checked whole but for the order of its two points, so no
+    curve arithmetic runs; a malformed record, or one repeating an earlier
+    record's session id, is a DecodeError naming the file and the offset in
+    it, and the file is left as it was."""
 
     def __init__(self, path: str | Path, params: CurveParams):
         self.path = Path(path)
@@ -322,32 +317,28 @@ class FileTranscriptStore:
         self._ids: set[bytes] = set()
         self._read = 0  # bytes of the file decoded so far
         self._lock = threading.Lock()
-        if self.path.exists():
-            with self.path.open("rb") as fh:
-                fcntl.flock(fh, fcntl.LOCK_SH)
-                self._catch_up(fh)
 
     def _catch_up(self, fh) -> None:
-        """Decode the records past the first `_read` bytes of the locked file.
-        `_read` passes each record as it is kept, so after an error a retry
-        starts at the record at fault."""
+        """Decode the records past the first `_read` bytes of the locked file,
+        one frame at a time.  `_read` passes each record as it is kept, so
+        after an error a retry starts at the record at fault."""
+        end = fh.seek(0, os.SEEK_END)
         fh.seek(self._read)
-        # one view of the new bytes: each record's slice of it copies nothing
-        data = memoryview(fh.read())
-        pos = 0
-        while pos < len(data):
-            at = self._read
+        while self._read < end:
+            header = fh.read(5)
+            # a damaged length reads no further than the end of the file
+            size = min(int.from_bytes(header[1:], "big"), end - self._read - len(header))
+            frame = header + fh.read(size)
             try:
-                transcript, used = decode_transcript(data[pos:], self.params)
+                transcript, _ = decode_transcript(frame, self.params)
             except DecodeError as exc:
-                raise DecodeError(f"{self.path}: {exc.reason}", at + exc.position) from None
+                raise DecodeError(f"{self.path}: {exc.reason}", self._read + exc.position) from None
             if transcript.session_id in self._ids:
                 raise DecodeError(
-                    f"{self.path}: repeated session id {transcript.session_id.hex()}", at
+                    f"{self.path}: repeated session id {transcript.session_id.hex()}", self._read
                 )
             self._ids.add(transcript.session_id)
-            pos += used
-            self._read += used
+            self._read += len(frame)
 
     def record(self, transcript: Transcript) -> None:
         # encoded first: a transcript the log cannot hold changes nothing
@@ -360,6 +351,3 @@ class FileTranscriptStore:
             fh.write(frame)
             self._ids.add(transcript.session_id)
             self._read += len(frame)
-
-    def __len__(self) -> int:
-        return len(self._ids)

@@ -64,14 +64,14 @@ def find_tape_triples(system, signer, message):
 
 
 def read_log(path, params):
-    """Every transcript in the log at `path`, decoded record by record (the
+    """Every transcript in the log at `path`, decoded a frame at a time (the
     file-backed store keeps only session ids).  The points have not passed
     the order-q check: `point_fault` them before any use."""
-    data, records = memoryview(path.read_bytes()), []
-    while data:
-        record, used = decode_transcript(data, params)
-        records.append(record)
-        data = data[used:]
+    records = []
+    with path.open("rb") as fh:
+        while header := fh.read(5):
+            frame = header + fh.read(int.from_bytes(header[1:], "big"))
+            records.append(decode_transcript(frame, params)[0])
     return records
 
 

@@ -175,8 +175,7 @@ class TestStepwiseSigning:
         assert code == 0 and out.strip() == "VALID"
         # the signer's view landed in the transcript log
         system = storage.load_system_params(workspace / "system.txt")
-        store = FileTranscriptStore(workspace / "transcripts.log", system.curve)
-        assert len(store) == 1
+        assert len(read_log(workspace / "transcripts.log", system.curve)) == 1
 
     def test_commit_frame_of_another_kind_refused(self, run, workspace, message_file):
         # a response carries a point too, so without the kind check sign blind
@@ -369,7 +368,8 @@ class TestStepwiseSigning:
         codes = [proc.wait(timeout=60) for proc in procs]
         assert sorted(codes[:2]) == [0, 2] and codes[2:] == [0, 0]
         curve = storage.load_system_params(ws / "system.txt").curve
-        assert len(FileTranscriptStore(ws / "transcripts.log", curve)) == 3
+        records = read_log(ws / "transcripts.log", curve)
+        assert len({t.session_id for t in records}) == len(records) == 3
 
     def test_failed_respond_returns_the_claim(self, run, workspace, message_file):
         # nothing was recorded, so the session can answer once the challenge is back
@@ -1102,10 +1102,12 @@ class TestErrorPaths:
         log = workspace / "transcripts.log"
         with log.open("ab") as fh:
             fh.write(b"\x10\x00\x00")
+        before = log.read_bytes(), (workspace / "sig.bin").read_bytes()
         code, out, err = run(*sign, "--seed", "s2")
         assert code == 3 and out == ""
-        size = log.stat().st_size
-        assert f"{log}: truncated frame header (at byte {size})" in err
+        assert f"{log}: truncated frame header (at byte {len(before[0])})" in err
+        # the log is read as the session is recorded, before a signature is written
+        assert (log.read_bytes(), (workspace / "sig.bin").read_bytes()) == before
 
     def test_sign_run_past_a_logged_point_outside_the_subgroup(
         self, run, workspace, message_file
@@ -1126,10 +1128,9 @@ class TestErrorPaths:
         log.write_bytes(b"".join(encode_transcript(t, curve) for t in (first, rogue, third)))
         code, out, err = run(*sign, "--seed", "s4")
         assert (code, err) == (0, "") and out.startswith("wrote ")
-        assert len(FileTranscriptStore(log, curve)) == 4
         # read back, the rogue record still needs its order check before use
         records = read_log(log, curve)
-        assert records[:3] == [first, rogue, third]
+        assert len(records) == 4 and records[:3] == [first, rogue, third]
         assert point_fault(records[1].commitment, curve.q)
 
     def blinded_session(self, run, workspace, message_file):
@@ -1320,6 +1321,9 @@ class TestErrorPaths:
             # no p = 12*q*r - 1 has that few bits for q
             ("params", "gen", "--q-value", "13", "--p-bits", "5"),
             ("params", "gen", "--q-bits", "8", "--p-bits", "6"),
+            # 2 and 3 divide every cofactor 12*r: refused before the search
+            ("params", "gen", "--q-value", "2"),
+            ("params", "gen", "--q-value", "3"),
         ],
     )
     def test_numeric_flags_checked(self, run, workspace, command):

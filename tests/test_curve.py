@@ -246,6 +246,15 @@ class TestParameterSearch:
         with pytest.raises(ParamSearchFailed):
             params_for_subgroup_order(15, b"toy")
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_orders_dividing_12_refused_before_the_search(self, q, monkeypatch):
+        # no cofactor 12*r is free of q, so the search could only run out
+        tested, check = [], curve.is_prime
+        monkeypatch.setattr(curve, "is_prime", lambda n: tested.append(n) or check(n))
+        with pytest.raises(ParamSearchFailed, match=f"order {q} is not a prime of at least 5"):
+            params_for_subgroup_order(q, b"toy")
+        assert tested == [q]
+
     def test_generate_params_refuses_q_bits_below_4(self):
         # a 3-bit q would be found (5 or 7) and a curve built around it
         with pytest.raises(ParamSearchFailed, match="q_bits must be at least 4"):

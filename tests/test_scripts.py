@@ -133,6 +133,14 @@ def test_mutate_checks_operators():
         b"    if n > 2 * low:\n"
         b"        raise ValueError('big')\n"
         b"    return n\n"
+        b"def verdict(n):\n"
+        b"    if n < 0:\n"
+        b"        return False\n"
+        b"    if n > 9:\n"
+        b"        return 'is too big'\n"
+        b"    if n == 5:\n"
+        b"        return None\n"
+        b"    return True\n"
     )
     mutants = mutate.find_mutants(source)
     assert [(m.line, m.operator, m.original, m.replacement) for m in mutants] == [
@@ -141,6 +149,8 @@ def test_mutate_checks_operators():
         (3, "raise-to-pass", "raise ValueError('bad')", "pass"),
         (6, "boundary", "n > 2 * low", "n >= 2 * low"),
         (7, "raise-to-pass", "raise ValueError('big')", "pass"),
+        (11, "return-verdict", "return False", "pass"),
+        (13, "return-verdict", "return 'is too big'", "pass"),
     ]
     assert mutate.apply(source, mutants[1]).splitlines()[1] == (
         "    if n < low or None:  # ±".encode("utf-8")

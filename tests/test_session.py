@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -426,7 +428,7 @@ class TestLocalRunner:
                 clock=LogicalClock(),
             )
         assert tape.chunks == []  # all MAX_RETRIES + 1 attempts ran
-        assert len(store) == 0 and not log.exists()
+        assert not log.exists()
 
     def test_store_receives_successful_sessions(self, toy_system, toy_keys):
         system, _ = toy_system
@@ -440,7 +442,6 @@ class TestLocalRunner:
             store=store,
             clock=LogicalClock(),
         )
-        assert len(store) == 1
         assert store.get(outcome.transcript.session_id) == outcome.transcript
 
 
@@ -473,14 +474,6 @@ class TestTranscriptStore:
         with pytest.raises(DuplicateSession):
             store.record(t)
 
-    def test_order_preserved(self, toy_params):
-        store = TranscriptStore()
-        transcripts = self._transcripts(toy_params, 10)
-        for t in transcripts:
-            store.record(t)
-        assert len(store) == 10
-        assert list(store) == transcripts
-
     def test_file_store_roundtrip(self, toy_params, tmp_path):
         path = tmp_path / "transcripts.log"
         store = FileTranscriptStore(path, toy_params)
@@ -488,9 +481,9 @@ class TestTranscriptStore:
         for t in transcripts:
             store.record(t)
         reopened = FileTranscriptStore(path, toy_params)
-        assert len(reopened) == 5 and read_log(path, toy_params) == transcripts
         with pytest.raises(DuplicateSession):
             reopened.record(transcripts[2])
+        assert read_log(path, toy_params) == transcripts
 
     @pytest.mark.parametrize(
         "damage", ["stray tail", "second record's commitment tag", "last record's response tag"]
@@ -498,7 +491,7 @@ class TestTranscriptStore:
     def test_file_store_error_names_file_and_offset(self, toy_params, tmp_path, damage):
         path = tmp_path / "transcripts.log"
         store = FileTranscriptStore(path, toy_params)
-        transcripts = self._transcripts(toy_params, 9 if damage.startswith("last") else 2)
+        *transcripts, extra = self._transcripts(toy_params, 10 if damage.startswith("last") else 3)
         for t in transcripts:
             store.record(t)
         data = bytearray(path.read_bytes())
@@ -512,10 +505,28 @@ class TestTranscriptStore:
             offset = head + (30 if damage.startswith("second") else 36)
             data[offset] = 0x07
         path.write_bytes(bytes(data))
+        # the log is read only under the lock `record` appends under
+        store = FileTranscriptStore(path, toy_params)
         with pytest.raises(DecodeError) as info:
-            FileTranscriptStore(path, toy_params)
+            store.record(extra)
         assert str(info.value).startswith(f"{path}: ")
         assert info.value.position == offset
+        assert path.read_bytes() == data
+
+    def test_file_store_damaged_length_reads_no_further_than_the_file(self, toy_params, tmp_path):
+        # a read of the declared 2^32 - 1 bytes would allocate them all first
+        path = tmp_path / "transcripts.log"
+        a, b = self._transcripts(toy_params, 2)
+        path.write_bytes(b"\x10\xff\xff\xff\xff" + encode_transcript(a, toy_params)[5:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError) as info:
+                FileTranscriptStore(path, toy_params).record(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}: truncated frame payload (at byte 57)"
+        assert peak < 2**20
 
     def test_file_store_repeated_session_id_names_file_and_offset(self, toy_params, tmp_path):
         path = tmp_path / "transcripts.log"
@@ -524,12 +535,15 @@ class TestTranscriptStore:
         message = f"{path}: repeated session id {a.session_id.hex()} (at byte 57)"
         path.write_bytes(record * 2)
         with pytest.raises(DecodeError) as info:
-            FileTranscriptStore(path, toy_params)
+            FileTranscriptStore(path, toy_params).record(b)
         assert str(info.value) == message and info.value.position == len(record) == 57
-        # the same record appended after the store opened: `record` reads it first
-        path.write_bytes(record)
+        assert path.read_bytes() == record * 2
+        # the same record appended after the store's last catch-up: the next reads it
+        path.unlink()
         store = FileTranscriptStore(path, toy_params)
-        path.write_bytes(record * 2)
+        store.record(a)
+        with path.open("ab") as fh:
+            fh.write(record)
         with pytest.raises(DecodeError) as info:
             store.record(b)
         assert str(info.value) == message
@@ -548,7 +562,11 @@ class TestTranscriptStore:
             with pytest.raises(DecodeError) as info:
                 store.record(c)
             assert str(info.value) == f"{path}: truncated frame header (at byte 117)"
-        assert len(store) == 2
+        # with the stray 3 bytes cut, the catch-up goes on from there
+        with path.open("r+b") as fh:
+            fh.truncate(114)
+        store.record(c)
+        assert read_log(path, toy_params) == [a, b, c]
 
     def test_file_store_refused_record_changes_nothing(self, toy_params, tmp_path):
         # the frame is encoded before the log is opened: a transcript the log
@@ -558,16 +576,16 @@ class TestTranscriptStore:
         (t,) = self._transcripts(toy_params, 1)
         with pytest.raises(OverflowError):
             store.record(t._replace(started_ms=2**64))
-        assert len(store) == 0 and not path.exists()
+        assert not path.exists()
         store.record(t)
         assert read_log(path, toy_params) == [t]
 
-    def test_file_store_reopen_copies_no_tail(self, toy_params, tmp_path, monkeypatch):
-        # each record is read from one view of the file, not from a copy of
-        # the rest of it, which made reopening quadratic in the log's length
+    def test_file_store_catch_up_reads_a_frame_at_a_time(self, toy_params, tmp_path, monkeypatch):
+        # each decode gets exactly one record's bytes, not the rest of the
+        # file: the log is never held in memory whole
         path = tmp_path / "transcripts.log"
         store = FileTranscriptStore(path, toy_params)
-        transcripts = self._transcripts(toy_params, 6)
+        *transcripts, extra = self._transcripts(toy_params, 7)
         for t in transcripts:
             store.record(t)
         seen = []
@@ -576,11 +594,11 @@ class TestTranscriptStore:
             session, "decode_transcript", lambda data, p: seen.append(data) or decode(data, p)
         )
         reopened = FileTranscriptStore(path, toy_params)
-        # each kept id is a copy: a view would hold the whole file in memory
-        assert sorted(reopened._ids) == [t.session_id for t in transcripts]
-        assert all(type(sid) is bytes for sid in reopened._ids)
-        assert len(seen) == 6
-        assert all(isinstance(d, memoryview) and d.obj is seen[0].obj for d in seen)
+        assert seen == []
+        reopened.record(extra)
+        assert seen == [encode_transcript(t, toy_params) for t in transcripts]
+        assert all(type(d) is bytes for d in seen)
+        assert sorted(reopened._ids) == [t.session_id for t in transcripts + [extra]]
 
     def test_file_store_sees_records_appended_since_it_opened(self, toy_params, tmp_path):
         # two processes with the log open: the second to record a session id
@@ -593,15 +611,19 @@ class TestTranscriptStore:
         with pytest.raises(DuplicateSession):
             second.record(a)
         first.record(c)
-        assert len(first) == 3 and read_log(path, toy_params) == [a, b, c]
-        assert len(FileTranscriptStore(path, toy_params)) == 3
+        assert read_log(path, toy_params) == [a, b, c]
+        fresh = FileTranscriptStore(path, toy_params)
+        for t in (a, b, c):
+            with pytest.raises(DuplicateSession):
+                fresh.record(t)
 
-    def test_file_store_reopen_keeps_the_product_cache(self, mid_params, tmp_path, mul_raw_calls):
-        # reopening runs no curve arithmetic: the records' points get no
+    def test_file_store_catch_up_keeps_the_product_cache(self, mid_params, tmp_path, mul_raw_calls):
+        # a catch-up runs no curve arithmetic: the records' points get no
         # order-q check, so neither chain cache is even read
         path = tmp_path / "transcripts.log"
         store = FileTranscriptStore(path, mid_params)
-        for t in self._transcripts(mid_params, 16):
+        transcripts = self._transcripts(mid_params, 16)
+        for t in transcripts:
             store.record(t)
         chains = (curve._doubling_chain, curve._product_chain)
         for cache in chains:
@@ -609,13 +631,14 @@ class TestTranscriptStore:
         scalar_mul(7, scalar_mul(424242, mid_params.generator))
         before = [cache.cache_info() for cache in chains]
         mul_raw_calls.clear()
-        assert len(FileTranscriptStore(path, mid_params)) == 16
+        with pytest.raises(DuplicateSession):
+            FileTranscriptStore(path, mid_params).record(transcripts[-1])
         assert mul_raw_calls == []
         assert [cache.cache_info() for cache in chains] == before
         for cache in chains:
             cache.cache_clear()
 
-    def test_file_store_reopens_a_production_log_without_curve_arithmetic(
+    def test_file_store_catches_up_on_a_production_log_without_curve_arithmetic(
         self, tmp_path, mul_raw_calls
     ):
         params = curve.params_for_subgroup_order(2**159 + 2**17 + 1, b"log", p_bits=512)
@@ -636,7 +659,7 @@ class TestTranscriptStore:
         )
         mul_raw_calls.clear()
         store = FileTranscriptStore(path, params)
-        assert len(store) == 10**4
-        assert mul_raw_calls == []
+        # the last record's id is known only once all 10^4 have been read
         with pytest.raises(DuplicateSession):
             store.record(t._replace(session_id=ids[-1]))
+        assert mul_raw_calls == []
