@@ -11,7 +11,7 @@ import argparse
 from fractions import Fraction
 
 from dvbsig.analysis import (
-    OpCosts,
+    REFERENCE_COSTS,
     QueryBudget,
     unforgeability_bound,
     unverifiability_bound,
@@ -25,7 +25,6 @@ def main() -> None:
     parser.add_argument("--t", default="1000", help="adversary runtime (ms)")
     args = parser.parse_args()
 
-    costs = OpCosts.reference()
     eps = Fraction(args.eps)
     print(f"adversary advantage {eps}, runtime {args.t} ms, |G| = {args.q}")
     header = f"{'qH1':>8} {'qE=qS=qV':>9} {'bdh advantage':>16} {'bdh time ms':>14} {'dbdh time ms':>14}"
@@ -42,8 +41,8 @@ def main() -> None:
             advantage=eps,
             runtime=Fraction(args.t),
         )
-        forge = unforgeability_bound(budget, costs, args.q)
-        dver = unverifiability_bound(budget, costs, args.q)
+        forge = unforgeability_bound(budget, REFERENCE_COSTS, args.q)
+        dver = unverifiability_bound(budget, REFERENCE_COSTS, args.q)
         print(
             f"{qh1:>8} {side:>9} {float(forge.advantage):>16.3e}"
             f" {float(forge.runtime):>14.2f} {float(dver.runtime):>14.2f}"

@@ -32,7 +32,8 @@ Rational = Fraction | int
 
 
 class QueryBudget(NamedTuple):
-    """Adversary resources in the random-oracle security games."""
+    """Adversary resources in the random-oracle security games.  No bound
+    reads `h2_queries`."""
 
     h1_queries: int = 0
     h2_queries: int = 0
@@ -43,28 +44,28 @@ class QueryBudget(NamedTuple):
     runtime: Rational = 0
 
 
-class OpCosts(NamedTuple):
-    """Unit operation costs in milliseconds (exact rationals)."""
+class Ops(NamedTuple):
+    """One value per operation kind: a count of operations, or a unit cost
+    in milliseconds (an exact rational)."""
 
     g1_scalar_mul: Rational = 0
     g2_scalar_mul: Rational = 0
     g1_group_op: Rational = 0
     g2_group_op: Rational = 0
-    pairing: Rational = 0
     map_to_point: Rational = 0
+    pairing: Rational = 0
 
-    @classmethod
-    def reference(cls) -> OpCosts:
-        """The published benchmark table for a Tate pairing at the 1024-bit
-        RSA security level: 6.38 ms per G1 scalar multiplication, 5.31 ms per
-        G2 exponentiation, 3.04 ms per map-to-point, 20.04 ms per pairing.
-        Plain group operations were not priced there and default to 0."""
-        return cls(
-            g1_scalar_mul=Fraction(638, 100),
-            g2_scalar_mul=Fraction(531, 100),
-            pairing=Fraction(2004, 100),
-            map_to_point=Fraction(304, 100),
-        )
+
+# The published benchmark table for a Tate pairing at the 1024-bit RSA
+# security level: 6.38 ms per G1 scalar multiplication, 5.31 ms per G2
+# exponentiation, 3.04 ms per map-to-point, 20.04 ms per pairing.  Plain
+# group operations were not priced there and cost 0.
+REFERENCE_COSTS = Ops(
+    g1_scalar_mul=Fraction(638, 100),
+    g2_scalar_mul=Fraction(531, 100),
+    map_to_point=Fraction(304, 100),
+    pairing=Fraction(2004, 100),
+)
 
 
 class ReductionBound(NamedTuple):
@@ -74,90 +75,48 @@ class ReductionBound(NamedTuple):
     runtime: Fraction
 
 
-def _advantage_factor(budget: QueryBudget, group_order: int) -> Fraction:
-    qh1 = budget.h1_queries
+def _bound(budget: QueryBudget, costs: Ops, group_order: int, tail: Ops) -> ReductionBound:
+    """The derived solver's advantage, which both reductions share, and its
+    running time: answering queries costs (qH1 + qE + 3qS + qV) G1 scalar
+    multiplications, (qS + qV) pairings and qS G1 group operations, `tail`
+    assembles the final solution, and the adversary's own time is added."""
+    qh1, _, qe, qs, qv, eps, t = budget
     if qh1 < 2:
         raise DomainError("the bound needs at least 2 identity-hash queries")
     if group_order < 2:
         raise DomainError("group order must be at least 2")
-    qe, qs, qv = budget.extract_queries, budget.sign_queries, budget.verify_queries
     pair_term = Fraction(2, qh1 * (qh1 - 1))
-    return (
+    advantage = (
         (1 - Fraction(1, group_order**2))
         * (1 - Fraction(2, qh1)) ** (qe + qv)
         * (1 - pair_term) ** qs
         * pair_term
+        * Fraction(eps)
     )
+    queries = Ops(g1_scalar_mul=qh1 + qe + 3 * qs + qv, g1_group_op=qs, pairing=qs + qv)
+    runtime = perf_model(queries, costs) + perf_model(tail, costs) + Fraction(t)
+    return ReductionBound(advantage, runtime)
 
 
-def unforgeability_advantage(budget: QueryBudget, group_order: int) -> Fraction:
-    """Success probability of the derived BDHP solver."""
-    return _advantage_factor(budget, group_order) * Fraction(budget.advantage)
+def unforgeability_bound(budget: QueryBudget, costs: Ops, group_order: int) -> ReductionBound:
+    """Forger -> BDHP solver reduction; assembling the final solution takes
+    one G2 group operation and one G2 scalar multiplication."""
+    return _bound(budget, costs, group_order, Ops(g2_scalar_mul=1, g2_group_op=1))
 
 
-def _solver_runtime(budget: QueryBudget, costs: OpCosts, tail: OperationCounts) -> Fraction:
-    """Query answering costs (qH1 + qE + 3qS + qV) G1 scalar multiplications,
-    (qS + qV) pairings and qS G1 group operations; `tail` assembles the final
-    solution, and the adversary's own running time is added."""
-    qs, qv = budget.sign_queries, budget.verify_queries
-    queries = OperationCounts(
-        g1_scalar_mul=budget.h1_queries + budget.extract_queries + 3 * qs + qv,
-        g1_group_op=qs,
-        pairing=qs + qv,
-    )
-    return perf_model(queries, costs) + perf_model(tail, costs) + Fraction(budget.runtime)
-
-
-def unforgeability_runtime(budget: QueryBudget, costs: OpCosts) -> Fraction:
-    """Running time of the derived BDHP solver; assembling the final solution
-    adds one G2 group operation and one G2 scalar multiplication."""
-    return _solver_runtime(budget, costs, OperationCounts(g2_group_op=1, g2_scalar_mul=1))
-
-
-def unforgeability_bound(budget: QueryBudget, costs: OpCosts, group_order: int) -> ReductionBound:
-    """Forger -> BDHP solver reduction: advantage and time together."""
-    return ReductionBound(
-        advantage=unforgeability_advantage(budget, group_order),
-        runtime=unforgeability_runtime(budget, costs),
-    )
-
-
-def unverifiability_runtime(budget: QueryBudget, costs: OpCosts) -> Fraction:
-    """Running time of the derived DBDHP solver; differs from the
-    unforgeability reduction only in the solution-assembly tail (one extra
-    G1 scalar multiplication and pairing instead of a G2 group operation)."""
-    tail = OperationCounts(g1_scalar_mul=1, g2_scalar_mul=1, pairing=1)
-    return _solver_runtime(budget, costs, tail)
-
-
-def unverifiability_bound(budget: QueryBudget, costs: OpCosts, group_order: int) -> ReductionBound:
-    """Distinguisher -> DBDHP solver reduction: advantage and time together.
-    The advantage has the same closed form as the unforgeability reduction."""
-    return ReductionBound(
-        advantage=unforgeability_advantage(budget, group_order),
-        runtime=unverifiability_runtime(budget, costs),
-    )
+def unverifiability_bound(budget: QueryBudget, costs: Ops, group_order: int) -> ReductionBound:
+    """Distinguisher -> DBDHP solver reduction; assembling the final solution
+    takes one G1 and one G2 scalar multiplication and one pairing."""
+    return _bound(budget, costs, group_order, Ops(g1_scalar_mul=1, g2_scalar_mul=1, pairing=1))
 
 
 # ---------------------------------------------------------------------------
 # performance model
 
 
-class OperationCounts(NamedTuple):
-    """Per-phase operation counts (same axes as OpCosts)."""
-
-    g1_scalar_mul: int = 0
-    g2_scalar_mul: int = 0
-    g1_group_op: int = 0
-    g2_group_op: int = 0
-    pairing: int = 0
-    map_to_point: int = 0
-
-
-def perf_model(counts: OperationCounts, costs: OpCosts) -> Fraction:
+def perf_model(counts: Ops, costs: Ops) -> Fraction:
     """Exact-rational dot product of operation counts and unit costs (ms)."""
-    pairs = zip(counts._fields, counts)
-    return sum((n * Fraction(getattr(costs, axis)) for axis, n in pairs), Fraction(0))
+    return sum((n * Fraction(cost) for n, cost in zip(counts, costs)), Fraction(0))
 
 
 # Declared per-phase counts.  Signing totals five G1 scalar multiplications
@@ -168,27 +127,21 @@ def perf_model(counts: OperationCounts, costs: OpCosts) -> Fraction:
 # signing counts equal ours, its verification uses four pairings, and its
 # stated signing total does not match its stated operation counts, which the
 # report surfaces rather than resolves.
-SIGN_COUNTS = OperationCounts(g1_scalar_mul=5, map_to_point=1, pairing=1)
-VERIFY_COUNTS = OperationCounts(g1_scalar_mul=1, map_to_point=1, pairing=1)
-ZHANG_WEN_VERIFY_COUNTS = OperationCounts(g1_scalar_mul=1, map_to_point=1, pairing=4)
+SIGN_COUNTS = Ops(g1_scalar_mul=5, map_to_point=1, pairing=1)
+VERIFY_COUNTS = Ops(g1_scalar_mul=1, map_to_point=1, pairing=1)
+ZHANG_WEN_VERIFY_COUNTS = Ops(g1_scalar_mul=1, map_to_point=1, pairing=4)
 
 
 class PerfEntry(NamedTuple):
     scheme_name: str
     phase: str
-    counts: OperationCounts
+    counts: Ops
     modeled_ms: Fraction
-    stated_ms: Fraction | None = None
-
-    @property
-    def discrepancy(self) -> bool:
-        """True when the published total disagrees with its own counts."""
-        return self.stated_ms is not None and self.stated_ms != self.modeled_ms
+    stated_ms: Fraction
 
 
-def perf_report(costs: OpCosts | None = None) -> list[PerfEntry]:
+def perf_report(costs: Ops) -> list[PerfEntry]:
     """Modeled per-phase costs for this scheme and the Zhang-Wen baseline."""
-    costs = costs or OpCosts.reference()
     rows = [
         ("ours", "sign", SIGN_COUNTS, Fraction(5498, 100)),
         ("ours", "verify", VERIFY_COUNTS, Fraction(2946, 100)),

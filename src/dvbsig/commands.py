@@ -60,19 +60,26 @@ def _load_master_secret(ws: storage.Workspace, q: int) -> scheme.MasterSecret:
     return storage.load_master_secret(cli._require(ws.master_file, "master secret (run setup)"), q)
 
 
-def _count(text: str, low: int = 0) -> int:
-    """A query count or group order: a decimal integer, `low` or more."""
-    if not text.isdecimal() or int(text) < low:
-        raise ValueError(text)
-    return int(text)
+def _count(low: int):
+    """A parser of query counts and group orders: decimal integers >= low."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise ValueError(text)
+        return int(text)
+
+    return parse
 
 
 def _rational(low: int, high: int | None = None):
-    """A parser of rational numbers in [low, high], or from low up."""
+    """A parser of rational numbers in [low, high], or from low up, without an
+    exponent: 1e5000 is too long to print, and 1e4000000 takes seconds to read."""
 
     def parse(text: str) -> Fraction:
         from fractions import Fraction
 
+        if "e" in text.lower():
+            raise ValueError(text)
         try:
             value = Fraction(text)
         except ZeroDivisionError:
@@ -85,7 +92,12 @@ def _rational(low: int, high: int | None = None):
 
 
 def _fmt(value: Fraction) -> str:
-    return f"{value} ({float(value):.4f})"
+    """`value` exact and to four places, or to four places alone when its
+    numerator or denominator has more digits than `str` may print."""
+    limit = sys.get_int_max_str_digits()
+    # an integer of 3 * limit bits or fewer is below 2^(3 * limit) < 10^limit
+    fits = not limit or max(abs(value.numerator), value.denominator).bit_length() <= 3 * limit
+    return f"{value} ({float(value):.4f})" if fits else f"{float(value):.4f}"
 
 
 def cmd_params_gen(ws: storage.Workspace, args) -> int:
@@ -353,14 +365,14 @@ def _read_fields(name: str, what: str, known) -> tuple[dict[str, str], Path]:
     return fields, path
 
 
-def _load_costs(args) -> analysis.OpCosts:
+def _load_costs(args) -> analysis.Ops:
     from . import analysis
 
     if args.costs is None:
-        return analysis.OpCosts.reference()
-    fields, path = _read_fields(args.costs, "costs file", analysis.OpCosts._fields)
+        return analysis.REFERENCE_COSTS
+    fields, path = _read_fields(args.costs, "costs file", analysis.Ops._fields)
     cost = _rational(0)
-    return analysis.OpCosts(
+    return analysis.Ops(
         **{f: storage.kv_field(fields, f, path, cost, "a rational number >= 0") for f in fields}
     )
 
@@ -368,12 +380,13 @@ def _load_costs(args) -> analysis.OpCosts:
 def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
     from . import analysis
 
-    integer = "a decimal integer >= 0"
     # QueryBudget's fields in its order, then the group order
-    rules = [(key, _count, integer) for key in ("qh1", "qh2", "qe", "qs", "qv")] + [
+    rules = [
+        ("qh1", _count(2), "a decimal integer >= 2"),
+        *((key, _count(0), "a decimal integer >= 0") for key in ("qh2", "qe", "qs", "qv")),
         ("eps", _rational(0, 1), "a rational number in [0, 1]"),
         ("t", _rational(0), "a rational number >= 0"),
-        ("q", lambda text: _count(text, 2), "a decimal integer >= 2"),
+        ("q", _count(2), "a decimal integer >= 2"),
     ]
     # the flags give the defaults; a budget file's fields override them.  A
     # bad flag is a usage error, a bad field a DecodeError naming the file
@@ -392,14 +405,14 @@ def cmd_analyze_bounds(ws: storage.Workspace, args) -> int:
     *counts, group_order = [value(*rule) for rule in rules]
     budget = analysis.QueryBudget(*counts)
     costs = _load_costs(args)
-    forge = analysis.unforgeability_bound(budget, costs, group_order)
-    dver = analysis.unverifiability_bound(budget, costs, group_order)
-    print("problem = computational-bilinear-dh")
-    print(f"advantage = {_fmt(forge.advantage)}")
-    print(f"runtime_ms = {_fmt(forge.runtime)}")
-    print("problem = decisional-bilinear-dh")
-    print(f"advantage = {_fmt(dver.advantage)}")
-    print(f"runtime_ms = {_fmt(dver.runtime)}")
+    for problem, bound in (
+        ("computational-bilinear-dh", analysis.unforgeability_bound),
+        ("decisional-bilinear-dh", analysis.unverifiability_bound),
+    ):
+        advantage, runtime = bound(budget, costs, group_order)
+        print(f"problem = {problem}")
+        print(f"advantage = {_fmt(advantage)}")
+        print(f"runtime_ms = {_fmt(runtime)}")
     return 0
 
 
@@ -407,25 +420,15 @@ def cmd_analyze_perf(ws: storage.Workspace, args) -> int:
     from . import analysis
 
     for entry in analysis.perf_report(_load_costs(args)):
-        counts = entry.counts
-        parts = [
-            f"{n}*{kind}"
-            for kind, n in (
-                ("g1_scalar_mul", counts.g1_scalar_mul),
-                ("map_to_point", counts.map_to_point),
-                ("pairing", counts.pairing),
-            )
-            if n
-        ]
+        counts = " + ".join(f"{n}*{kind}" for kind, n in entry.counts._asdict().items() if n)
         line = (
             f"scheme = {entry.scheme_name} | phase = {entry.phase}"
-            f" | counts = {' + '.join(parts)}"
+            f" | counts = {counts}"
             f" | modeled_ms = {_fmt(entry.modeled_ms)}"
+            f" | stated_ms = {_fmt(entry.stated_ms)}"
         )
-        if entry.stated_ms is not None:
-            line += f" | stated_ms = {_fmt(entry.stated_ms)}"
-        if entry.discrepancy:
-            diff = entry.stated_ms - entry.modeled_ms
+        diff = entry.stated_ms - entry.modeled_ms
+        if diff:
             line += f" | DISCREPANCY: stated total exceeds its own counts by {_fmt(diff)}"
         print(line)
     return 0

@@ -6,18 +6,15 @@ import pytest
 from dvbsig import analysis, scheme, session
 from dvbsig.algebra import encode_int
 from dvbsig.analysis import (
-    OpCosts,
-    OperationCounts,
+    REFERENCE_COSTS,
+    Ops,
     QueryBudget,
     dlog_bruteforce,
     extract_blinding_witness,
     perf_model,
     perf_report,
-    unforgeability_advantage,
     unforgeability_bound,
-    unforgeability_runtime,
     unverifiability_bound,
-    unverifiability_runtime,
 )
 from dvbsig.curve import G1Point, scalar_mul
 from dvbsig.errors import Degenerate, DomainError, RefusedTooLarge
@@ -42,7 +39,7 @@ Q = 13
 
 # reference unit costs, extended with nonzero group-operation costs so the
 # time formulas are exercised on every term
-COSTS = OpCosts(
+COSTS = Ops(
     g1_scalar_mul=F(638, 100),
     g2_scalar_mul=F(531, 100),
     g1_group_op=F(1, 10),
@@ -63,6 +60,14 @@ def budget(qh1, qe, qs, qv, adv=F(1, 2), t=F(1000)):
     )
 
 
+def forge(b):
+    return unforgeability_bound(b, COSTS, Q)
+
+
+def dver(b):
+    return unverifiability_bound(b, COSTS, Q)
+
+
 class TestAdvantageBounds:
     # frozen hand evaluations (q = 13, eps = 1/2)
     EXPECTED = {
@@ -75,47 +80,42 @@ class TestAdvantageBounds:
 
     @pytest.mark.parametrize("shape", sorted(EXPECTED))
     def test_matches_hand_evaluation(self, shape):
-        got = unforgeability_advantage(budget(*shape), 13)
+        got = forge(budget(*shape)).advantage
         assert got == self.EXPECTED[shape]
         assert got <= F(1, 2)
 
     def test_zero_advantage_propagates(self):
-        assert unforgeability_advantage(budget(10, 1, 1, 1, adv=0), 13) == 0
+        assert forge(budget(10, 1, 1, 1, adv=0)).advantage == 0
 
     def test_collapses_at_minimal_budget(self):
         # qH1 = 2 and no other queries: only the (1 - 1/q^2) factor survives
-        assert unforgeability_advantage(budget(2, 0, 0, 0, adv=F(1, 2)), 13) == (
-            1 - F(1, 169)
-        ) * F(1, 2)
+        assert forge(budget(2, 0, 0, 0, adv=F(1, 2))).advantage == (1 - F(1, 169)) * F(1, 2)
 
     def test_extraction_queries_strictly_hurt(self):
-        values = [
-            unforgeability_advantage(budget(10, qe, 1, 1), 13) for qe in range(5)
-        ]
+        values = [forge(budget(10, qe, 1, 1)).advantage for qe in range(5)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_linear_in_advantage(self):
-        one = unforgeability_advantage(budget(10, 1, 1, 1, adv=F(1)), 13)
-        third = unforgeability_advantage(budget(10, 1, 1, 1, adv=F(1, 3)), 13)
+        one = forge(budget(10, 1, 1, 1, adv=F(1))).advantage
+        third = forge(budget(10, 1, 1, 1, adv=F(1, 3))).advantage
         assert third == one / 3
 
     def test_too_few_hash_queries_rejected(self):
-        with pytest.raises(DomainError):
-            unforgeability_advantage(budget(1, 0, 0, 0), 13)
-        with pytest.raises(DomainError):
-            unforgeability_advantage(budget(0, 0, 0, 0), 13)
+        for bound in (unforgeability_bound, unverifiability_bound):
+            for qh1 in (1, 0):
+                with pytest.raises(DomainError, match="at least 2 identity-hash queries"):
+                    bound(budget(qh1, 0, 0, 0), COSTS, Q)
 
     def test_group_order_below_2_rejected(self):
         # the formula itself would give 0 for a group of order 1
-        with pytest.raises(DomainError, match="group order must be at least 2"):
-            unforgeability_advantage(QueryBudget(h1_queries=2), 1)
-        assert unforgeability_advantage(QueryBudget(h1_queries=2, advantage=1), 2) == F(3, 4)
+        for bound in (unforgeability_bound, unverifiability_bound):
+            with pytest.raises(DomainError, match="group order must be at least 2"):
+                bound(QueryBudget(h1_queries=2), COSTS, 1)
+            assert bound(QueryBudget(h1_queries=2, advantage=1), COSTS, 2).advantage == F(3, 4)
 
     def test_same_advantage_formula_both_reductions(self):
         b = budget(10, 1, 1, 1)
-        assert unforgeability_bound(b, COSTS, 13).advantage == unverifiability_bound(
-            b, COSTS, 13
-        ).advantage
+        assert forge(b).advantage == dver(b).advantage
 
 
 class TestRuntimeBounds:
@@ -132,62 +132,60 @@ class TestRuntimeBounds:
 
     @pytest.mark.parametrize("shape", sorted(EXPECTED_FORGE))
     def test_matches_hand_evaluation(self, shape):
-        assert unforgeability_runtime(budget(*shape), COSTS) == self.EXPECTED_FORGE[shape]
-        assert unverifiability_runtime(budget(*shape), COSTS) == self.EXPECTED_DVER[shape]
+        assert forge(budget(*shape)).runtime == self.EXPECTED_FORGE[shape]
+        assert dver(budget(*shape)).runtime == self.EXPECTED_DVER[shape]
 
     def test_all_budgets_zero_leaves_output_tail(self):
-        # only the solution-assembly terms and the adversary's own time remain
-        b = QueryBudget(runtime=F(7))
-        assert unforgeability_runtime(b, COSTS) == COSTS.g2_group_op + COSTS.g2_scalar_mul + 7
+        # at the least budget, qH1 = 2, only the two identity-hash products,
+        # the solution-assembly terms and the adversary's own time remain
+        b = QueryBudget(h1_queries=2, runtime=F(7))
+        hashes = 2 * COSTS.g1_scalar_mul
+        assert forge(b).runtime - hashes == COSTS.g2_group_op + COSTS.g2_scalar_mul + 7
         assert (
-            unverifiability_runtime(b, COSTS)
+            dver(b).runtime - hashes
             == COSTS.g1_scalar_mul + COSTS.g2_scalar_mul + COSTS.pairing + 7
         )
 
     def test_reduction_tail_difference(self):
         # identical budgets: the two runtimes differ by S_G1 + P_e - O_G2
         b = budget(10, 1, 1, 1)
-        diff = unverifiability_runtime(b, COSTS) - unforgeability_runtime(b, COSTS)
+        diff = dver(b).runtime - forge(b).runtime
         assert diff == COSTS.g1_scalar_mul + COSTS.pairing - COSTS.g2_group_op
 
     def test_linear_in_adversary_time(self):
-        base = unforgeability_runtime(budget(10, 1, 1, 1, t=F(0)), COSTS)
-        assert unforgeability_runtime(budget(10, 1, 1, 1, t=F(123)), COSTS) == base + 123
+        base = forge(budget(10, 1, 1, 1, t=F(0))).runtime
+        assert forge(budget(10, 1, 1, 1, t=F(123))).runtime == base + 123
 
 
 class TestPerfModel:
     def test_reference_totals_exact(self):
-        costs = OpCosts.reference()
-        assert perf_model(analysis.SIGN_COUNTS, costs) == F(5498, 100)
-        assert perf_model(analysis.VERIFY_COUNTS, costs) == F(2946, 100)
-        assert perf_model(analysis.ZHANG_WEN_VERIFY_COUNTS, costs) == F(8958, 100)
+        assert perf_model(analysis.SIGN_COUNTS, REFERENCE_COSTS) == F(5498, 100)
+        assert perf_model(analysis.VERIFY_COUNTS, REFERENCE_COSTS) == F(2946, 100)
+        assert perf_model(analysis.ZHANG_WEN_VERIFY_COUNTS, REFERENCE_COSTS) == F(8958, 100)
 
     def test_dot_product_by_hand(self):
-        counts = OperationCounts(g1_scalar_mul=2, pairing=1, map_to_point=3)
+        counts = Ops(g1_scalar_mul=2, pairing=1, map_to_point=3)
         assert perf_model(counts, COSTS) == 2 * F(638, 100) + F(2004, 100) + 3 * F(304, 100)
 
     def test_each_count_meets_the_cost_of_its_own_axis(self):
-        costs = OpCosts(*(F(2**i) for i in range(len(OpCosts._fields))))
-        for axis in OperationCounts._fields:
-            assert perf_model(OperationCounts(**{axis: 1}), costs) == getattr(costs, axis)
+        costs = Ops(*(F(2**i) for i in range(len(Ops._fields))))
+        for axis in Ops._fields:
+            assert perf_model(Ops(**{axis: 1}), costs) == getattr(costs, axis)
 
     def test_report_rows(self):
-        rows = {(r.scheme_name, r.phase): r for r in perf_report()}
+        rows = {(r.scheme_name, r.phase): r for r in perf_report(REFERENCE_COSTS)}
         ours_sign = rows[("ours", "sign")]
         assert ours_sign.modeled_ms == ours_sign.stated_ms == F(5498, 100)
-        assert not ours_sign.discrepancy
         ours_verify = rows[("ours", "verify")]
         assert ours_verify.modeled_ms == ours_verify.stated_ms == F(2946, 100)
         zw_verify = rows[("zhang-wen", "verify")]
         assert zw_verify.modeled_ms == zw_verify.stated_ms == F(8958, 100)
-        assert not zw_verify.discrepancy
 
     def test_zhang_wen_sign_discrepancy_surfaced(self):
-        rows = {(r.scheme_name, r.phase): r for r in perf_report()}
+        rows = {(r.scheme_name, r.phase): r for r in perf_report(REFERENCE_COSTS)}
         zw_sign = rows[("zhang-wen", "sign")]
         assert zw_sign.stated_ms == F(6774, 100)
         assert zw_sign.modeled_ms == F(5498, 100)
-        assert zw_sign.discrepancy
         # the gap is exactly two G1 scalar multiplications
         assert zw_sign.stated_ms - zw_sign.modeled_ms == 2 * F(638, 100)
 
@@ -204,7 +202,7 @@ class TestInstrumentation:
                 SeededRng("count"),
             )
         assert outcome.retries == 0
-        counts = OperationCounts(**counter.counts)
+        counts = Ops(**counter.counts)
         assert counts.g1_scalar_mul == 5
         assert counts.pairing == 1
         assert counts.map_to_point == 0
@@ -226,7 +224,7 @@ class TestInstrumentation:
                 b"count me",
                 outcome.signature,
             )
-        counts = OperationCounts(**counter.counts)
+        counts = Ops(**counter.counts)
         assert counts.g1_scalar_mul == 1
         assert counts.map_to_point == 1
         assert counts.pairing == 1
@@ -241,7 +239,7 @@ class TestInstrumentation:
                 b"count me",
                 SeededRng("count"),
             )
-        counts = OperationCounts(**counter.counts)
+        counts = Ops(**counter.counts)
         assert counts.g1_scalar_mul == 5
         assert counts.g1_group_op == 1
         assert counts.pairing == 1
@@ -279,6 +277,7 @@ class TestDlogBruteforce:
         g = toy_params.generator
         with pytest.raises(RefusedTooLarge):
             dlog_bruteforce(g, g, (1 << 20) + 1)
+        assert dlog_bruteforce(g, g, 1 << 20) == 1  # the limit itself is swept
 
 
 class TestBlindSessionHarness:

@@ -578,7 +578,45 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+# a costs file that sets every cost axis, and the README's `analyze bounds` budget
+ALL_COSTS = (
+    "g1_scalar_mul = 3/2\ng2_scalar_mul = 5/4\ng1_group_op = 1/10\ng2_group_op = 1/5\n"
+    "pairing = 7\nmap_to_point = 1/3\n"
+)
+README_BUDGET = "--qh1 100 --qe 10 --qs 10 --qv 10 --eps 1/2 --q 13".split()
+
+
 class TestAnalysisCommands:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["perf"], "943ec154a25375e75f13e859dee161541c102b799f777ca0bc885f3267b1ec09"),
+            (
+                ["perf", "--costs"],
+                "008c27cf5a0b5cd3b5ee1adcc51c9a5219e9693045cf864a841e70e519abbe7b",
+            ),
+            (["bounds"], "811b4aaa680e684ada61c97681b8592cf242af195e45a9934886c3bf64879dda"),
+            (
+                ["bounds", *README_BUDGET],
+                "327fcc2b925e2f179c0078198ec945c2b73ed1890731845d40ba2d41dd46b7aa",
+            ),
+            (
+                ["bounds", *README_BUDGET, "--costs"],
+                "cd8ecee234dead596589a15f1b87f3763bedcd05e86058ec425f78c63bf8e2c3",
+            ),
+        ],
+        ids=["perf", "perf-costs", "bounds", "bounds-readme", "bounds-readme-costs"],
+    )
+    def test_output_pinned(self, run, tmp_path, argv, digest):
+        # SHA-256 of the whole stdout; a trailing --costs reads ALL_COSTS
+        costs = tmp_path / "costs.txt"
+        costs.write_text(ALL_COSTS)
+        if argv[-1] == "--costs":
+            argv = [*argv, costs]
+        code, out, err = run("-w", tmp_path, "analyze", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bounds_output(self, run, tmp_path):
         code, out, _ = run(
             "-w", tmp_path, "analyze", "bounds", "--qh1", 2, "--qe", 0, "--qs", 0,
@@ -623,10 +661,18 @@ class TestAnalysisCommands:
             ("--t", "-1", "a rational number >= 0"),
             ("--q", "1", "a decimal integer >= 2"),
             ("--q", "-13", "a decimal integer >= 2"),
+            ("--qh1", "1", "a decimal integer >= 2"),
+            ("--qh1", "0", "a decimal integer >= 2"),
+            ("--t", "1e5000", "a rational number >= 0"),
+            ("--eps", "1e-5000", "a rational number in [0, 1]"),
+            ("--eps", "5E-1", "a rational number in [0, 1]"),
         ],
     )
     def test_bounds_refuse_out_of_range_inputs(self, run, tmp_path, flag, value, kind):
-        # a negative count made the advantage exceed 1 or divide by zero
+        # a negative count made the advantage exceed 1 or divide by zero; a
+        # qH1 below 2 was the bound's own error, which named neither the
+        # flag nor the file; and exponent notation expanded into an exact
+        # value too long to print, a traceback
         flags = ("-w", tmp_path, "analyze", "bounds", "--qh1", 3)
         code, out, err = run(*flags, flag, value)
         assert code == 2 and out == ""
@@ -637,10 +683,38 @@ class TestAnalysisCommands:
         assert code == 3 and out == ""
         assert f"budget.txt: field {flag[2:]!r} is not {kind}" in err
 
-    def test_bounds_domain_error(self, run, tmp_path):
-        code, _, err = run("-w", tmp_path, "analyze", "bounds", "--qh1", 1, "--eps", "1")
-        assert code == 3
-        assert "identity-hash" in err
+    def test_bounds_past_the_digit_limit_print_the_decimal_alone(self, run, tmp_path):
+        # at qS = 2000 the advantage's denominator 4950^2000 has over 7,000
+        # digits, more than str() may print: a traceback, exit 1.  At
+        # qS = 1000 (about 3,700 digits) the exact value still prints
+        flags = ("-w", tmp_path, "analyze", "bounds", "--qh1", 100, "--eps", "1/2", "--q", 13)
+        code, out, err = run(*flags, "--qs", 2000)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[1] == lines[4] == "advantage = 0.0001"
+        # 6100 G1 products, 2000 pairings and one G2 product: exact, it fits
+        assert lines[2] == "runtime_ms = 7900331/100 (79003.3100)"
+        code, out, err = run(*flags, "--qs", 1000)
+        assert code == 0 and err == ""
+        assert re.fullmatch(r"advantage = \d+/\d+ \(0\.0001\)", out.splitlines()[1])
+
+    def test_fmt_prints_the_exact_value_up_to_three_bits_a_digit(self):
+        # the check is by bit length, 3 bits a digit, so it never passes an
+        # integer that str() refuses: up to 3 * limit bits the exact value
+        # prints, one bit more and the decimal prints alone
+        from fractions import Fraction as F
+
+        from dvbsig import commands
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            fits, past = (F(2 ** (bits + 1) - 1, 2**bits) for bits in (1919, 1920))
+            assert commands._fmt(fits) == f"{fits} (2.0000)"
+            assert commands._fmt(past) == "2.0000"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert commands._fmt(F(-3, 4)) == "-3/4 (-0.7500)"
 
     def test_perf_table(self, run, tmp_path):
         code, out, _ = run("-w", tmp_path, "analyze", "perf")
@@ -658,9 +732,10 @@ class TestAnalysisCommands:
         assert code == 0
         assert "modeled_ms = 7 (7.0000)" in out  # ours sign: 5 + 1 + 1
 
-    @pytest.mark.parametrize("value", ["abc", "-20", "1/0"])
+    @pytest.mark.parametrize("value", ["abc", "-20", "1/0", "1e5000", "2E3"])
     def test_perf_costs_file_bad_value(self, run, tmp_path, value):
-        # a negative cost printed a negative modeled time
+        # a negative cost printed a negative modeled time, and 1e5000 a
+        # traceback: its exact value was too long to print
         costs = tmp_path / "costs.txt"
         costs.write_text(f"pairing = {value}\n")
         code, out, err = run("-w", tmp_path, "analyze", "perf", "--costs", costs)
@@ -711,6 +786,17 @@ class TestBlindnessDemo:
         code, out, err = run("-w", ws, "blindness-demo", "--sessions", 1, "--seed", "demo")
         assert code == 2 and out == ""
         assert "blindness-demo needs toy-scale parameters" in err
+
+    def test_demo_runs_at_the_discrete_log_limit(self, run, workspace, monkeypatch):
+        # it refuses what dlog_bruteforce refuses, orders above the limit; no
+        # prime q equals the real limit 2^20, so the limit is set to q here
+        from dvbsig import analysis
+
+        q = storage.load_system_params(workspace / "system.txt").curve.q
+        monkeypatch.setattr(analysis, "DLOG_ORDER_LIMIT", q)
+        code, out, err = run("-w", workspace, "blindness-demo", "--sessions", 1, "--seed", "demo")
+        assert code == 0 and err == ""
+        assert "cannot link" in out
 
     def test_demo_reports_pairs_without_a_witness(self, run, workspace, monkeypatch):
         from dvbsig import analysis

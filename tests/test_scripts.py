@@ -1,5 +1,6 @@
 """The example scripts run to completion against the package."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -15,6 +16,12 @@ from tests.test_cli import BENCH_LABELS
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# SHA-256 of each script's whole stdout
+SCRIPT_DIGESTS = {
+    "bound_sweep.py": "8f179f2832b9242faf407b2938870d7d326d2743c2a4fb4727062d6834f3cef1",
+}
+
+
 @pytest.mark.parametrize("script", ["bound_sweep.py"])
 def test_script_exits_cleanly(script):
     done = subprocess.run(
@@ -25,6 +32,7 @@ def test_script_exits_cleanly(script):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == SCRIPT_DIGESTS[script]
 
 
 def test_layer_ab_compares_a_tree_with_itself():

@@ -34,9 +34,8 @@ RECORDS = [
     session.UserAwaitingResponse,
     storage.Workspace,
     analysis.QueryBudget,
-    analysis.OpCosts,
+    analysis.Ops,
     analysis.ReductionBound,
-    analysis.OperationCounts,
     analysis.PerfEntry,
 ]
 
