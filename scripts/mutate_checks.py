@@ -13,7 +13,9 @@ passes.  The operators:
                    `if` whose body raises;
 - return-verdict:  an `if` whose body refuses by return value, `return
                    False` or a `return` of a string (a reason), gets the
-                   body `pass`.
+                   body `pass`;
+- check-call:      a call to `_require`, `_require_*` or `_fresh` becomes
+                   its first argument, parenthesised, so its check is gone.
 
 Usage (from anywhere; paths are relative to the repository root):
 
@@ -57,12 +59,17 @@ class Mutant(NamedTuple):
     end: int
 
 
-def _is_point_fault_call(node: ast.AST) -> bool:
+def _called_name(node: ast.AST) -> str | None:
+    """The name a call calls (`f(...)` or `module.f(...)`), else None."""
     if not isinstance(node, ast.Call):
-        return False
+        return None
     func = node.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name == "point_fault"
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _is_check_call(node: ast.AST) -> bool:
+    name = _called_name(node) or ""
+    return (name == "_fresh" or name.startswith("_require")) and bool(node.args)
 
 
 def _is_verdict_return(node: ast.AST) -> bool:
@@ -80,17 +87,23 @@ def find_mutants(source: bytes) -> list[Mutant]:
         line_starts.append(line_starts[-1] + len(line))
     found = []
 
+    def span(node: ast.AST) -> tuple[int, int]:
+        return (line_starts[node.lineno - 1] + node.col_offset,
+                line_starts[node.end_lineno - 1] + node.end_col_offset)
+
     def add(node: ast.AST, operator: str, replacement: str) -> None:
-        start = line_starts[node.lineno - 1] + node.col_offset
-        end = line_starts[node.end_lineno - 1] + node.end_col_offset
+        start, end = span(node)
         original = source[start:end].decode("utf-8")
         found.append(Mutant(node.lineno, operator, original, replacement, start, end))
 
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise):
             add(node, "raise-to-pass", "pass")
-        elif _is_point_fault_call(node):
+        elif _called_name(node) == "point_fault":
             add(node, "point-fault", "None")
+        elif _is_check_call(node):
+            start, end = span(node.args[0])
+            add(node, "check-call", f"({source[start:end].decode('utf-8')})")
         elif isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
             for compare in ast.walk(node.test):
                 if not isinstance(compare, ast.Compare):

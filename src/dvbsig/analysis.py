@@ -16,6 +16,8 @@ Three independent things live here:
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -69,10 +71,31 @@ REFERENCE_COSTS = Ops(
 
 
 class ReductionBound(NamedTuple):
-    """Solver advantage (lower bound) and running time (upper bound)."""
+    """Solver advantage (lower bound) and running time (upper bound).  The
+    advantage is exact, or a float where its exact value has more bits than
+    `exact_bits` allows."""
 
-    advantage: Fraction
+    advantage: Fraction | float
     runtime: Fraction
+
+
+def exact_bits() -> float:
+    """The most bits an integer may have for `str` to print it: 3 bits a
+    digit of `sys.get_int_max_str_digits()` L, since 2^(3L) < 10^L, and no
+    bound when that limit is off."""
+    limit = sys.get_int_max_str_digits()
+    return 3 * limit if limit else math.inf
+
+
+def _log_power(x: Fraction, k: int) -> float:
+    """log((1 - x)^k) for 0 < x < 1: -inf once it is below -50, where the
+    power is below 10^-21, and -k*x where x is too small for a float to
+    hold 1 - x (log(1 - x) = -x(1 + x/2 + ...))."""
+    if k * x > 50:
+        return -math.inf
+    if x < Fraction(1, 2**60):
+        return -float(k * x)
+    return k * math.log1p(-float(x))
 
 
 def _bound(budget: QueryBudget, costs: Ops, group_order: int, tail: Ops) -> ReductionBound:
@@ -86,13 +109,20 @@ def _bound(budget: QueryBudget, costs: Ops, group_order: int, tail: Ops) -> Redu
     if group_order < 2:
         raise DomainError("group order must be at least 2")
     pair_term = Fraction(2, qh1 * (qh1 - 1))
-    advantage = (
-        (1 - Fraction(1, group_order**2))
-        * (1 - Fraction(2, qh1)) ** (qe + qv)
-        * (1 - pair_term) ** qs
-        * pair_term
-        * Fraction(eps)
-    )
+    rest = (1 - Fraction(1, group_order**2)) * pair_term * Fraction(eps)
+    # the advantage is rest * (1 - x)^k over `powers`.  1 - 2/qH1 is
+    # (qH1 - 2)/qH1 and 1 - pair_term is (qH1 - 2)(qH1 + 1)/(qH1(qH1 - 1)):
+    # neither numerator shares a factor with the other's denominator, so the
+    # powers' product keeps a denominator of at least `bits` bits once rest's
+    # numerator has cancelled what it can.  Past `exact_bits` the exact value
+    # would only be printed to four places, and raising it takes time
+    # quadratic in k, so it is evaluated through logarithms instead
+    powers = ((Fraction(2, qh1), qe + qv), (pair_term, qs))
+    bits = sum(k * ((1 - x).denominator.bit_length() - 1) for x, k in powers)
+    if bits - rest.numerator.bit_length() <= exact_bits():
+        advantage = rest * math.prod((1 - x) ** k for x, k in powers)
+    else:
+        advantage = float(rest) * math.exp(sum(_log_power(x, k) for x, k in powers))
     queries = Ops(g1_scalar_mul=qh1 + qe + 3 * qs + qv, g1_group_op=qs, pairing=qs + qv)
     runtime = perf_model(queries, costs) + perf_model(tail, costs) + Fraction(t)
     return ReductionBound(advantage, runtime)

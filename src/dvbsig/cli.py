@@ -112,11 +112,23 @@ def _write_signature(args, signature: scheme.Signature, default: Path, note: str
     print(f"wrote {out}{note}")
 
 
+def _int(text: str) -> int:
+    """argparse type for integers, read by `storage.decimal`."""
+    try:
+        return storage.decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
-    if not text.isdecimal() or int(text) < 1:
+    try:
+        value = storage.decimal(text)
+    except ValueError:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return int(text)
+    return value
 
 
 def _utf8_text(text: str) -> str:
@@ -204,9 +216,9 @@ def _on_demand(name: str):
 COMMANDS = (
     ("params", "curve parameter management", None, ()),
     ("params gen", "generate pairing parameters", _on_demand("cmd_params_gen"), (
-        ("--q-bits", {"type": int, "help": "bit length of the subgroup order"}),
+        ("--q-bits", {"type": _int, "help": "bit length of the subgroup order"}),
         ("--q-value",
-         {"type": int, "help": "explicit decimal subgroup order (overrides --q-bits)"}),
+         {"type": _int, "help": "explicit decimal subgroup order (overrides --q-bits)"}),
         ("--p-bits", {"type": _positive_int, "help": "target bit length for the field prime"}),
         ("--seed", {"type": _utf8_text, "help": "derivation seed"}),
         ("--label", {"help": "security label stored in the params file"}),

@@ -103,22 +103,13 @@ class G1Point(Value):
 
 
 class GTElement(Value):
-    """Element of the order-q subgroup of F_p2^* (pairing values)."""
+    """Element of the order-q subgroup of F_p2^* (pairing values): it
+    compares and encodes; arithmetic on it goes through `value`."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: Fp2Element):
         object.__setattr__(self, "value", value)
-
-    def __mul__(self, other: GTElement) -> GTElement:
-        return GTElement(self.value * other.value)
-
-    def __pow__(self, exponent: int) -> GTElement:
-        return GTElement(self.value**exponent)
-
-    @property
-    def is_one(self) -> bool:
-        return self.value.is_one()
 
     def encode(self) -> bytes:
         return self.value.encode()

@@ -40,12 +40,6 @@ class SystemParams(NamedTuple):
     p_pub: G1Point
 
 
-class MasterSecret(NamedTuple):
-    """PKG master key s; p_pub = s * generator."""
-
-    s: int
-
-
 class KeyPair(NamedTuple):
     """Identity key material: public = H1(identity), secret = s * public."""
 
@@ -102,17 +96,19 @@ class Signature(NamedTuple):
     sigma: GTElement
 
 
-def setup(curve: CurveParams, rng) -> tuple[SystemParams, MasterSecret]:
-    """PKG setup: draw the master key s and publish p_pub = s * P."""
+def setup(curve: CurveParams, rng) -> tuple[SystemParams, int]:
+    """PKG setup: draw the master key s in [1, q - 1] and publish
+    p_pub = s * P.  Returns the public parameters and s."""
     s = sample_unit(rng, curve.q)
     p_pub = scalar_mul(s, curve.generator)
-    return SystemParams(curve=curve, p_pub=p_pub), MasterSecret(s=s)
+    return SystemParams(curve=curve, p_pub=p_pub), s
 
 
-def keygen(system: SystemParams, msk: MasterSecret, identity: bytes) -> KeyPair:
-    """Extract the key pair for an identity: Q = H1(id), S = s * Q."""
+def keygen(system: SystemParams, s: int, identity: bytes) -> KeyPair:
+    """Extract the key pair for an identity under the master key s:
+    Q = H1(id), S = s * Q."""
     public = hash_to_point(identity, system.curve)
-    secret = scalar_mul(msk.s, public)
+    secret = scalar_mul(s, public)
     return KeyPair(identity=identity, public=public, secret=secret)
 
 

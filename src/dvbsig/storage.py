@@ -19,7 +19,6 @@ from .scheme import (
     H1_NAME,
     H2_NAME,
     KeyPair,
-    MasterSecret,
     Signature,
     SystemParams,
     decode_signature,
@@ -90,10 +89,20 @@ def kv_field(fields: dict[str, str], key: str, path: Path | str, parse, kind: st
         raise DecodeError(f"{path}: field {key!r} is not {kind}") from None
 
 
+def decimal(text: str) -> int:
+    """`text` as an integer when it is spelled as `str` spells one, the rule
+    `write_kv` holds every field to: ASCII digits, "-" on a negative, and no
+    "+", "_", leading zero or "-0".  Anything else is a ValueError.  Every
+    integer in a workspace file, a budget file or a flag is read by it."""
+    if not text.isascii() or str(value := int(text)) != text:
+        raise ValueError(text)
+    return value
+
+
 def kv_int(fields: dict[str, str], key: str, path: Path | str) -> int:
-    """Field `key` as a decimal integer.  A missing or malformed field is a
+    """Field `key` as a `decimal` integer.  A missing or malformed field is a
     DecodeError naming the file and the field."""
-    return kv_field(fields, key, path, int, "a decimal integer")
+    return kv_field(fields, key, path, decimal, "a decimal integer")
 
 
 def kv_unit(fields: dict[str, str], key: str, path: Path | str, q: int) -> int:
@@ -210,13 +219,13 @@ def load_system_params(path: Path) -> SystemParams:
 # key material
 
 
-def save_master_secret(msk: MasterSecret, path: Path) -> None:
-    write_kv(path, {"s": msk.s}, secret=True)
+def save_master_secret(s: int, path: Path) -> None:
+    write_kv(path, {"s": s}, secret=True)
 
 
-def load_master_secret(path: Path, q: int) -> MasterSecret:
+def load_master_secret(path: Path, q: int) -> int:
     """The master secret s in [1, q - 1] of a curve with subgroup order q."""
-    return MasterSecret(s=kv_unit(read_kv(path), "s", path, q))
+    return kv_unit(read_kv(path), "s", path, q)
 
 
 def save_identity_key(key: KeyPair, path: Path) -> None:
@@ -236,12 +245,6 @@ def load_identity_key(path: Path, system: SystemParams) -> KeyPair:
 # signatures
 
 
-def signature_from_text(text: str, params: CurveParams, path: str = "<text>") -> Signature:
-    fields = parse_kv(text, path)
-    raw = kv_hex(fields, "u_prime", path) + kv_hex(fields, "sigma", path)
-    return decode_named(path, decode_signature, raw, params)
-
-
 def save_signature(signature: Signature, path: Path, text: bool = False) -> None:
     """Binary `encode_signature`, or the key-value text envelope with hex
     payloads (CLI interchange form)."""
@@ -256,9 +259,10 @@ def load_signature(path: Path, system: SystemParams) -> Signature:
     """Binary signatures start with a point tag byte; anything else must be
     the UTF-8 text envelope."""
     data = path.read_bytes()
-    if data[:1] in (b"\x00", b"\x04"):
-        return decode_named(path, decode_signature, data, system.curve)
-    return signature_from_text(_utf8(data, path), system.curve, str(path))
+    if data[:1] not in (b"\x00", b"\x04"):
+        fields = parse_kv(_utf8(data, path), str(path))
+        data = kv_hex(fields, "u_prime", path) + kv_hex(fields, "sigma", path)
+    return decode_named(path, decode_signature, data, system.curve)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -116,6 +117,30 @@ class TestAdvantageBounds:
     def test_same_advantage_formula_both_reductions(self):
         b = budget(10, 1, 1, 1)
         assert forge(b).advantage == dver(b).advantage
+
+    def test_past_the_digit_limit_the_advantage_is_a_float_with_the_exact_four_places(
+        self, monkeypatch
+    ):
+        # the exact power was raised only for its four places to print;
+        # where its exact value is too long to print, logarithms give the
+        # same four places, and a value short enough to print stays exact
+        from dvbsig.commands import _places
+
+        floats = 0
+        for qh1 in (3, 4, 5, 10, 37, 100):
+            for k in (0, 1, 40, 300, 1000, 3000):
+                for shape in ((qh1, k, 0, 0), (qh1, 0, k, 0), (qh1, k // 2, k, k // 2)):
+                    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+                    exact = forge(budget(*shape)).advantage
+                    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+                    got = forge(budget(*shape)).advantage
+                    if isinstance(got, float):
+                        floats += 1
+                        assert max(exact.numerator, exact.denominator).bit_length() > 1920
+                        assert _places(F(got)) == _places(exact), shape
+                    else:
+                        assert got == exact
+        assert floats > 20
 
 
 class TestRuntimeBounds:

@@ -209,7 +209,18 @@ class TestStepwiseSigning:
             "-w", workspace, "sign", "unblind", "--session", "s2", "--verifier", "bob"
         )
         assert code == 2
-        assert "respond" in err
+        response = workspace / "sessions" / "s2" / "response.frame"
+        assert err == f"error: response artifact (run sign respond first) not found: {response}\n"
+
+    def test_unblind_requires_the_user_state(self, run, workspace, message_file):
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        assert run("-w", workspace, "sign", "respond", "--session", "s1")[0] == 0
+        (sdir / "user.state").unlink()
+        code, out, err = run(
+            "-w", workspace, "sign", "unblind", "--session", "s1", "--verifier", "bob"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: user state (run sign blind first) not found: {sdir / 'user.state'}\n"
 
     def test_step_reruns_rejected(self, run, workspace):
         run("-w", workspace, "sign", "commit", "--signer", "alice", "--session", "s3", "--seed", "c")
@@ -392,6 +403,20 @@ class TestStepwiseSigning:
         assert code == 2 and out == ""
         assert err == f"error: {challenge} is not a regular file\n"
         assert (sdir / "signer.state").exists()
+        assert not (workspace / "transcripts.log").exists()
+
+    def test_respond_refuses_an_existing_response_before_it_logs(
+        self, run, workspace, message_file
+    ):
+        # the frame's exclusive create refuses too, but only after the
+        # transcript is logged and r is spent
+        sdir = self._commit_and_blind(run, workspace, message_file)
+        (sdir / "response.frame").write_bytes(b"")
+        state = (sdir / "signer.state").read_bytes()
+        code, out, err = run("-w", workspace, "sign", "respond", "--session", "s1")
+        assert (code, out) == (2, "")
+        assert err == f"error: response artifact already exists: {sdir / 'response.frame'}\n"
+        assert (sdir / "signer.state").read_bytes() == state
         assert not (workspace / "transcripts.log").exists()
 
     def test_racing_commits_write_one_state(self, run, workspace, monkeypatch):
@@ -593,7 +618,7 @@ class TestAnalysisCommands:
             (["perf"], "943ec154a25375e75f13e859dee161541c102b799f777ca0bc885f3267b1ec09"),
             (
                 ["perf", "--costs"],
-                "008c27cf5a0b5cd3b5ee1adcc51c9a5219e9693045cf864a841e70e519abbe7b",
+                "2e9bef93b9877f877e8a1cb666ce521426d361e6c238d826c92442e131df3d3e",
             ),
             (["bounds"], "811b4aaa680e684ada61c97681b8592cf242af195e45a9934886c3bf64879dda"),
             (
@@ -715,6 +740,78 @@ class TestAnalysisCommands:
         finally:
             sys.set_int_max_str_digits(limit)
         assert commands._fmt(F(-3, 4)) == "-3/4 (-0.7500)"
+
+    def test_places_are_exact_and_scientific_past_the_digit_limit(self):
+        # four places came from float(value), which overflows past 10^308;
+        # they are now rounded exactly, half to even, and an integer part
+        # longer than str() may print gives four significant places
+        from fractions import Fraction as F
+
+        from dvbsig import commands
+
+        assert commands._places(F(3, 80000)) == "0.0000"  # 0.0000375
+        assert commands._places(F(1, 32)) == "0.0312"  # a tie, to even
+        assert commands._places(F(-1, 100000)) == "-0.0000"
+        assert commands._places(F(10**400 + 1, 3)) == "3" * 400 + ".6667"
+        limit = sys.get_int_max_str_digits()
+        digits = "1" * limit
+        assert commands._places(F(int(digits))) == digits + ".0000"
+        assert commands._places(F(int(digits) * 10**4 + 2345)) == f"1.111e+{limit + 3}"
+        assert commands._places(F(12346 * 10**5000)) == "1.235e+5004"
+        assert commands._places(F(12345 * 10**5000)) == "1.234e+5004"
+        assert commands._places(F(10**5000 - 1)) == "1.000e+5000"
+        assert commands._places(-F(10**6000 + 1, 7)) == "-1.429e+5999"
+        assert commands._fmt(0.000149) == "0.0001"  # an approximation prints alone
+
+    @pytest.mark.parametrize("digits", [401, 4000])
+    def test_bounds_print_a_runtime_too_large_for_a_float(self, run, tmp_path, digits):
+        # 10^400 printed a traceback: OverflowError, exit 1
+        t = "1" + "0" * (digits - 1)
+        code, out, err = run("-w", tmp_path, "analyze", "bounds", "--t", t)
+        assert code == 0 and err == ""
+        # 10^400 fits the digit limit exactly, 10^3999 prints to four places alone
+        places = f"{10 ** (digits - 1) + 18}.0700"
+        exact = f"{10 ** (digits - 1) * 100 + 1807}/100 ({places})"
+        assert out.splitlines()[2] == f"runtime_ms = {exact if digits == 401 else places}"
+
+    def test_bounds_print_a_runtime_past_the_digit_limit(self, run, tmp_path):
+        costs = tmp_path / "costs.txt"
+        costs.write_text(f"pairing = {10**4000}\n")
+        code, out, err = run(
+            "-w", tmp_path, "analyze", "bounds", "--qv", 10**1000, "--costs", costs
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:3] == ["advantage = 0 (0.0000)", "runtime_ms = 1.000e+5000"]
+
+    @pytest.mark.parametrize("budget", [["--qe", 4_000_000], ["--qs", 2**30]])
+    def test_bounds_with_large_query_counts_return_at_once(self, tmp_path, budget):
+        # the exact powers took time quadratic in the count: 34 s at
+        # qE = 4*10^6, and weeks by that growth at qS = 2^30
+        done = subprocess.run(
+            [sys.executable, "-m", "dvbsig.cli", "-w", str(tmp_path), "analyze", "bounds",
+             "--qh1", "1000", *map(str, budget)],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[1] == lines[4] == "advantage = 0.0000"
+
+    @pytest.mark.parametrize(
+        "costs",
+        [ALL_COSTS, "pairing = 100\n", "g1_scalar_mul = 1\nmap_to_point = 1\npairing = 1\n"],
+    )
+    def test_perf_discrepancy_priced_with_the_reference_costs(self, run, tmp_path, costs):
+        # the stated totals are the paper's, priced with the reference
+        # costs: a costs file flagged every row, some by a negative gap
+        path = tmp_path / "costs.txt"
+        path.write_text(costs)
+        code, out, _ = run("-w", tmp_path, "analyze", "perf", "--costs", path)
+        assert code == 0
+        reference = run("-w", tmp_path, "analyze", "perf")[1]
+        for line, ref in zip(out.splitlines(), reference.splitlines(), strict=True):
+            assert line.partition(" | DISCREPANCY")[1:] == ref.partition(" | DISCREPANCY")[1:]
+        assert [line.startswith("scheme = zhang-wen | phase = sign") for line in out.splitlines()
+                if "DISCREPANCY" in line] == [True]
 
     def test_perf_table(self, run, tmp_path):
         code, out, _ = run("-w", tmp_path, "analyze", "perf")
@@ -970,6 +1067,38 @@ class TestErrorPaths:
     def test_unknown_command(self, run):
         code, *_ = run("frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, missing, what",
+        [
+            (["sign", "run", "--signer", "alice", "--verifier", "bob", "--message-file", "m"],
+             "m", "message file"),
+            (["verify", "--signer", "alice", "--verifier", "dave", "--asset-statement", "a:1",
+              "--sig", "sig"], "keys/dave.key", "key for 'dave' (run keygen)"),
+            (["verify", "--signer", "alice", "--verifier", "bob", "--asset-statement", "a:1",
+              "--sig", "sig"], "sig", "signature file"),
+            (["sign", "blind", "--session", "s1", "--signer", "alice", "--asset-statement",
+              "a:1"], "sessions/s1/commit.frame", "commit artifact (run sign commit first)"),
+            (["analyze", "bounds", "--budget-file", "b"], "b", "budget file"),
+            (["analyze", "perf", "--costs", "c"], "c", "costs file"),
+        ],
+        ids=["message", "key", "signature", "commit", "budget", "costs"],
+    )
+    def test_a_missing_input_is_named_with_what_it_is(
+        self, run, workspace, monkeypatch, argv, missing, what
+    ):
+        # the open that follows would refuse too, with an OSError that
+        # names the path but neither what the file is nor how to make it
+        monkeypatch.chdir(workspace)
+        code, out, err = run("-w", workspace, *argv)
+        assert (code, out) == (2, "")
+        path = Path(missing) if "/" not in missing else workspace / missing
+        assert err == f"error: {what} not found: {path}\n"
+
+    def test_setup_needs_params(self, run, tmp_path):
+        code, out, err = run("-w", tmp_path, "setup")
+        assert (code, out) == (2, "")
+        assert err == f"error: params file (run params gen) not found: {tmp_path / 'params.txt'}\n"
 
     @pytest.mark.parametrize("label", ["x\ny = 1", "x\r", " x", "x\u2028y", "\udcff"])
     def test_label_that_would_not_read_back_refused(self, run, tmp_path, label):
@@ -1455,6 +1584,51 @@ class TestErrorPaths:
         code, _, err = run("-w", tmp_path / "empty", "setup")
         assert code == 2
         assert "params" in err
+
+
+# Integers spelled otherwise than `str` writes them.  `int` read "+5", "1_0"
+# and "\u0665" (Arabic-Indic five) as 5, 10 and 5, and `str.isdecimal`
+# passed "05" and "\u0665"; every path now refuses all five.
+NON_CANONICAL = ["+5", "1_0", "05", "-0", "\u0665"]
+
+
+class TestIntegerGrammar:
+    @pytest.mark.parametrize("text", NON_CANONICAL)
+    def test_workspace_field(self, run, workspace, text):
+        # a master.key holding "+5" loaded as s = 5, and was not the file
+        # that writing s = 5 back makes
+        master = workspace / "master.key"
+        master.write_text(f"s = {text}\n")
+        code, out, err = run("-w", workspace, "keygen", "--id", "dave")
+        assert code == 3 and out == ""
+        assert f"{master}: field 's' is not a decimal integer" in err
+
+    @pytest.mark.parametrize("text", NON_CANONICAL)
+    def test_budget_file_field(self, run, tmp_path, text):
+        budget = tmp_path / "budget.txt"
+        budget.write_text(f"qe = {text}\n")
+        code, out, err = run("-w", tmp_path, "analyze", "bounds", "--budget-file", budget)
+        assert code == 3 and out == ""
+        assert f"{budget}: field 'qe' is not a decimal integer >= 0" in err
+
+    @pytest.mark.parametrize("text", NON_CANONICAL)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("params", "gen", "--q-bits"),
+            ("params", "gen", "--q-value"),
+            ("params", "gen", "--q-bits", "4", "--p-bits"),
+            ("blindness-demo", "--sessions"),
+            ("bench", "--iterations"),
+            ("analyze", "bounds", "--qe"),
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    def test_flag(self, run, tmp_path, argv, text):
+        code, out, err = run("-w", tmp_path / "ws", *argv, text)
+        assert code == 2 and out == ""
+        assert argv[-1] in err and repr(text) in err
+        assert not (tmp_path / "ws").exists()
 
 
 class TestOneWriter:

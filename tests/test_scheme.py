@@ -40,18 +40,18 @@ class TestSetup:
         assert first == second
 
     def test_regression_master_key(self, toy_system):
-        system, msk = toy_system
-        assert msk.s == 8  # pinned output of the "test-0" stream
+        system, s = toy_system
+        assert s == 8  # pinned output of the "test-0" stream
         assert (system.p_pub.x, system.p_pub.y) == mul_oracle(
-            P, msk.s, (system.curve.gx, system.curve.gy)
+            P, s, (system.curve.gx, system.curve.gy)
         )
 
     def test_public_key_pairs_with_generator(self, toy_system):
-        system, msk = toy_system
+        system, s = toy_system
         g = system.curve.generator
-        assert tate_pairing(system.p_pub, g, system.curve) == tate_pairing(
+        assert tate_pairing(system.p_pub, g, system.curve).value == tate_pairing(
             g, g, system.curve
-        ) ** msk.s
+        ).value ** s
 
 
 class TestKeygen:
@@ -72,10 +72,10 @@ class TestKeygen:
         assert toy_keys[TOY_SIGNER].public != toy_keys[TOY_VERIFIER].public
 
     def test_secret_is_master_multiple(self, toy_system, toy_keys):
-        system, msk = toy_system
+        system, s = toy_system
         key = toy_keys[TOY_SIGNER]
         assert (key.secret.x, key.secret.y) == mul_oracle(
-            P, msk.s, (key.public.x, key.public.y)
+            P, s, (key.public.x, key.public.y)
         )
 
 
@@ -466,7 +466,7 @@ class TestSimulate:
             return signature
 
         rerun = simulate(degenerate, benign)
-        assert rerun == simulate(benign) and not rerun.sigma.is_one
+        assert rerun == simulate(benign) and not rerun.sigma.value.is_one()
 
     def test_seeded_replay(self, toy_system, toy_keys):
         system, _ = toy_system

@@ -149,6 +149,9 @@ def test_mutate_checks_operators():
         b"    if n == 5:\n"
         b"        return None\n"
         b"    return True\n"
+        b"def load(ws, cli):\n"
+        b"    cli._fresh(ws.out, 'output')\n"
+        b"    return _require_file(ws.a or ws.b, 'input').read_bytes()\n"
     )
     mutants = mutate.find_mutants(source)
     assert [(m.line, m.operator, m.original, m.replacement) for m in mutants] == [
@@ -159,7 +162,12 @@ def test_mutate_checks_operators():
         (7, "raise-to-pass", "raise ValueError('big')", "pass"),
         (11, "return-verdict", "return False", "pass"),
         (13, "return-verdict", "return 'is too big'", "pass"),
+        (18, "check-call", "cli._fresh(ws.out, 'output')", "(ws.out)"),
+        (19, "check-call", "_require_file(ws.a or ws.b, 'input')", "(ws.a or ws.b)"),
     ]
     assert mutate.apply(source, mutants[1]).splitlines()[1] == (
         "    if n < low or None:  # ±".encode("utf-8")
+    )
+    assert mutate.apply(source, mutants[-1]).splitlines()[-1] == (
+        b"    return (ws.a or ws.b).read_bytes()"
     )

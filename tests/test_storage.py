@@ -37,6 +37,19 @@ class TestKeyValueParser:
         assert info.value.position == 12
 
 
+class TestDecimal:
+    @pytest.mark.parametrize("text", ["0", "7", "-7", "311", str(2**64), str(-(2**64))])
+    def test_reads_what_str_writes(self, text):
+        assert str(storage.decimal(text)) == text
+
+    @pytest.mark.parametrize(
+        "text", ["+5", "1_0", "05", "-0", "\u0665", "00", " 5", "5 ", "", "-", "5.0", "0x5", "1e3"]
+    )
+    def test_refuses_every_other_spelling(self, text):
+        with pytest.raises(ValueError):
+            storage.decimal(text)
+
+
 class TestParamsFiles:
     def test_curve_roundtrip(self, toy_params, tmp_path):
         path = tmp_path / "params.txt"
@@ -226,14 +239,13 @@ class TestSignatureFiles:
 
 
 class TestTextEnvelope:
-    def test_malformed_text_rejected(self, toy_system):
+    def test_malformed_text_rejected(self, toy_system, tmp_path):
         system, _ = toy_system
-        with pytest.raises(DecodeError):
-            storage.signature_from_text("u_prime: missing equals", system.curve)
-        with pytest.raises(DecodeError):
-            storage.signature_from_text("u_prime = zz\nsigma = 00", system.curve)
-        with pytest.raises(DecodeError):
-            storage.signature_from_text("sigma = 00\n", system.curve)
+        path = tmp_path / "sig.txt"
+        for text in ("u_prime: missing equals", "u_prime = zz\nsigma = 00", "sigma = 00\n"):
+            path.write_text(text)
+            with pytest.raises(DecodeError, match=str(path)):
+                storage.load_signature(path, system)
 
     @pytest.mark.parametrize("data, offset", [(b"\xff\xfe", 0), (b"u_prime = \xff", 10)])
     def test_non_utf8_file_rejected(self, toy_system, tmp_path, data, offset):
